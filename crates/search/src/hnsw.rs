@@ -16,9 +16,42 @@
 //! candidate/result heaps via [`SearchScratch`]; [`Hnsw::search`] hands
 //! scratch out from a per-thread pool, so batched fan-outs (e.g.
 //! `tsfm_store`'s `search_batch`) allocate nothing per query after warmup.
+//!
+//! ## Build-side state: the link-distance cache
+//!
+//! Connecting a new node pushes it onto each chosen neighbour's list and
+//! trims that list back to the `m_max` closest. The distance of every
+//! link on the list was already computed when the link was made — by the
+//! beam search that found it — so [`Hnsw::add`] keeps it beside the link
+//! (`link_dists[node][layer][i]` parallels `neighbors[layer][i]`) and
+//! trims by sorting the cached pairs instead of re-deriving `m_max + 1`
+//! distances per neighbour per insert. A cached value is the distance the
+//! trim used to recompute, to the bit: `dist(query = v_id, n)` and
+//! `dist_nodes(n, id)` are the same IEEE expression over the same rows
+//! with commutative operands swapped.
+//!
+//! The cache is *build-side* state, kept apart from the nodes that
+//! queries read, with this lifetime:
+//!
+//! * it is not part of [`HnswSnapshot`] / `TSFMHNS1`;
+//! * [`Hnsw::from_snapshot`] leaves it empty and allocates nothing for
+//!   it; the first insert that links to an imported node fills that
+//!   node's row (`dist_nodes` over its current lists), so a restart pays
+//!   nothing and insert-after-import continues the identical graph;
+//! * [`Hnsw::release_link_cache`] drops it (and the insert scratch) once
+//!   a build is done — `QueryEngine::build` calls it before returning, so
+//!   a serving process does not hold ~100 B per column it never reads.
+//!   Inserting afterwards is still correct: rows refill on first touch.
+//!
+//! An insert also allocates nothing per layer or per neighbour: the beam
+//! result, the trim buffer and (through the thread's [`SearchScratch`])
+//! the heaps are reused, the query is the caller's slice, and lists are
+//! trimmed in place.
+//!
 //! All of this is bit-for-bit behavior-preserving — graphs and query
 //! results are pinned by `tests/determinism.rs`, and the `TSFMHNS1`
-//! serialization (which never stored norms) is unchanged.
+//! serialization (which never stored norms or link distances) is
+//! unchanged.
 
 use crate::knn::Metric;
 use std::cell::RefCell;
@@ -115,6 +148,21 @@ struct Node {
     neighbors: Vec<Vec<usize>>,
 }
 
+/// What only [`Hnsw::add`] uses (module docs, "Build-side state"): the
+/// link-distance cache and the insert's reusable buffers. `Default` is
+/// the released state and owns no heap memory.
+#[derive(Default)]
+struct BuildState {
+    /// `link_dists[n][l][i]` = distance from `n` to `neighbors[l][i]` of
+    /// node `n`. An empty row means "not filled yet" (every node has at
+    /// least layer 0, so a filled row is never empty).
+    link_dists: Vec<Vec<Vec<f32>>>,
+    /// Beam result of the layer being connected, ascending by distance.
+    found: Vec<(usize, f32)>,
+    /// `(neighbour, distance)` pairs of the list being trimmed.
+    trim: Vec<(usize, f32)>,
+}
+
 /// A complete, serializable copy of an [`Hnsw`]'s state (`tsfm_store`
 /// persists it as the `TSFMHNS1` section of the index cache).
 #[derive(Debug, Clone, PartialEq)]
@@ -203,6 +251,14 @@ pub struct Hnsw {
     entry: Option<usize>,
     max_level: usize,
     rng_state: u64,
+    /// Insert-only state; never read by a query, never serialized.
+    build: BuildState,
+}
+
+/// Ascending by distance, ties by ascending id — the one order beam
+/// results and trimmed neighbour lists are kept in.
+fn by_distance_then_id(a: &(usize, f32), b: &(usize, f32)) -> std::cmp::Ordering {
+    a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
 }
 
 impl Hnsw {
@@ -218,6 +274,7 @@ impl Hnsw {
             entry: None,
             max_level: 0,
             rng_state,
+            build: BuildState::default(),
         }
     }
 
@@ -283,11 +340,12 @@ impl Hnsw {
         }
     }
 
-    /// Best-first beam search on one layer; returns up to `ef` closest.
-    /// Identical exploration order and results to the original
-    /// `HashSet`-visited implementation: the epoch stamps replicate
-    /// `insert`-returns-false semantics exactly, and the heaps see the
-    /// same push/pop sequence.
+    /// Best-first beam search on one layer; overwrites `out` with up to
+    /// `ef` closest, ascending. Identical exploration order and results
+    /// to the original `HashSet`-visited implementation: the epoch stamps
+    /// replicate `insert`-returns-false semantics exactly, and the heaps
+    /// see the same push/pop sequence.
+    #[allow(clippy::too_many_arguments)]
     fn search_layer(
         &self,
         q: &[f32],
@@ -296,7 +354,8 @@ impl Hnsw {
         ef: usize,
         layer: usize,
         scratch: &mut SearchScratch,
-    ) -> Vec<(usize, f32)> {
+        out: &mut Vec<(usize, f32)>,
+    ) {
         let entry_d = self.dist(q, q_norm, entry);
         scratch.begin(self.nodes.len());
         scratch.visit(entry);
@@ -337,10 +396,25 @@ impl Hnsw {
                 }
             }
         }
-        let mut out: Vec<(usize, f32)> =
-            scratch.results.drain().map(|HeapItem(d, i)| (i, d)).collect();
-        out.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
-        out
+        out.clear();
+        out.extend(scratch.results.drain().map(|HeapItem(d, i)| (i, d)));
+        out.sort_by(by_distance_then_id);
+    }
+
+    /// Max neighbours a node keeps on `layer`.
+    fn m_max(&self, layer: usize) -> usize {
+        if layer == 0 {
+            self.cfg.m * 2
+        } else {
+            self.cfg.m
+        }
+    }
+
+    /// One empty list per layer `0..=level`. A list holds at most
+    /// `m_max + 1` entries (one push, then the trim), so sizing it once
+    /// means it never reallocates.
+    fn empty_lists<T>(&self, level: usize) -> Vec<Vec<T>> {
+        (0..=level).map(|l| Vec::with_capacity(self.m_max(l) + 1)).collect()
     }
 
     /// Insert a vector, returning its id.
@@ -350,9 +424,10 @@ impl Hnsw {
         hnsw_counters().inserts.inc();
         let id = self.nodes.len();
         let level = self.random_level();
+        let q_norm = self.metric.norm_cache(v);
         self.data.extend_from_slice(v);
-        self.norms.push(self.metric.norm_cache(v));
-        self.nodes.push(Node { neighbors: vec![Vec::new(); level + 1] });
+        self.norms.push(q_norm);
+        self.nodes.push(Node { neighbors: self.empty_lists(level) });
 
         let Some(mut cur) = self.entry else {
             self.entry = Some(id);
@@ -360,45 +435,91 @@ impl Hnsw {
             return id;
         };
 
-        let q = v.to_vec();
-        let q_norm = self.norms[id];
         // Descend layers above the new node's level greedily.
         for l in ((level + 1)..=self.max_level).rev() {
-            cur = self.greedy(&q, q_norm, cur, l);
+            cur = self.greedy(v, q_norm, cur, l);
         }
+        // Taken out so its buffers can be borrowed beside `&mut self`;
+        // put back below.
+        let mut build = std::mem::take(&mut self.build);
+        let BuildState { link_dists, found, trim } = &mut build;
+        // Rows of nodes that arrived without distances (imported, or
+        // inserted before a release) start empty and fill on first touch.
+        link_dists.resize_with(id, Vec::new);
+        link_dists.push(self.empty_lists(level));
         // Connect on each layer from min(level, max_level) down to 0.
         for l in (0..=level.min(self.max_level)).rev() {
-            let found = SCRATCH.with(|s| {
-                self.search_layer(&q, q_norm, cur, self.cfg.ef_construction, l, &mut s.borrow_mut())
+            SCRATCH.with(|s| {
+                let ef = self.cfg.ef_construction;
+                self.search_layer(v, q_norm, cur, ef, l, &mut s.borrow_mut(), found);
             });
-            let m_max = if l == 0 { self.cfg.m * 2 } else { self.cfg.m };
-            let chosen: Vec<usize> =
-                found.iter().take(m_max).map(|&(i, _)| i).collect();
-            for &n in &chosen {
+            let m_max = self.m_max(l);
+            for &(n, d) in found.iter().take(m_max) {
                 self.nodes[id].neighbors[l].push(n);
-                self.nodes[n].neighbors[l].push(id);
+                link_dists[id][l].push(d);
+                if link_dists[n].is_empty() {
+                    link_dists[n] = self.link_distances(n);
+                }
+                // `d` is dist(v, n), bit-equal to dist_nodes(n, id).
+                let links = &mut self.nodes[n].neighbors[l];
+                let dists = &mut link_dists[n][l];
+                links.push(id);
+                dists.push(d);
                 // Trim the neighbour's list if it overflowed.
-                if self.nodes[n].neighbors[l].len() > m_max {
-                    let mut withd: Vec<(usize, f32)> = self.nodes[n].neighbors[l]
-                        .iter()
-                        .map(|&x| (x, self.dist_nodes(n, x)))
-                        .collect();
-                    withd.sort_by(|a, b| {
-                        a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-                    });
-                    withd.truncate(m_max);
-                    self.nodes[n].neighbors[l] = withd.into_iter().map(|(x, _)| x).collect();
+                if links.len() > m_max {
+                    trim.clear();
+                    trim.extend(links.iter().copied().zip(dists.iter().copied()));
+                    trim.sort_by(by_distance_then_id);
+                    trim.truncate(m_max);
+                    links.clear();
+                    links.extend(trim.iter().map(|&(x, _)| x));
+                    dists.clear();
+                    dists.extend(trim.iter().map(|&(_, dx)| dx));
                 }
             }
             if let Some(&(best, _)) = found.first() {
                 cur = best;
             }
         }
+        self.build = build;
         if level > self.max_level {
             self.max_level = level;
             self.entry = Some(id);
         }
         id
+    }
+
+    /// The link-distance row of a node that has none yet: the distance of
+    /// every link on every layer, exactly as the trim would derive it.
+    fn link_distances(&self, n: usize) -> Vec<Vec<f32>> {
+        let layers = &self.nodes[n].neighbors;
+        layers.iter().map(|links| links.iter().map(|&x| self.dist_nodes(n, x)).collect()).collect()
+    }
+
+    /// Drop the build-side state (module docs, "Build-side state"). Call
+    /// once a graph is built and will only be searched; a later
+    /// [`Hnsw::add`] still continues the identical graph.
+    pub fn release_link_cache(&mut self) {
+        self.build = BuildState::default();
+    }
+
+    /// Heap bytes the build-side state holds: 0 for a graph that came
+    /// from [`Hnsw::from_snapshot`] or was released and not inserted into
+    /// since.
+    pub fn link_cache_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let b = &self.build;
+        let rows: usize = b
+            .link_dists
+            .iter()
+            .map(|row| {
+                row.capacity() * size_of::<Vec<f32>>()
+                    + row.iter().map(|d| d.capacity() * size_of::<f32>()).sum::<usize>()
+            })
+            .sum();
+        b.link_dists.capacity() * size_of::<Vec<Vec<f32>>>()
+            + rows
+            + (b.found.capacity() + b.trim.capacity()) * size_of::<(usize, f32)>()
     }
 
     pub fn dim(&self) -> usize {
@@ -411,6 +532,30 @@ impl Hnsw {
 
     pub fn config(&self) -> &HnswConfig {
         &self.cfg
+    }
+
+    /// The row-major vector arena, [`Hnsw::dim`] floats per node.
+    pub fn vectors(&self) -> &[f32] {
+        &self.data
+    }
+
+    /// Per node in id order, its neighbour lists by layer — borrowed, for
+    /// serializers that walk the graph once ([`Hnsw::snapshot`] clones).
+    pub fn layers(&self) -> impl ExactSizeIterator<Item = &[Vec<usize>]> {
+        self.nodes.iter().map(|n| n.neighbors.as_slice())
+    }
+
+    pub fn entry(&self) -> Option<usize> {
+        self.entry
+    }
+
+    pub fn max_level(&self) -> usize {
+        self.max_level
+    }
+
+    /// State of the level generator: the next insert draws from here.
+    pub fn rng_state(&self) -> u64 {
+        self.rng_state
     }
 
     /// Export the full graph state for persistence. Together with
@@ -494,6 +639,7 @@ impl Hnsw {
             entry: s.entry,
             max_level: s.max_level,
             rng_state: s.rng_state,
+            build: BuildState::default(),
         })
     }
 
@@ -522,7 +668,8 @@ impl Hnsw {
             cur = self.greedy(q, q_norm, cur, l);
         }
         let ef = self.cfg.ef_search.max(k);
-        let mut out = self.search_layer(q, q_norm, cur, ef, 0, scratch);
+        let mut out = Vec::new();
+        self.search_layer(q, q_norm, cur, ef, 0, scratch, &mut out);
         out.truncate(k);
         out
     }

@@ -191,3 +191,79 @@ fn corrupt_snapshots_rejected() {
         assert!(Hnsw::from_snapshot(s).is_err());
     }
 }
+
+/// The parent algorithm as an oracle: releasing the link-distance cache
+/// after every insert makes each trim re-derive its distances with
+/// `dist_nodes`, which is what `add` did before the cache existed.
+fn build_recomputing(vecs: &[Vec<f32>], dim: usize, metric: Metric) -> Hnsw {
+    let mut h = Hnsw::new(dim, metric, HnswConfig::default());
+    for v in vecs {
+        h.add(v);
+        h.release_link_cache();
+    }
+    h
+}
+
+/// The link-distance cache is build-side state: absent after an import or
+/// a release, refilled per node on first touch, and invisible in the
+/// graph. 300 nodes overflow every layer-0 list (2·m = 24), so the 120
+/// later inserts trim imported / released nodes through the lazy fill.
+#[test]
+fn insert_after_import_or_release_continues_the_identical_graph() {
+    for metric in [Metric::Euclidean, Metric::Cosine] {
+        let vecs = grid_vecs(420, 8, 29);
+        let (head, tail) = vecs.split_at(300);
+        let mut uninterrupted = Hnsw::new(8, metric, HnswConfig::default());
+        for v in &vecs {
+            uninterrupted.add(v);
+        }
+        assert!(uninterrupted.link_cache_bytes() > 0, "a build keeps its link distances");
+
+        let mut built = Hnsw::new(8, metric, HnswConfig::default());
+        for v in head {
+            built.add(v);
+        }
+        let mut imported = Hnsw::from_snapshot(built.snapshot()).expect("valid snapshot");
+        assert_eq!(imported.link_cache_bytes(), 0, "import allocates nothing for the cache");
+        imported.search(&vecs[0], 10);
+        assert_eq!(imported.link_cache_bytes(), 0, "nor does searching");
+        built.release_link_cache();
+        assert_eq!(built.link_cache_bytes(), 0, "release frees all of it");
+
+        for v in tail {
+            imported.add(v);
+            built.add(v);
+        }
+        assert_eq!(imported.snapshot(), uninterrupted.snapshot(), "{metric:?}: import → insert");
+        assert_eq!(built.snapshot(), uninterrupted.snapshot(), "{metric:?}: release → insert");
+        assert_eq!(
+            build_recomputing(&vecs, 8, metric).snapshot(),
+            uninterrupted.snapshot(),
+            "{metric:?}: cached distances differ from recomputed ones"
+        );
+    }
+}
+
+/// Zero-norm rows (cosine distance exactly 1.0 to everything) and exact
+/// duplicates (distance ties on every list they share) through the
+/// cached-distance trim: ties must still break by id. Pinned on the
+/// parent of the link-distance cache.
+#[test]
+fn zero_norm_and_duplicate_vectors_trim_by_id() {
+    let mut vecs = grid_vecs(90, 6, 41);
+    vecs.extend(vec![vec![0.0; 6]; 40]); // zero-norm
+    vecs.extend(vec![vecs[3].clone(); 40]); // duplicates of one row
+    vecs.extend(grid_vecs(90, 6, 43));
+    vecs.extend(vec![vec![0.0; 6]; 20]);
+    vecs.extend(vec![vecs[7].clone(); 20]);
+    for (metric, pinned) in
+        [(Metric::Cosine, 0x6a99_1fa3_f85f_c9afu64), (Metric::Euclidean, 0x700f_774c_c53c_60f9)]
+    {
+        let mut h = Hnsw::new(6, metric, HnswConfig::default());
+        for v in &vecs {
+            h.add(v);
+        }
+        assert_eq!(h.snapshot(), build_recomputing(&vecs, 6, metric).snapshot(), "{metric:?}");
+        assert_eq!(fingerprint(&h), pinned, "{metric:?}: {:#018x}", fingerprint(&h));
+    }
+}

@@ -331,6 +331,7 @@ impl Catalog {
         );
         obs().counter("tsfm_store_compactions_total", "Shard compaction passes completed");
         obs().histogram("tsfm_store_arena_read_us", "Positioned arena payload read latency");
+        index_build_histogram();
         let dir = dir.into();
         let manifest = dir.join(MANIFEST_FILE);
         if manifest.exists() {
@@ -1392,7 +1393,9 @@ impl Catalog {
                 "Snapshots that rebuilt the HNSW graphs from records",
             )
             .inc();
+        let t0 = std::time::Instant::now();
         let e = QueryEngine::build(records, self.sketch_cfg.minhash_k, self.hnsw_cfg.clone());
+        index_build_histogram().record(t0.elapsed().as_micros() as u64);
         // The cache is an optimization: a read-only filesystem must not
         // make an in-memory engine unqueryable.
         let _ = self.write_index_cache(records, &e, fp);
@@ -1427,6 +1430,16 @@ impl Catalog {
             &self.tombstones,
         )
     }
+}
+
+/// Graph build alone — `tsfm_catalog_snapshot_build_us` also covers cache
+/// hits, record loads and the cache write. Registered at catalog open so
+/// the series is exported (empty) before the first rebuild.
+fn index_build_histogram() -> Arc<tsfm_obs::Histogram> {
+    obs().histogram(
+        "tsfm_catalog_index_build_us",
+        "QueryEngine::build latency (join and union HNSW lanes) on an index rebuild",
+    )
 }
 
 /// Fingerprint of a loose-only manifest's contents + sketch config (what
@@ -1758,6 +1771,23 @@ mod tests {
         assert_eq!(rec.sketch.columns.len(), 1);
         assert!(cat.get("missing").unwrap().is_none());
         assert!(matches!(cat.record("missing"), Err(StoreError::UnknownTable(id)) if id == "missing"));
+    }
+
+    #[test]
+    fn index_build_histogram_registers_at_open_and_records_rebuilds() {
+        let dir = tmp_dir("index_build_us");
+        let mut cat = Catalog::open(&dir).unwrap();
+        assert!(
+            obs().names().iter().any(|n| n == "tsfm_catalog_index_build_us"),
+            "exported before the first rebuild"
+        );
+        // The registry is process-wide and tests run in parallel: only
+        // growth is attributable.
+        let before = index_build_histogram().count();
+        cat.add_table(&table("t", &[1, 2, 3]), 1).unwrap();
+        cat.commit().unwrap();
+        cat.searcher().unwrap();
+        assert!(index_build_histogram().count() > before, "a rebuild records its build time");
     }
 
     #[test]

@@ -200,6 +200,28 @@ fn union_features(c: &ColumnSketch, out: &mut Vec<f32>) {
     out.extend(c.numeric.to_f32_features());
 }
 
+/// One lane of [`QueryEngine::build`]: a cosine HNSW over `features` of
+/// every column, in canonical order. The graph's build-side link-distance
+/// cache is released before it is handed to a long-lived engine.
+fn fill_graph(
+    records: &[TableRecord],
+    order: &[usize],
+    dim: usize,
+    cfg: HnswConfig,
+    features: fn(&ColumnSketch, &mut Vec<f32>),
+) -> Hnsw {
+    let mut index = Hnsw::new(dim, Metric::Cosine, cfg);
+    let mut buf = Vec::new();
+    for &ri in order {
+        for c in &records[ri].sketch.columns {
+            features(c, &mut buf);
+            index.add(&buf);
+        }
+    }
+    index.release_link_cache();
+    index
+}
+
 /// LSH banding for a `k`-wide snapshot signature: 2-row bands when `k` is
 /// even (collision probability `1−(1−J²)^(k/2)`), else 1-row bands.
 fn content_banding(k: usize) -> (usize, usize) {
@@ -214,21 +236,29 @@ impl QueryEngine {
     /// Build all three indexes from records. Input order is irrelevant:
     /// records are processed in ascending table-id order, and duplicate ids
     /// keep the *last* occurrence.
+    ///
+    /// The join and union graphs share nothing but the read-only records,
+    /// and each graph is a function of its own insertion order alone, so
+    /// they are filled side by side — the union lane on a scoped thread,
+    /// the join lane on the caller's — and come out bit-identical to a
+    /// serial fill. On a one-core host the lanes time-slice.
     pub fn build(records: &[TableRecord], minhash_k: usize, hnsw_cfg: HnswConfig) -> Self {
         let _g = tsfm_obs::span!("engine.build");
         let order = canonical_order(records);
-        let mut join_index = Hnsw::new(minhash_k, Metric::Cosine, hnsw_cfg.clone());
-        let mut union_index =
-            Hnsw::new(2 * minhash_k + tsfm_sketch::numeric::NUMERIC_SKETCH_DIM, Metric::Cosine, hnsw_cfg);
-        let mut buf = Vec::new();
-        for &ri in &order {
-            for c in &records[ri].sketch.columns {
-                join_features(c, &mut buf);
-                join_index.add(&buf);
-                union_features(c, &mut buf);
-                union_index.add(&buf);
-            }
-        }
+        let union_dim = 2 * minhash_k + tsfm_sketch::numeric::NUMERIC_SKETCH_DIM;
+        let union_cfg = hnsw_cfg.clone();
+        let (join_index, union_index) = std::thread::scope(|s| {
+            let union_lane = s.spawn(|| {
+                let _g = tsfm_obs::span!("engine.build.union");
+                fill_graph(records, &order, union_dim, union_cfg, union_features)
+            });
+            let join_index = {
+                let _g = tsfm_obs::span!("engine.build.join");
+                fill_graph(records, &order, minhash_k, hnsw_cfg, join_features)
+            };
+            // A lane only panics on a bug; re-raise it on the caller.
+            (join_index, union_lane.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+        });
         Self::assemble(records, &order, minhash_k, join_index, union_index)
     }
 
@@ -719,6 +749,90 @@ mod tests {
                 b.search(q, &req(mode, 3)).unwrap().hits
             );
         }
+    }
+
+    /// 64 tables × 5 columns = 320 columns: enough nodes that every
+    /// layer-0 list (2·m = 24) overflows and is trimmed many times.
+    fn wide_corpus() -> (Vec<TableRecord>, SketchConfig) {
+        let cfg = SketchConfig::default();
+        let recs = (0..64)
+            .map(|t| {
+                let mut table = Table::new(format!("t{t:02}"), format!("t{t:02}"));
+                for c in 0..5 {
+                    // Neighbouring tables share values, so distances vary.
+                    let vals = (0..30).map(|i| Value::Str(format!("v{}-{}", c, (t / 4) * 7 + i)));
+                    table.push_column(Column::new(format!("c{c}"), vals.collect()));
+                }
+                TableRecord::from_sketch(TableSketch::build(&table, &cfg), 0)
+            })
+            .collect();
+        (recs, cfg)
+    }
+
+    /// The two build lanes must produce exactly the graphs a serial
+    /// `Hnsw::add` loop in canonical order produces, whatever order the
+    /// records arrive in — and hand none of the build-side cache on.
+    #[test]
+    fn build_lanes_match_serial_hand_fill() {
+        let (mut recs, cfg) = wide_corpus();
+        let k = cfg.minhash_k;
+        let mut join = Hnsw::new(k, Metric::Cosine, HnswConfig::default());
+        let mut union = Hnsw::new(
+            2 * k + tsfm_sketch::numeric::NUMERIC_SKETCH_DIM,
+            Metric::Cosine,
+            HnswConfig::default(),
+        );
+        let mut buf = Vec::new();
+        for c in recs.iter().flat_map(|r| &r.sketch.columns) {
+            join_features(c, &mut buf);
+            join.add(&buf);
+            union_features(c, &mut buf);
+            union.add(&buf);
+        }
+        assert!(join.len() >= 300);
+
+        let built = QueryEngine::build(&recs, k, HnswConfig::default());
+        assert_eq!(built.join_index().snapshot(), join.snapshot());
+        assert_eq!(built.union_index().snapshot(), union.snapshot());
+        assert_eq!(built.join_index().link_cache_bytes(), 0, "engine holds no build state");
+        assert_eq!(built.union_index().link_cache_bytes(), 0, "engine holds no build state");
+
+        // Deterministic shuffle: 37 is coprime with 64.
+        recs = (0..recs.len()).map(|i| recs[(i * 37 + 11) % recs.len()].clone()).collect();
+        let shuffled = QueryEngine::build(&recs, k, HnswConfig::default());
+        assert_eq!(shuffled.join_index().snapshot(), join.snapshot());
+        assert_eq!(shuffled.union_index().snapshot(), union.snapshot());
+    }
+
+    /// A rebuild runs beside queries on the previous engine (the serve
+    /// loop's reload): both must be unaffected by the other. Mostly here
+    /// so the nightly TSan job sees the lanes and the batch fan-out
+    /// overlap; the barrier makes them start together.
+    #[test]
+    fn build_beside_search_batch_on_previous_engine() {
+        let (recs, cfg) = wide_corpus();
+        let k = cfg.minhash_k;
+        let serving = QueryEngine::build(&recs, k, HnswConfig::default());
+        let sketches: Vec<TableSketch> = recs.iter().take(16).map(|r| r.sketch.clone()).collect();
+        let r = req(QueryMode::Union, 5);
+        let want: Vec<Vec<TableHit>> =
+            sketches.iter().map(|s| serving.search(s, &r).unwrap().hits).collect();
+        let start = std::sync::Barrier::new(2);
+        let rebuilt = std::thread::scope(|s| {
+            let builder = s.spawn(|| {
+                start.wait();
+                QueryEngine::build(&recs, k, HnswConfig::default())
+            });
+            start.wait();
+            for _ in 0..4 {
+                let got = serving.search_batch_with_threads(&sketches, &r, 2).unwrap();
+                let got: Vec<Vec<TableHit>> = got.into_iter().map(|b| b.hits).collect();
+                assert_eq!(got, want);
+            }
+            builder.join().unwrap()
+        });
+        assert_eq!(rebuilt.join_index().snapshot(), serving.join_index().snapshot());
+        assert_eq!(rebuilt.union_index().snapshot(), serving.union_index().snapshot());
     }
 
     #[test]

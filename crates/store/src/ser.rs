@@ -465,27 +465,30 @@ fn read_record_body<R: Read>(r: &mut R) -> StoreResult<TableRecord> {
 
 // ---- HNSW graphs ----------------------------------------------------------
 
+/// Walks the graph through [`Hnsw`]'s borrowing accessors:
+/// [`Hnsw::snapshot`] would copy the arena and allocate a list per node
+/// per layer only to be read once here.
 pub fn write_hnsw<W: Write>(w: &mut W, index: &Hnsw) -> StoreResult<()> {
-    let s = index.snapshot();
+    let cfg = index.config();
     let mut body = Vec::new();
-    write_u32(&mut body, s.dim as u32)?;
-    write_u8(&mut body, s.metric.tag())?;
-    write_u32(&mut body, s.cfg.m as u32)?;
-    write_u32(&mut body, s.cfg.ef_construction as u32)?;
-    write_u32(&mut body, s.cfg.ef_search as u32)?;
-    write_u64(&mut body, s.cfg.seed)?;
-    write_u64(&mut body, s.rng_state)?;
-    write_u64(&mut body, s.max_level as u64)?;
-    match s.entry {
+    write_u32(&mut body, index.dim() as u32)?;
+    write_u8(&mut body, index.metric().tag())?;
+    write_u32(&mut body, cfg.m as u32)?;
+    write_u32(&mut body, cfg.ef_construction as u32)?;
+    write_u32(&mut body, cfg.ef_search as u32)?;
+    write_u64(&mut body, cfg.seed)?;
+    write_u64(&mut body, index.rng_state())?;
+    write_u64(&mut body, index.max_level() as u64)?;
+    match index.entry() {
         Some(e) => {
             write_u8(&mut body, 1)?;
             write_u64(&mut body, e as u64)?;
         }
         None => write_u8(&mut body, 0)?,
     }
-    write_f32s(&mut body, &s.data)?;
-    write_u32(&mut body, s.neighbors.len() as u32)?;
-    for layers in &s.neighbors {
+    write_f32s(&mut body, index.vectors())?;
+    write_u32(&mut body, index.len() as u32)?;
+    for layers in index.layers() {
         write_u32(&mut body, layers.len() as u32)?;
         for layer in layers {
             write_u32(&mut body, layer.len() as u32)?;
@@ -702,16 +705,56 @@ mod tests {
         assert!(write_embedding_matrix(&mut Vec::new(), &ragged, 1).is_err());
     }
 
+    /// The `TSFMHNS1` encoding as `write_hnsw` produced it while it went
+    /// through [`Hnsw::snapshot`] — the reference the borrowing writer
+    /// must match byte for byte.
+    fn write_hnsw_from_snapshot(s: &HnswSnapshot) -> Vec<u8> {
+        let mut body = Vec::new();
+        write_u32(&mut body, s.dim as u32).unwrap();
+        write_u8(&mut body, s.metric.tag()).unwrap();
+        write_u32(&mut body, s.cfg.m as u32).unwrap();
+        write_u32(&mut body, s.cfg.ef_construction as u32).unwrap();
+        write_u32(&mut body, s.cfg.ef_search as u32).unwrap();
+        write_u64(&mut body, s.cfg.seed).unwrap();
+        write_u64(&mut body, s.rng_state).unwrap();
+        write_u64(&mut body, s.max_level as u64).unwrap();
+        match s.entry {
+            Some(e) => {
+                write_u8(&mut body, 1).unwrap();
+                write_u64(&mut body, e as u64).unwrap();
+            }
+            None => write_u8(&mut body, 0).unwrap(),
+        }
+        write_f32s(&mut body, &s.data).unwrap();
+        write_u32(&mut body, s.neighbors.len() as u32).unwrap();
+        for layers in &s.neighbors {
+            write_u32(&mut body, layers.len() as u32).unwrap();
+            for layer in layers {
+                write_u32(&mut body, layer.len() as u32).unwrap();
+                for &n in layer {
+                    write_u64(&mut body, n as u64).unwrap();
+                }
+            }
+        }
+        let mut out = Vec::new();
+        write_frame(&mut out, HNSW_MAGIC, &body).unwrap();
+        out
+    }
+
     #[test]
     fn hnsw_roundtrip_preserves_search() {
         use tsfm_search::Metric;
         let mut h = Hnsw::new(4, Metric::Cosine, HnswConfig::default());
+        let mut empty = Vec::new();
+        write_hnsw(&mut empty, &h).unwrap();
+        assert_eq!(empty, write_hnsw_from_snapshot(&h.snapshot()), "empty graph bytes");
         for i in 0..50u32 {
             let v: Vec<f32> = (0..4).map(|j| ((i * 7 + j) % 13) as f32 - 6.0).collect();
             h.add(&v);
         }
         let mut buf = Vec::new();
         write_hnsw(&mut buf, &h).unwrap();
+        assert_eq!(buf, write_hnsw_from_snapshot(&h.snapshot()), "bytes changed");
         let back = read_hnsw(&mut buf.as_slice()).unwrap();
         assert_eq!(h.snapshot(), back.snapshot());
         assert_eq!(h.search(&[1.0, 2.0, 3.0, 4.0], 5), back.search(&[1.0, 2.0, 3.0, 4.0], 5));

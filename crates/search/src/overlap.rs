@@ -90,6 +90,7 @@ impl JosieIndex {
 /// Banded MinHash LSH: signatures are split into `bands` bands of `rows`
 /// slots; sets sharing any band bucket become candidates, then candidates
 /// are re-ranked by full-signature Jaccard estimate.
+#[derive(Clone)]
 pub struct MinHashLsh {
     bands: usize,
     rows: usize,
@@ -110,6 +111,11 @@ impl MinHashLsh {
 
     pub fn is_empty(&self) -> bool {
         self.sigs.is_empty()
+    }
+
+    /// The signature stored under `id` (as returned by [`MinHashLsh::add`]).
+    pub fn signature(&self, id: usize) -> &MinHash {
+        &self.sigs[id]
     }
 
     fn band_key(&self, sig: &MinHash, band: usize) -> u64 {

@@ -50,10 +50,25 @@
 //! [`Searcher`] — an immutable `Arc`-shared snapshot of the query engine
 //! that is `Send + Sync` — so queries never hold `&mut Catalog`. Every
 //! mutation bumps the catalog [`Catalog::epoch`] and drops the cached
-//! snapshot; the next `searcher()` call rebuilds it (loading the on-disk
-//! HNSW cache when the manifest fingerprint matches, so a cold reopen of
-//! an unchanged catalog skips graph construction entirely). Snapshots
-//! already handed out keep serving their generation.
+//! snapshot; snapshots already handed out keep serving their generation.
+//! The next `searcher()` call finds its engine the cheapest way the
+//! contents allow:
+//!
+//! 1. the engine the previous snapshot served, as is, when the contents
+//!    fingerprint is unchanged (a snapshot-mode switch, a compaction);
+//! 2. the on-disk index cache when its fingerprint matches, so a cold
+//!    reopen of an unchanged catalog skips graph construction entirely;
+//! 3. the previous engine *updated* by the churn since it was built: the
+//!    catalog keeps that engine and one content hash per table across
+//!    mutations, diffs them against the active `(id, content_hash)` set,
+//!    and hands [`QueryEngine::update`] the removed ids and the records of
+//!    the changed and added tables — the only records it reads — so an
+//!    update becomes visible in time proportional to churn;
+//! 4. a full [`QueryEngine::build`] over the live records, when there is
+//!    no previous engine (a fresh open) or the update would leave a
+//!    quarter of the graph dead.
+//!
+//! Paths 3 and 4 rewrite the index cache for the new contents.
 //!
 //! Incremental ingest: every record stores the stable hash of its source
 //! bytes. [`Catalog::ingest_dir`] hashes each CSV *before* parsing and
@@ -62,7 +77,7 @@
 //! exactly one table.
 
 use crate::durable;
-use crate::engine::{table_metas, QueryEngine, TableMeta};
+use crate::engine::{QueryEngine, SpanMeta};
 use crate::error::{StoreError, StoreResult};
 use crate::record::TableRecord;
 use crate::searcher::Searcher;
@@ -252,6 +267,16 @@ impl ShardSlot {
     }
 }
 
+/// The engine a catalog last built, loaded or derived (the same `Arc`
+/// its snapshot holds) and the contents it indexes.
+struct IndexBase {
+    engine: Arc<QueryEngine>,
+    /// Fingerprint of those contents.
+    fingerprint: u64,
+    /// Content hash per table, parallel to `engine.table_ids()`.
+    hashes: Vec<u64>,
+}
+
 /// A persistent, incrementally-updatable table catalog.
 pub struct Catalog {
     dir: PathBuf,
@@ -269,6 +294,9 @@ pub struct Catalog {
     snapshot_mode: SnapshotMode,
     /// Cached read snapshot for the current epoch; dropped on mutation.
     snapshot: Option<Searcher>,
+    /// The engine the newest snapshot serves, kept across mutations as
+    /// the base the next one is derived from (module docs, path 3).
+    base: Option<IndexBase>,
     /// Bumped by every mutation; snapshots carry the epoch they captured.
     epoch: u64,
     manifest_dirty: bool,
@@ -332,6 +360,9 @@ impl Catalog {
         obs().counter("tsfm_store_compactions_total", "Shard compaction passes completed");
         obs().histogram("tsfm_store_arena_read_us", "Positioned arena payload read latency");
         index_build_histogram();
+        index_updates_counter();
+        index_update_histogram();
+        dead_columns_gauge();
         let dir = dir.into();
         let manifest = dir.join(MANIFEST_FILE);
         if manifest.exists() {
@@ -362,6 +393,7 @@ impl Catalog {
                 tombstones,
                 snapshot_mode: SnapshotMode::default(),
                 snapshot: None,
+                base: None,
                 epoch: 0,
                 manifest_dirty: false,
                 seg_buf: Vec::new(),
@@ -381,6 +413,7 @@ impl Catalog {
             tombstones: BTreeSet::new(),
             snapshot_mode: SnapshotMode::default(),
             snapshot: None,
+            base: None,
             epoch: 0,
             manifest_dirty: true,
             seg_buf: Vec::new(),
@@ -1122,145 +1155,159 @@ impl Catalog {
 
     /// An immutable, `Send + Sync` read snapshot of the current contents:
     /// the query path. The first call after any mutation (or a cold open)
-    /// builds the indexes — loading the on-disk cache when its fingerprint
-    /// matches — and the result is cached until the next mutation, so
-    /// repeated calls are two `Arc` clones.
+    /// finds the engine as the module docs describe — reused, loaded from
+    /// the on-disk cache, updated from the previous engine, or built —
+    /// and the result is cached until the next mutation, so repeated
+    /// calls are two `Arc` clones.
     pub fn searcher(&mut self) -> StoreResult<Searcher> {
-        if self.snapshot.is_none() {
-            let t0 = std::time::Instant::now();
-            let _g = tsfm_obs::span!("catalog.snapshot");
-            let lazy = match self.snapshot_mode {
-                SnapshotMode::Eager => false,
-                SnapshotMode::Lazy => true,
-                SnapshotMode::Auto => {
-                    !self.shards.is_empty() && self.len() >= AUTO_LAZY_MIN_TABLES
-                }
-            };
-            let fp = self.fingerprint()?;
-            // Cache load failures are swallowed (a rebuild answers the
-            // query), but read_index_cache has already counted a corrupt
-            // cache in tsfm_store_corruptions_detected_total.
-            let cached = {
-                let _g = tsfm_obs::span!("catalog.index_cache.load");
-                read_index_cache(&self.dir.join(INDEX_FILE))
-                    .ok()
-                    .filter(|&(cached_fp, ..)| cached_fp == fp)
-            };
-            // `load_all_records` (and `load_loose_records`) walk manifest
-            // BTreeMaps, so records arrive in ascending-id order — exactly
-            // the engine's canonical order — letting the sketches double
-            // as the searcher's id-addressable corpus.
-            let (engine, records) = match cached {
-                // Record-free fast path: a lazy snapshot whose cache
-                // carries the engine-meta section reconstructs the engine
-                // without reading a single sharded sketch payload, so
-                // open-to-queryable work is O(loose + shards), not
-                // O(tables).
-                Some((_, join, union, Some(meta))) if lazy => {
-                    match QueryEngine::from_meta(meta, self.sketch_cfg.minhash_k, join, union) {
-                        Ok(e) => {
-                            Self::count_cache_hit();
-                            (e, self.load_loose_records()?)
-                        }
-                        Err(_) => {
-                            let records = self.load_all_records()?;
-                            let e = self.rebuild_engine(&records, fp);
-                            (e, records)
-                        }
-                    }
-                }
-                // Eager snapshot, or a pre-meta cache: the graphs are
-                // still reusable, validated against the loaded records.
-                Some((_, join, union, meta)) => {
-                    let records = self.load_all_records()?;
-                    match QueryEngine::with_graphs(
-                        &records,
-                        self.sketch_cfg.minhash_k,
-                        join,
-                        union,
-                    ) {
-                        Ok(e) => {
-                            Self::count_cache_hit();
-                            if lazy && meta.is_none() {
-                                // Upgrade a pre-meta cache in place so the
-                                // next lazy open takes the record-free
-                                // path (same fingerprint — still valid).
-                                let _ = self.write_index_cache(&records, &e, fp);
-                            }
-                            (e, records)
-                        }
-                        Err(_) => {
-                            let e = self.rebuild_engine(&records, fp);
-                            (e, records)
-                        }
-                    }
-                }
-                None => {
-                    let records = self.load_all_records()?;
-                    let e = self.rebuild_engine(&records, fp);
-                    (e, records)
-                }
-            };
-            obs()
-                .histogram("tsfm_catalog_snapshot_build_us", "Snapshot (re)build latency")
-                .record(t0.elapsed().as_micros() as u64);
-            self.snapshot = Some(if lazy {
-                // Keep only loose sketches in memory (they have no arena
-                // home); shard-resident ones are dropped here and
-                // re-loaded on demand by positioned arena read.
-                let loose: Vec<Arc<TableSketch>> = records
-                    .into_iter()
-                    .filter(|r| self.entries.contains_key(r.table_id()))
-                    .map(|r| Arc::new(r.sketch))
-                    .collect();
-                let mut lazy_shards = Vec::with_capacity(self.shards.len());
-                for slot in &self.shards {
-                    lazy_shards.push(match slot {
-                        Some(s) => {
-                            let m = self.slot_manifest(s)?;
-                            let arena = self.slot_arena(s)?;
-                            let entries: Vec<(String, u32)> = m
-                                .entries
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, e)| {
-                                    !self.tombstones.contains(&e.id)
-                                        && !self.entries.contains_key(&e.id)
-                                })
-                                .map(|(i, e)| (e.id.clone(), i as u32))
-                                .collect();
-                            Some(shard::LazyShard { arena, entries })
-                        }
-                        None => None,
-                    });
-                }
-                let corpus = shard::LazyCorpus::new(
-                    self.shards.len() as u32,
-                    lazy_shards,
-                    loose,
-                    shard::SKETCH_CACHE_CAP,
-                );
-                Searcher::lazy(
-                    Arc::new(engine),
-                    Arc::new(corpus),
-                    self.sketch_cfg.clone(),
-                    self.epoch,
-                )
-            } else {
-                let sketches: Vec<Arc<TableSketch>> =
-                    records.into_iter().map(|r| Arc::new(r.sketch)).collect();
-                Searcher::eager(
-                    Arc::new(engine),
-                    Arc::new(sketches),
-                    self.sketch_cfg.clone(),
-                    self.epoch,
-                )
-            });
+        if let Some(s) = &self.snapshot {
+            return Ok(s.clone());
         }
-        self.snapshot
-            .as_ref()
-            .cloned()
-            .ok_or_else(|| StoreError::internal("snapshot missing right after build"))
+        let t0 = std::time::Instant::now();
+        let _g = tsfm_obs::span!("catalog.snapshot");
+        let lazy = match self.snapshot_mode {
+            SnapshotMode::Eager => false,
+            SnapshotMode::Lazy => true,
+            SnapshotMode::Auto => !self.shards.is_empty() && self.len() >= AUTO_LAZY_MIN_TABLES,
+        };
+        let (engine, records) = self.index_engine(lazy)?;
+        obs()
+            .histogram("tsfm_catalog_snapshot_build_us", "Snapshot (re)build latency")
+            .record(t0.elapsed().as_micros() as u64);
+        let sketches = records.into_iter().map(|r| Arc::new(r.sketch));
+        let snapshot = if lazy {
+            let mut lazy_shards = Vec::with_capacity(self.shards.len());
+            for slot in &self.shards {
+                lazy_shards.push(match slot {
+                    Some(s) => {
+                        let m = self.slot_manifest(s)?;
+                        let arena = self.slot_arena(s)?;
+                        let entries: Vec<(String, u32)> = m
+                            .entries
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, e)| {
+                                !self.tombstones.contains(&e.id)
+                                    && !self.entries.contains_key(&e.id)
+                            })
+                            .map(|(i, e)| (e.id.clone(), i as u32))
+                            .collect();
+                        Some(shard::LazyShard { arena, entries })
+                    }
+                    None => None,
+                });
+            }
+            let corpus = shard::LazyCorpus::new(
+                self.shards.len() as u32,
+                lazy_shards,
+                sketches.collect(),
+                shard::SKETCH_CACHE_CAP,
+            );
+            Searcher::lazy(engine, Arc::new(corpus), self.sketch_cfg.clone(), self.epoch)
+        } else {
+            let sketches = Arc::new(sketches.collect());
+            Searcher::eager(engine, sketches, self.sketch_cfg.clone(), self.epoch)
+        };
+        self.snapshot = Some(snapshot.clone());
+        Ok(snapshot)
+    }
+
+    /// The engine for the current contents (module docs, paths 1–4),
+    /// recorded as the new base, and the snapshot's in-memory records:
+    /// all of them, or for a `lazy` snapshot the loose tier only (its
+    /// shard-resident sketches are re-loaded on demand by positioned arena
+    /// read). Both loads walk manifest BTreeMaps (and sort), so records
+    /// arrive in ascending-id order — exactly the engine's canonical
+    /// order — letting the sketches double as the searcher's
+    /// id-addressable corpus. They are read after a cache load has
+    /// released the file's bytes, so the two never peak together.
+    fn index_engine(
+        &mut self,
+        lazy: bool,
+    ) -> StoreResult<(Arc<QueryEngine>, Vec<TableRecord>)> {
+        let (fp, hashes, churn) = self.with_active_pairs(|pairs| {
+            let fp = fingerprint_pairs(&self.sketch_cfg, pairs.iter().copied());
+            let churn = self
+                .base
+                .as_ref()
+                .filter(|b| b.fingerprint != fp)
+                .map(|b| churn_since(b.engine.table_ids(), &b.hashes, pairs));
+            (fp, pairs.iter().map(|&(_, h)| h).collect::<Vec<u64>>(), churn)
+        })?;
+        let reused =
+            self.base.as_ref().filter(|b| b.fingerprint == fp).map(|b| Arc::clone(&b.engine));
+        let cached = if reused.is_none() { self.load_index_cache(fp) } else { None };
+        let records = if lazy { self.load_loose_records()? } else { self.load_all_records()? };
+        if let Some(engine) = reused {
+            return Ok((engine, records));
+        }
+        let engine = if let Some(e) = cached {
+            Self::count_cache_hit();
+            e
+        } else {
+            let e = match self.update_base(churn, &records)? {
+                Some(e) => e,
+                None if lazy => self.rebuild_engine(&self.load_all_records()?),
+                None => self.rebuild_engine(&records),
+            };
+            // The cache is an optimization: a read-only filesystem must
+            // not make an in-memory engine unqueryable.
+            let _ = self.write_index_cache(&e, fp);
+            e
+        };
+        dead_columns_gauge().set(engine.dead_columns() as i64);
+        let engine = Arc::new(engine);
+        self.base = Some(IndexBase { engine: Arc::clone(&engine), fingerprint: fp, hashes });
+        Ok((engine, records))
+    }
+
+    /// The base engine updated by `churn` (removed ids, changed-or-added
+    /// ids), reading only the changed and added records — from `loaded`
+    /// where they are, else from their tier. `None` without a base, or
+    /// when [`QueryEngine::update`] declines.
+    fn update_base(
+        &self,
+        churn: Option<(Vec<String>, Vec<String>)>,
+        loaded: &[TableRecord],
+    ) -> StoreResult<Option<QueryEngine>> {
+        let (Some(base), Some((removed, upserts))) = (&self.base, churn) else {
+            return Ok(None);
+        };
+        let upserts = upserts
+            .iter()
+            .map(|id| match loaded.binary_search_by(|r| r.table_id().cmp(id)) {
+                Ok(i) => Ok(loaded[i].clone()),
+                Err(_) => self.record(id),
+            })
+            .collect::<StoreResult<Vec<_>>>()?;
+        let t0 = std::time::Instant::now();
+        let updated = base.engine.update(&removed, &upserts);
+        if updated.is_some() {
+            index_updates_counter().inc();
+            index_update_histogram().record(t0.elapsed().as_micros() as u64);
+        }
+        Ok(updated)
+    }
+
+    /// The engine persisted in `index.cache`, if it indexes exactly the
+    /// contents fingerprinted `fp`. The fingerprint is peeked first: a
+    /// readable header naming other contents skips the full read and its
+    /// checksum pass. Anything else — a match, a missing file, an
+    /// unreadable header — takes the verified read, which has already
+    /// counted a corrupt cache in `tsfm_store_corruptions_detected_total`
+    /// when it fails (the failure itself is swallowed: a rebuild answers
+    /// the query). A cache without the engine-meta section is a miss.
+    fn load_index_cache(&self, fp: u64) -> Option<QueryEngine> {
+        let path = self.dir.join(INDEX_FILE);
+        if peek_index_fingerprint(&path).is_some_and(|on_disk| on_disk != fp) {
+            return None;
+        }
+        let _g = tsfm_obs::span!("catalog.index_cache.load");
+        let (cached_fp, join, union, meta) = read_index_cache(&path).ok()?;
+        if cached_fp != fp {
+            return None;
+        }
+        QueryEngine::from_meta(meta?, self.sketch_cfg.minhash_k, join, union).ok()
     }
 
     /// Choose how future snapshots materialize the corpus (see
@@ -1348,15 +1395,18 @@ impl Catalog {
     /// between tiers without changing contents) leaves it unchanged and
     /// the index cache stays warm across it.
     fn fingerprint(&self) -> StoreResult<u64> {
-        if self.shards.is_empty() {
-            return Ok(manifest_fingerprint(&self.sketch_cfg, &self.entries));
-        }
-        let mut pairs: Vec<(&str, u64)> =
-            self.entries.iter().map(|(id, e)| (id.as_str(), e.content_hash)).collect();
-        let mut shard_manifests = Vec::new();
+        self.with_active_pairs(|pairs| fingerprint_pairs(&self.sketch_cfg, pairs.iter().copied()))
+    }
+
+    /// Hand `f` the merged active `(id, content_hash)` set in ascending id
+    /// order, whichever tier holds each table.
+    fn with_active_pairs<R>(&self, f: impl FnOnce(&[(&str, u64)]) -> R) -> StoreResult<R> {
+        let mut shard_manifests = Vec::with_capacity(self.shards.len());
         for slot in self.shards.iter().flatten() {
             shard_manifests.push(self.slot_manifest(slot)?);
         }
+        let mut pairs: Vec<(&str, u64)> =
+            self.entries.iter().map(|(id, e)| (id.as_str(), e.content_hash)).collect();
         for m in &shard_manifests {
             for e in &m.entries {
                 if !self.tombstones.contains(&e.id) && !self.entries.contains_key(&e.id) {
@@ -1365,7 +1415,7 @@ impl Catalog {
             }
         }
         pairs.sort_unstable();
-        Ok(fingerprint_pairs(&self.sketch_cfg, pairs.into_iter()))
+        Ok(f(&pairs))
     }
 
     fn cached_index_valid(&self) -> bool {
@@ -1384,9 +1434,10 @@ impl Catalog {
             .inc();
     }
 
-    /// Build the engine from records and refresh the on-disk cache — the
-    /// path taken when no usable cache exists (or one failed validation).
-    fn rebuild_engine(&self, records: &[TableRecord], fp: u64) -> QueryEngine {
+    /// Build the engine from all live records — the path taken when no
+    /// usable cache or base exists, or an update would leave too much of
+    /// the graph dead.
+    fn rebuild_engine(&self, records: &[TableRecord]) -> QueryEngine {
         obs()
             .counter(
                 "tsfm_catalog_index_rebuilds_total",
@@ -1396,24 +1447,16 @@ impl Catalog {
         let t0 = std::time::Instant::now();
         let e = QueryEngine::build(records, self.sketch_cfg.minhash_k, self.hnsw_cfg.clone());
         index_build_histogram().record(t0.elapsed().as_micros() as u64);
-        // The cache is an optimization: a read-only filesystem must not
-        // make an in-memory engine unqueryable.
-        let _ = self.write_index_cache(records, &e, fp);
         e
     }
 
-    fn write_index_cache(
-        &self,
-        records: &[TableRecord],
-        engine: &QueryEngine,
-        fp: u64,
-    ) -> StoreResult<()> {
+    fn write_index_cache(&self, engine: &QueryEngine, fp: u64) -> StoreResult<()> {
         let _g = tsfm_obs::span!("catalog.index_cache.write");
         let mut body = Vec::new();
         ser::write_u64(&mut body, fp)?;
         ser::write_hnsw(&mut body, engine.join_index())?;
         ser::write_hnsw(&mut body, engine.union_index())?;
-        write_engine_meta(&mut body, &table_metas(records))?;
+        write_engine_meta(&mut body, engine)?;
         let mut file = Vec::with_capacity(body.len() + 24);
         ser::write_frame(&mut file, INDEX_MAGIC, &body)?;
         durable::commit_file(&self.dir.join(INDEX_FILE), &file)
@@ -1434,7 +1477,8 @@ impl Catalog {
 
 /// Graph build alone — `tsfm_catalog_snapshot_build_us` also covers cache
 /// hits, record loads and the cache write. Registered at catalog open so
-/// the series is exported (empty) before the first rebuild.
+/// the series is exported (empty) before the first rebuild, like the
+/// three update instruments below.
 fn index_build_histogram() -> Arc<tsfm_obs::Histogram> {
     obs().histogram(
         "tsfm_catalog_index_build_us",
@@ -1442,18 +1486,55 @@ fn index_build_histogram() -> Arc<tsfm_obs::Histogram> {
     )
 }
 
-/// Fingerprint of a loose-only manifest's contents + sketch config (what
-/// the index cache is keyed on). A free function so `fsck` can compute
-/// the expected fingerprint without a `Catalog`.
-pub(crate) fn manifest_fingerprint(
-    cfg: &SketchConfig,
-    entries: &BTreeMap<String, ManifestEntry>,
-) -> u64 {
-    fingerprint_pairs(cfg, entries.iter().map(|(id, e)| (id.as_str(), e.content_hash)))
+fn index_updates_counter() -> Arc<tsfm_obs::metrics::Counter> {
+    obs().counter(
+        "tsfm_catalog_index_updates_total",
+        "Snapshots whose engine was derived from the previous one by inserting only changed tables",
+    )
 }
 
-/// The fingerprint chain over ascending-id `(id, content_hash)` pairs —
-/// tier-agnostic, so a loose-only catalog and its compacted twin agree.
+fn index_update_histogram() -> Arc<tsfm_obs::Histogram> {
+    obs().histogram(
+        "tsfm_catalog_index_update_us",
+        "QueryEngine::update latency (fork both graphs, insert the changed columns)",
+    )
+}
+
+fn dead_columns_gauge() -> Arc<tsfm_obs::metrics::Gauge> {
+    obs().gauge(
+        "tsfm_catalog_index_dead_columns",
+        "Columns of removed or replaced tables still in the newest snapshot's graphs",
+    )
+}
+
+/// What changed between an engine's tables — `ids` with their content
+/// `hashes` — and the active `(id, content_hash)` pairs, both ascending
+/// by id: the ids gone from the catalog, and the ids whose record is new
+/// or replaced (each list ascending).
+fn churn_since(
+    ids: &[String],
+    hashes: &[u64],
+    active: &[(&str, u64)],
+) -> (Vec<String>, Vec<String>) {
+    let (mut removed, mut upserts) = (Vec::new(), Vec::new());
+    let mut old = ids.iter().zip(hashes).peekable();
+    for &(id, hash) in active {
+        while let Some((gone, _)) = old.next_if(|(o, _)| o.as_str() < id) {
+            removed.push(gone.clone());
+        }
+        if !matches!(old.next_if(|(o, _)| o.as_str() == id), Some((_, &h)) if h == hash) {
+            upserts.push(id.to_string());
+        }
+    }
+    removed.extend(old.map(|(gone, _)| gone.clone()));
+    (removed, upserts)
+}
+
+/// The fingerprint chain over ascending-id `(id, content_hash)` pairs of
+/// the contents + sketch config — what the index cache is keyed on. A
+/// free function so `fsck` can compute the expected fingerprint without a
+/// `Catalog`; tier-agnostic, so a loose-only catalog and its compacted
+/// twin agree.
 pub(crate) fn fingerprint_pairs<'a>(
     cfg: &SketchConfig,
     pairs: impl Iterator<Item = (&'a str, u64)>,
@@ -1479,14 +1560,13 @@ pub(crate) fn peek_index_fingerprint(path: &Path) -> Option<u64> {
 
 /// Read and fully verify an index cache file: fingerprint, the join and
 /// union HNSW graphs, and — when present — the trailing engine-meta
-/// section (`None` for caches written before it existed; the catalog
-/// falls back to validating the graphs against loaded records).
-/// Corruption comes back as a typed [`StoreError::Corrupt`] naming the
-/// file and offset. Public so `fsck` and the corruption tests can drive
-/// verification directly (the catalog itself swallows cache errors and
-/// rebuilds).
+/// section (`None` for caches written before it existed, which the
+/// catalog treats as a miss). Corruption comes back as a typed
+/// [`StoreError::Corrupt`] naming the file and offset. Public so `fsck`
+/// and the corruption tests can drive verification directly (the catalog
+/// itself swallows cache errors and rebuilds).
 #[allow(clippy::type_complexity)]
-pub fn read_index_cache(path: &Path) -> StoreResult<(u64, Hnsw, Hnsw, Option<Vec<TableMeta>>)> {
+pub fn read_index_cache(path: &Path) -> StoreResult<(u64, Hnsw, Hnsw, Option<Vec<SpanMeta>>)> {
     durable::read_file_checked(path, |r| {
         let res = match ser::read_frame(r, INDEX_MAGIC, "TSFM index cache") {
             Ok(ser::Payload::Legacy) => {
@@ -1509,41 +1589,58 @@ pub fn read_index_cache(path: &Path) -> StoreResult<(u64, Hnsw, Hnsw, Option<Vec
     })
 }
 
-/// Version tag opening the index cache's trailing engine-meta section.
-const ENGINE_META_TAG: u8 = 1;
+/// Tags opening the index cache's trailing engine-meta section. Tag 1: a
+/// canonical engine's tables in id order (what a fresh build writes, byte
+/// for byte what every earlier release wrote). Tag 2: every span in node
+/// order, each led by a live byte (1 live, 0 dead; a dead span's id is
+/// empty) — what an updated engine writes.
+const META_CANONICAL: u8 = 1;
+const META_SPANS: u8 = 2;
 
-/// Append the engine-meta section: per table (canonical order), what
+/// Append the engine-meta section: per span, what
 /// [`QueryEngine::from_meta`] needs to reassemble the engine without
-/// records. Presence is signalled purely by trailing bytes — a cache
-/// without it still parses, so pre-section caches stay readable.
-fn write_engine_meta(w: &mut Vec<u8>, metas: &[TableMeta]) -> StoreResult<()> {
-    ser::write_u8(w, ENGINE_META_TAG)?;
-    ser::write_u64(w, metas.len() as u64)?;
-    for m in metas {
-        ser::write_str(w, &m.table_id)?;
-        ser::write_minhash(w, &m.content_snapshot)?;
-        ser::write_u32(w, m.column_names.len() as u32)?;
-        for name in &m.column_names {
+/// records, streamed from the engine's own state. Presence is signalled
+/// purely by trailing bytes — a cache without it still parses.
+fn write_engine_meta(w: &mut Vec<u8>, engine: &QueryEngine) -> StoreResult<()> {
+    let canonical = engine.is_canonical();
+    ser::write_u8(w, if canonical { META_CANONICAL } else { META_SPANS })?;
+    ser::write_u64(w, engine.spans().len() as u64)?;
+    for (id, snapshot, names) in engine.spans() {
+        if !canonical {
+            ser::write_u8(w, u8::from(id.is_some()))?;
+        }
+        ser::write_str(w, id.unwrap_or_default())?;
+        ser::write_minhash(w, snapshot)?;
+        ser::write_u32(w, names.len() as u32)?;
+        for name in names {
             ser::write_str(w, name)?;
         }
     }
     Ok(())
 }
 
-fn read_engine_meta(s: &mut &[u8]) -> StoreResult<Vec<TableMeta>> {
-    match ser::read_u8(s)? {
-        ENGINE_META_TAG => {}
-        t => return Err(ser::bad(format!("unknown engine-meta section tag {t}"))),
+fn read_engine_meta(s: &mut &[u8]) -> StoreResult<Vec<SpanMeta>> {
+    let tag = ser::read_u8(s)?;
+    if tag != META_CANONICAL && tag != META_SPANS {
+        return Err(ser::bad(format!("unknown engine-meta section tag {tag}")));
     }
     let n = ser::read_u64(s)?;
     // The payload CRC has already been verified, so `n` is what the
     // writer put there — but bound it anyway (and grow the vec
     // geometrically rather than trusting it for one big allocation).
     if n > (1 << 40) {
-        return Err(ser::bad(format!("unreasonable engine-meta table count {n}")));
+        return Err(ser::bad(format!("unreasonable engine-meta span count {n}")));
     }
     let mut out = Vec::new();
     for _ in 0..n {
+        let live = match tag {
+            META_CANONICAL => true,
+            _ => match ser::read_u8(s)? {
+                0 => false,
+                1 => true,
+                b => return Err(ser::bad(format!("engine-meta live byte {b}"))),
+            },
+        };
         let table_id = ser::read_str(s)?;
         let content_snapshot = ser::read_minhash(s)?;
         let ncols = ser::read_u32(s)?;
@@ -1551,7 +1648,7 @@ fn read_engine_meta(s: &mut &[u8]) -> StoreResult<Vec<TableMeta>> {
         for _ in 0..ncols {
             column_names.push(ser::read_str(s)?);
         }
-        out.push(TableMeta { table_id, content_snapshot, column_names });
+        out.push(SpanMeta { table_id: live.then_some(table_id), content_snapshot, column_names });
     }
     Ok(out)
 }

@@ -1,9 +1,8 @@
 //! The sketch-based query engine shared by the in-memory pipeline and the
 //! persistent catalog.
 //!
-//! Built from a set of [`TableRecord`]s (sorted internally by table id so
-//! construction is independent of input order), it serves the three data
-//! discovery workloads of the paper's §IV-C over three indexes:
+//! It serves the three data discovery workloads of the paper's §IV-C over
+//! three indexes:
 //!
 //! * **join** — an HNSW over per-column *cell* MinHash features (cosine of
 //!   these features tracks value-overlap Jaccard), ranked by the Fig.-6
@@ -19,16 +18,49 @@
 //! [`crate::Searcher`]); [`QueryEngine::search_batch`] exploits this by
 //! fanning a batch out over `std::thread::scope`.
 //!
-//! Because every index is deterministic (see
-//! `crates/search/tests/determinism.rs`) and construction order is
-//! canonicalized, an engine rebuilt from persisted records answers every
-//! query identically to one built from the original in-memory sketches.
+//! ## Spans, dead nodes, and where an engine comes from
+//!
+//! Each table version the engine indexes occupies one *span*: a run of
+//! consecutive nodes in both graphs (one per column, in sketch order) and
+//! one entry in the content LSH. An engine comes about in one of three
+//! ways:
+//!
+//! * [`QueryEngine::build`] — from records, taken in ascending table-id
+//!   order (a duplicated id keeps its last record). Its spans are the
+//!   tables in id order and none is dead: the engine is *canonical*, a
+//!   function of the record set alone.
+//! * [`QueryEngine::update`] — from a previous engine and a change. Both
+//!   graphs and the LSH are cloned, changed and added tables get new spans
+//!   appended in ascending-id order, and the spans of removed or replaced
+//!   tables become *dead*. Their nodes stay in the graphs and still route
+//!   the beam, but are never returned (`tsfm_search::hnsw`, "Dead
+//!   nodes"); their LSH entries are skipped before the top `k` is cut.
+//!   Node → table ([`QueryEngine`]'s `col_owner`) maps a dead node to a
+//!   sentinel, and the live ids stay one sorted list, so `exclude_self`
+//!   and the Fig.-6 tie-break by table index work unchanged. Once dead
+//!   nodes would reach [`DEAD_REBUILD_DIVISOR`]⁻¹ of the graph, `update`
+//!   declines and the caller builds canonically from the live records.
+//! * [`QueryEngine::from_meta`] — from persisted graphs plus per-span
+//!   metadata (the catalog's index cache), reproducing exactly the engine
+//!   that was written, dead spans included.
+//!
+//! Every index is deterministic (see `crates/search/tests/determinism.rs`),
+//! so a fresh build answers every query identically to any other build
+//! over the same records, and a reopened engine identically to the one
+//! that was served. That equivalence does not hold across histories: an
+//! updated engine is a function of its base and the change, not of its
+//! live records alone. Its subset answers equal a fresh build's — the LSH
+//! ranks every candidate exactly — but its graphs differ from a fresh
+//! build's, so join and union rankings can too, within the recall the
+//! dead-node limit was measured to keep.
 
 use crate::error::{StoreError, StoreResult};
 use crate::record::TableRecord;
 use crate::request::{ColumnMatch, DiscoveryRequest, DiscoveryResponse, HitExplanation};
+use std::ops::Range;
 use tsfm_search::{
     near_tables, near_tables_with_provenance, ColumnHit, Hnsw, HnswConfig, Metric, MinHashLsh,
+    DEAD_REBUILD_DIVISOR,
 };
 use tsfm_sketch::{ColumnSketch, MinHash, TableSketch};
 
@@ -82,33 +114,19 @@ impl std::str::FromStr for QueryMode {
     }
 }
 
-/// Per-table assembly metadata: exactly what [`QueryEngine::from_meta`]
-/// needs to reconstruct an engine without touching the full
-/// [`TableRecord`]s — the catalog persists this alongside the HNSW graphs
-/// so a lazy open never has to read sharded sketch payloads.
+/// One span as the index cache persists it (module docs, "Spans"):
+/// exactly what [`QueryEngine::from_meta`] needs beside the graphs to
+/// reconstruct an engine without touching the full [`TableRecord`]s, so
+/// a lazy open never reads sharded sketch payloads.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TableMeta {
-    pub table_id: String,
+pub struct SpanMeta {
+    /// The live table owning the span; `None` for a dead span.
+    pub table_id: Option<String>,
     /// Table-level content snapshot feeding the subset-search LSH.
     pub content_snapshot: MinHash,
-    /// Column names in sketch order (their count fixes the table's span
+    /// Column names in sketch order (their count fixes the span's length
     /// in the column-indexed HNSW graphs).
     pub column_names: Vec<String>,
-}
-
-/// Extract [`TableMeta`] for `records` in the engine's canonical
-/// (ascending table-id, last-duplicate-wins) order — the exact per-table
-/// inputs [`QueryEngine::assemble`] reads, so
-/// [`QueryEngine::from_meta`] over this output rebuilds the same engine.
-pub fn table_metas(records: &[TableRecord]) -> Vec<TableMeta> {
-    canonical_order(records)
-        .into_iter()
-        .map(|ri| TableMeta {
-            table_id: records[ri].sketch.table_id.clone(),
-            content_snapshot: records[ri].sketch.content_snapshot.clone(),
-            column_names: records[ri].sketch.columns.iter().map(|c| c.name.clone()).collect(),
-        })
-        .collect()
 }
 
 /// One ranked result table.
@@ -126,6 +144,9 @@ pub struct TableHit {
 /// Per-query-column over-retrieval factor before Fig.-6 aggregation (the
 /// paper retrieves `k·3` columns per query column).
 const OVER_RETRIEVE: usize = 3;
+
+/// Node → table (and span → table) sentinel of a dead node or span.
+const DEAD: usize = usize::MAX;
 
 /// Accumulating per-stage timer behind [`DiscoveryRequest`]'s `profile`
 /// flag. [`Profiler::time`] attributes a closure's wall time to a named
@@ -169,18 +190,31 @@ impl Profiler {
     }
 }
 
+/// Where one span sits: its live table's dense index (or [`DEAD`]) and
+/// its first graph node. Span `s` is content-LSH entry `s` and runs up to
+/// the next span's first node.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    table: usize,
+    first_node: usize,
+}
+
 /// Immutable query indexes over a fixed corpus of records. `Send + Sync`:
 /// all queries take `&self`.
 pub struct QueryEngine {
     minhash_k: usize,
-    /// Dense index → table id, sorted ascending.
+    /// Live table ids, ascending: dense index → table id.
     ids: Vec<String>,
-    /// Column index (in both HNSWs) → owning table's dense index.
+    /// Every span, live and dead, in node order.
+    spans: Vec<Span>,
+    /// Column index (in both HNSWs) → owning table's dense index, or
+    /// [`DEAD`].
     col_owner: Vec<usize>,
     /// Column index → column name (for match explanations).
     col_names: Vec<String>,
     join_index: Hnsw,
     union_index: Hnsw,
+    /// One content snapshot per span.
     content_lsh: MinHashLsh,
 }
 
@@ -200,26 +234,49 @@ fn union_features(c: &ColumnSketch, out: &mut Vec<f32>) {
     out.extend(c.numeric.to_f32_features());
 }
 
-/// One lane of [`QueryEngine::build`]: a cosine HNSW over `features` of
-/// every column, in canonical order. The graph's build-side link-distance
-/// cache is released before it is handed to a long-lived engine.
+/// One lane: `features` of every column of `recs`, in order, appended to
+/// `index`. The graph's build-side link-distance cache is released before
+/// it is handed to a long-lived engine.
 fn fill_graph(
-    records: &[TableRecord],
-    order: &[usize],
-    dim: usize,
-    cfg: HnswConfig,
+    mut index: Hnsw,
+    recs: &[&TableRecord],
     features: fn(&ColumnSketch, &mut Vec<f32>),
 ) -> Hnsw {
-    let mut index = Hnsw::new(dim, Metric::Cosine, cfg);
     let mut buf = Vec::new();
-    for &ri in order {
-        for c in &records[ri].sketch.columns {
+    for r in recs {
+        for c in &r.sketch.columns {
             features(c, &mut buf);
             index.add(&buf);
         }
     }
     index.release_link_cache();
     index
+}
+
+/// Fill the join graph `join()` yields on the caller's thread and the
+/// union graph `union()` yields on a scoped one, each under its span
+/// name. The two share nothing but the read-only records, and each graph
+/// is a function of its starting state and insertion order alone, so
+/// they come out bit-identical to a serial fill. On a one-core host the
+/// lanes time-slice.
+fn fill_lanes(
+    join: impl FnOnce() -> Hnsw,
+    union: impl FnOnce() -> Hnsw + Send,
+    recs: &[&TableRecord],
+    [join_span, union_span]: [&'static str; 2],
+) -> (Hnsw, Hnsw) {
+    std::thread::scope(|s| {
+        let union_lane = s.spawn(|| {
+            let _g = tsfm_obs::span!(union_span);
+            fill_graph(union(), recs, union_features)
+        });
+        let join_index = {
+            let _g = tsfm_obs::span!(join_span);
+            fill_graph(join(), recs, join_features)
+        };
+        // A lane only panics on a bug; re-raise it on the caller.
+        (join_index, union_lane.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+    })
 }
 
 /// LSH banding for a `k`-wide snapshot signature: 2-row bands when `k` is
@@ -235,79 +292,111 @@ fn content_banding(k: usize) -> (usize, usize) {
 impl QueryEngine {
     /// Build all three indexes from records. Input order is irrelevant:
     /// records are processed in ascending table-id order, and duplicate ids
-    /// keep the *last* occurrence.
-    ///
-    /// The join and union graphs share nothing but the read-only records,
-    /// and each graph is a function of its own insertion order alone, so
-    /// they are filled side by side — the union lane on a scoped thread,
-    /// the join lane on the caller's — and come out bit-identical to a
-    /// serial fill. On a one-core host the lanes time-slice.
+    /// keep the *last* occurrence. The join and union graphs fill side by
+    /// side ([`fill_lanes`]).
     pub fn build(records: &[TableRecord], minhash_k: usize, hnsw_cfg: HnswConfig) -> Self {
         let _g = tsfm_obs::span!("engine.build");
-        let order = canonical_order(records);
+        let recs = canonical(records);
         let union_dim = 2 * minhash_k + tsfm_sketch::numeric::NUMERIC_SKETCH_DIM;
         let union_cfg = hnsw_cfg.clone();
-        let (join_index, union_index) = std::thread::scope(|s| {
-            let union_lane = s.spawn(|| {
-                let _g = tsfm_obs::span!("engine.build.union");
-                fill_graph(records, &order, union_dim, union_cfg, union_features)
-            });
-            let join_index = {
-                let _g = tsfm_obs::span!("engine.build.join");
-                fill_graph(records, &order, minhash_k, hnsw_cfg, join_features)
-            };
-            // A lane only panics on a bug; re-raise it on the caller.
-            (join_index, union_lane.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-        });
-        Self::assemble(records, &order, minhash_k, join_index, union_index)
+        let (join_index, union_index) = fill_lanes(
+            move || Hnsw::new(minhash_k, Metric::Cosine, hnsw_cfg),
+            move || Hnsw::new(union_dim, Metric::Cosine, union_cfg),
+            &recs,
+            ["engine.build.join", "engine.build.union"],
+        );
+        let ids = recs.iter().map(|r| r.table_id().to_string()).collect();
+        let mut e = Self::empty(minhash_k, ids, join_index, union_index);
+        for (ti, r) in recs.iter().enumerate() {
+            e.push_record(ti, r);
+        }
+        e
     }
 
-    /// Build from pre-built HNSW graphs (the catalog's index-cache path).
-    /// The graphs must have been produced by [`QueryEngine::build`] over
-    /// the same records; node counts and dimensions are validated.
-    pub fn with_graphs(
-        records: &[TableRecord],
-        minhash_k: usize,
-        join_index: Hnsw,
-        union_index: Hnsw,
-    ) -> StoreResult<Self> {
-        let order = canonical_order(records);
-        let ncols: usize = order.iter().map(|&ri| records[ri].sketch.columns.len()).sum();
-        check_graphs(ncols, minhash_k, &join_index, &union_index)?;
-        Ok(Self::assemble(records, &order, minhash_k, join_index, union_index))
-    }
-
-    /// Build from pre-built HNSW graphs and per-table metadata alone — no
-    /// [`TableRecord`]s (the catalog's lazy-open fast path, fed entirely
-    /// from the index cache). `meta` must be in canonical order (ascending
-    /// unique table ids, as [`table_metas`] produces); ordering, snapshot
-    /// widths, node counts, and dimensions are all validated so a garbled
-    /// cache surfaces as a typed [`StoreError::Corrupt`], never a panic.
-    pub fn from_meta(
-        meta: Vec<TableMeta>,
-        minhash_k: usize,
-        join_index: Hnsw,
-        union_index: Hnsw,
-    ) -> StoreResult<Self> {
-        for w in meta.windows(2) {
-            if w[0].table_id >= w[1].table_id {
-                return Err(StoreError::corrupt(
-                    "TSFMIDX1",
-                    format!(
-                        "engine metadata ids out of order: {:?} then {:?}",
-                        w[0].table_id, w[1].table_id
-                    ),
-                ));
+    /// Derive the engine over this one's tables minus `removed`, with
+    /// `upserts` — the records of changed and added tables — inserted
+    /// (module docs, "Spans"). Only `upserts` are read; an id in both
+    /// lists is an update. Both graphs are forked, the upserted columns
+    /// appended in ascending-id order (duplicate ids keep the last record)
+    /// on the two lanes [`QueryEngine::build`] uses, and the spans of
+    /// removed and replaced tables turn dead.
+    ///
+    /// `None` when the result would hold dead nodes on
+    /// [`DEAD_REBUILD_DIVISOR`]⁻¹ or more of its nodes: the caller builds
+    /// from the live records instead.
+    pub fn update(&self, removed: &[String], upserts: &[TableRecord]) -> Option<Self> {
+        let upserts = canonical(upserts);
+        let mut dies = vec![false; self.ids.len()];
+        for id in removed.iter().map(String::as_str).chain(upserts.iter().map(|r| r.table_id())) {
+            if let Some(ti) = self.table_idx(id) {
+                dies[ti] = true;
             }
         }
+        let dead = self.col_owner.iter().filter(|&&t| t == DEAD || dies[t]).count();
+        let nodes = self.col_owner.len()
+            + upserts.iter().map(|r| r.sketch.columns.len()).sum::<usize>();
+        if dead * DEAD_REBUILD_DIVISOR >= nodes.max(1) {
+            return None;
+        }
+        let _g = tsfm_obs::span!("engine.update");
+        let (join_index, union_index) = fill_lanes(
+            || self.join_index.clone(),
+            || self.union_index.clone(),
+            &upserts,
+            ["engine.update.join", "engine.update.union"],
+        );
+        let mut ids: Vec<String> =
+            self.ids.iter().zip(&dies).filter(|(_, &d)| !d).map(|(id, _)| id.clone()).collect();
+        ids.extend(upserts.iter().map(|r| r.table_id().to_string()));
+        ids.sort_unstable();
+        // Old dense index → new one; a dying table's nodes go dead.
+        let remap: Vec<usize> = self
+            .ids
+            .iter()
+            .zip(&dies)
+            .map(|(id, &d)| if d { DEAD } else { dense_idx(&ids, id).unwrap_or(DEAD) })
+            .collect();
+        let owner = |t: usize| if t == DEAD { DEAD } else { remap[t] };
+        let mut e = Self {
+            minhash_k: self.minhash_k,
+            spans: self.spans.iter().map(|s| Span { table: owner(s.table), ..*s }).collect(),
+            col_owner: self.col_owner.iter().map(|&t| owner(t)).collect(),
+            col_names: self.col_names.clone(),
+            join_index,
+            union_index,
+            content_lsh: self.content_lsh.clone(),
+            ids,
+        };
+        for r in upserts {
+            e.push_record(dense_idx(&e.ids, r.table_id()).unwrap_or(DEAD), r);
+        }
+        Some(e)
+    }
+
+    /// Build from pre-built HNSW graphs and per-span metadata alone — no
+    /// [`TableRecord`]s (the catalog's index-cache path). `meta` lists
+    /// every span in node order, as [`QueryEngine::spans`] emits them.
+    /// Duplicate live ids, snapshot widths, node counts, and dimensions
+    /// are all validated so a garbled cache surfaces as a typed
+    /// [`StoreError::Corrupt`], never a panic.
+    pub fn from_meta(
+        meta: Vec<SpanMeta>,
+        minhash_k: usize,
+        join_index: Hnsw,
+        union_index: Hnsw,
+    ) -> StoreResult<Self> {
         let ncols: usize = meta.iter().map(|m| m.column_names.len()).sum();
         check_graphs(ncols, minhash_k, &join_index, &union_index)?;
-        let (bands, rows) = content_banding(minhash_k);
-        let mut content_lsh = MinHashLsh::new(bands, rows);
-        let mut ids = Vec::with_capacity(meta.len());
-        let mut col_owner = Vec::with_capacity(ncols);
-        let mut col_names = Vec::with_capacity(ncols);
-        for (ti, m) in meta.into_iter().enumerate() {
+        let mut ids: Vec<String> = meta.iter().filter_map(|m| m.table_id.clone()).collect();
+        ids.sort_unstable();
+        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+            return Err(StoreError::corrupt(
+                "TSFMIDX1",
+                format!("engine metadata lists table {:?} twice", w[0]),
+            ));
+        }
+        let mut e = Self::empty(minhash_k, ids, join_index, union_index);
+        for m in meta {
             // Pre-checked so the LSH's width assertion can never fire.
             if m.content_snapshot.k() != minhash_k {
                 return Err(StoreError::corrupt(
@@ -319,39 +408,83 @@ impl QueryEngine {
                     ),
                 ));
             }
-            content_lsh.add(m.content_snapshot);
-            ids.push(m.table_id);
-            for name in m.column_names {
-                col_owner.push(ti);
-                col_names.push(name);
-            }
+            let ti = m.table_id.as_deref().and_then(|id| e.table_idx(id)).unwrap_or(DEAD);
+            e.push_span(ti, m.content_snapshot, m.column_names);
         }
-        Ok(Self { minhash_k, ids, col_owner, col_names, join_index, union_index, content_lsh })
+        Ok(e)
     }
 
-    fn assemble(
-        records: &[TableRecord],
-        order: &[usize],
-        minhash_k: usize,
-        join_index: Hnsw,
-        union_index: Hnsw,
-    ) -> Self {
+    /// An engine over `ids` and the given graphs with no spans yet; every
+    /// constructor then adds spans in node order with
+    /// [`QueryEngine::push_span`].
+    fn empty(minhash_k: usize, ids: Vec<String>, join_index: Hnsw, union_index: Hnsw) -> Self {
         let (bands, rows) = content_banding(minhash_k);
-        let mut content_lsh = MinHashLsh::new(bands, rows);
-        let mut ids = Vec::with_capacity(order.len());
-        let mut col_owner = Vec::new();
-        let mut col_names = Vec::new();
-        for (ti, &ri) in order.iter().enumerate() {
-            content_lsh.add(records[ri].sketch.content_snapshot.clone());
-            ids.push(records[ri].sketch.table_id.clone());
-            for c in &records[ri].sketch.columns {
-                col_owner.push(ti);
-                col_names.push(c.name.clone());
-            }
+        Self {
+            minhash_k,
+            ids,
+            spans: Vec::new(),
+            col_owner: Vec::new(),
+            col_names: Vec::new(),
+            join_index,
+            union_index,
+            content_lsh: MinHashLsh::new(bands, rows),
         }
-        Self { minhash_k, ids, col_owner, col_names, join_index, union_index, content_lsh }
     }
 
+    /// Append the span of dense table `table` (or [`DEAD`]): its LSH entry
+    /// and one owner and name per column. Its graph nodes are the next
+    /// ones, added by the caller in the same order.
+    fn push_span(
+        &mut self,
+        table: usize,
+        snapshot: MinHash,
+        names: impl IntoIterator<Item = String>,
+    ) {
+        self.spans.push(Span { table, first_node: self.col_names.len() });
+        self.content_lsh.add(snapshot);
+        for name in names {
+            self.col_owner.push(table);
+            self.col_names.push(name);
+        }
+    }
+
+    /// [`QueryEngine::push_span`] for a record's table.
+    fn push_record(&mut self, table: usize, r: &TableRecord) {
+        let names = r.sketch.columns.iter().map(|c| c.name.clone());
+        self.push_span(table, r.sketch.content_snapshot.clone(), names);
+    }
+
+    /// Every span in node order, as [`SpanMeta`] persists it — live table
+    /// id (`None` when dead), content snapshot, column names — borrowed
+    /// from the engine's own state.
+    pub fn spans(&self) -> impl ExactSizeIterator<Item = (Option<&str>, &MinHash, &[String])> {
+        (0..self.spans.len()).map(|s| {
+            let ti = self.spans[s].table;
+            let id = (ti != DEAD).then(|| self.ids[ti].as_str());
+            (id, self.content_lsh.signature(s), &self.col_names[self.span_nodes(s)])
+        })
+    }
+
+    /// The graph nodes of span `s`.
+    fn span_nodes(&self, s: usize) -> Range<usize> {
+        let end = self.spans.get(s + 1).map_or(self.col_names.len(), |next| next.first_node);
+        self.spans[s].first_node..end
+    }
+
+    /// Whether this engine is what [`QueryEngine::build`] makes of its
+    /// live records: one span per table, in id order, none dead.
+    pub fn is_canonical(&self) -> bool {
+        self.spans.len() == self.ids.len()
+            && self.spans.iter().enumerate().all(|(s, span)| span.table == s)
+    }
+
+    /// Graph nodes whose table was removed or replaced since the last
+    /// canonical build.
+    pub fn dead_columns(&self) -> usize {
+        self.col_owner.iter().filter(|&&t| t == DEAD).count()
+    }
+
+    /// Number of live tables.
     pub fn len(&self) -> usize {
         self.ids.len()
     }
@@ -379,7 +512,7 @@ impl QueryEngine {
 
     /// Dense index of a table id in the corpus, if present.
     fn table_idx(&self, id: &str) -> Option<usize> {
-        self.ids.binary_search_by(|x| x.as_str().cmp(id)).ok()
+        dense_idx(&self.ids, id)
     }
 
     /// Run one validated discovery request against the corpus. This is the
@@ -499,8 +632,9 @@ impl QueryEngine {
             .collect()
     }
 
-    /// Fig.-6 ranking: per query column, retrieve `k·3` nearest corpus
-    /// columns, collapse to tables, rank by (matching columns, distance).
+    /// Fig.-6 ranking: per query column, retrieve `k·3` nearest live
+    /// corpus columns, collapse to tables, rank by (matching columns,
+    /// distance).
     fn column_search(
         &self,
         sketch: &TableSketch,
@@ -516,6 +650,13 @@ impl QueryEngine {
         // allocates nothing per query after warmup.
         let mut buf = Vec::new();
         let k_cols = req.k().saturating_mul(OVER_RETRIEVE).max(1);
+        let beam = |q: &[f32]| -> Vec<ColumnHit> {
+            index
+                .search_filtered(q, k_cols, &|col| self.col_owner[col] != DEAD)
+                .into_iter()
+                .map(|(col, d)| ColumnHit { table: self.col_owner[col], column: col, distance: d })
+                .collect()
+        };
         // The per-column loop is the query hot path: only the profiled
         // variant pays the stage-timing wrappers, so unprofiled queries
         // keep the tight original shape.
@@ -523,17 +664,7 @@ impl QueryEngine {
             let mut per_col = Vec::with_capacity(query_cols.len());
             for c in &query_cols {
                 prof.time("features", || features(c, &mut buf));
-                per_col.push(prof.time("beam", || {
-                    index
-                        .search(&buf, k_cols)
-                        .into_iter()
-                        .map(|(col, d)| ColumnHit {
-                            table: self.col_owner[col],
-                            column: col,
-                            distance: d,
-                        })
-                        .collect()
-                }));
+                per_col.push(prof.time("beam", || beam(&buf)));
             }
             per_col
         } else {
@@ -541,15 +672,7 @@ impl QueryEngine {
                 .iter()
                 .map(|c| {
                     features(c, &mut buf);
-                    index
-                        .search(&buf, k_cols)
-                        .into_iter()
-                        .map(|(col, d)| ColumnHit {
-                            table: self.col_owner[col],
-                            column: col,
-                            distance: d,
-                        })
-                        .collect()
+                    beam(&buf)
                 })
                 .collect()
         };
@@ -616,21 +739,33 @@ impl QueryEngine {
         Ok(out)
     }
 
+
+    /// Top `k` live tables by estimated row-set Jaccard. Every LSH
+    /// candidate is scored, so dead spans and the query table itself drop
+    /// out before the cut, and ties break by dense table index — the
+    /// ranking a fresh build over the live tables gives, whatever order an
+    /// update appended their spans in.
     fn subset_search(&self, sketch: &TableSketch, req: &DiscoveryRequest) -> Vec<TableHit> {
         let exclude = if req.exclude_self() { self.table_idx(&sketch.table_id) } else { None };
-        self.content_lsh
-            .search(&sketch.content_snapshot, req.k().saturating_add(1))
+        let mut hits: Vec<(usize, f64)> = self
+            .content_lsh
+            .search(&sketch.content_snapshot, usize::MAX)
             .into_iter()
-            .filter(|&(id, _)| Some(id) != exclude)
-            .take(req.k())
-            .map(|(id, j)| TableHit {
-                table_id: self.ids[id].clone(),
+            .map(|(s, j)| (self.spans[s].table, j))
+            .filter(|&(ti, _)| ti != DEAD && Some(ti) != exclude)
+            .collect();
+        hits.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+        });
+        hits.truncate(req.k());
+        hits.into_iter()
+            .map(|(ti, score)| TableHit {
+                table_id: self.ids[ti].clone(),
                 matching_columns: 0,
-                score: j,
+                score,
             })
             .collect()
     }
-
 }
 
 /// Validate pre-built HNSW graphs against the corpus shape: both must
@@ -666,14 +801,17 @@ fn check_graphs(
     Ok(())
 }
 
-/// Indices of `records` in ascending table-id order, keeping only the last
-/// record of any duplicated id.
-fn canonical_order(records: &[TableRecord]) -> Vec<usize> {
-    let mut by_id: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
-    for (i, r) in records.iter().enumerate() {
-        by_id.insert(r.table_id(), i);
-    }
+/// `records` in ascending table-id order, keeping only the last record of
+/// any duplicated id.
+fn canonical(records: &[TableRecord]) -> Vec<&TableRecord> {
+    let by_id: std::collections::BTreeMap<&str, &TableRecord> =
+        records.iter().map(|r| (r.table_id(), r)).collect();
     by_id.into_values().collect()
+}
+
+/// Position of `id` in the ascending id list `ids`.
+fn dense_idx(ids: &[String], id: &str) -> Option<usize> {
+    ids.binary_search_by(|x| x.as_str().cmp(id)).ok()
 }
 
 #[cfg(test)]
@@ -835,22 +973,41 @@ mod tests {
         assert_eq!(rebuilt.union_index().snapshot(), serving.union_index().snapshot());
     }
 
-    #[test]
-    fn with_graphs_matches_fresh_build() {
-        let (recs, cfg) = corpus();
-        let built = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
-        let restored = QueryEngine::with_graphs(
-            &recs,
-            cfg.minhash_k,
-            tsfm_search::Hnsw::from_snapshot(built.join_index().snapshot()).unwrap(),
-            tsfm_search::Hnsw::from_snapshot(built.union_index().snapshot()).unwrap(),
+    /// Every span of `e` as the index cache persists it.
+    fn metas(e: &QueryEngine) -> Vec<SpanMeta> {
+        e.spans()
+            .map(|(id, snap, names)| SpanMeta {
+                table_id: id.map(str::to_string),
+                content_snapshot: snap.clone(),
+                column_names: names.to_vec(),
+            })
+            .collect()
+    }
+
+    /// What a reopen from the index cache reconstructs.
+    fn reopen(e: &QueryEngine) -> QueryEngine {
+        QueryEngine::from_meta(
+            metas(e),
+            e.minhash_k(),
+            tsfm_search::Hnsw::from_snapshot(e.join_index().snapshot()).unwrap(),
+            tsfm_search::Hnsw::from_snapshot(e.union_index().snapshot()).unwrap(),
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    fn assert_same_answers(a: &QueryEngine, b: &QueryEngine, queries: &[&TableSketch]) {
+        assert_eq!(a.table_ids(), b.table_ids());
         for mode in QueryMode::ALL {
-            assert_eq!(
-                built.search(&recs[0].sketch, &req(mode, 3)).unwrap().hits,
-                restored.search(&recs[0].sketch, &req(mode, 3)).unwrap().hits
-            );
+            let r = DiscoveryRequest::builder(mode)
+                .k(3)
+                .explain(mode != QueryMode::Subset)
+                .build()
+                .unwrap();
+            for q in queries {
+                let (x, y) = (a.search(q, &r).unwrap(), b.search(q, &r).unwrap());
+                assert_eq!(x.hits, y.hits, "mode {mode}");
+                assert_eq!(x.explanations, y.explanations, "mode {mode}");
+            }
         }
     }
 
@@ -858,23 +1015,18 @@ mod tests {
     fn from_meta_matches_fresh_build() {
         let (recs, cfg) = corpus();
         let built = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
-        let restored = QueryEngine::from_meta(
-            table_metas(&recs),
-            cfg.minhash_k,
-            tsfm_search::Hnsw::from_snapshot(built.join_index().snapshot()).unwrap(),
-            tsfm_search::Hnsw::from_snapshot(built.union_index().snapshot()).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(restored.table_ids(), built.table_ids());
-        for mode in QueryMode::ALL {
-            let r = DiscoveryRequest::builder(mode).k(3).explain(mode != QueryMode::Subset).build().unwrap();
-            for rec in &recs {
-                let a = built.search(&rec.sketch, &r).unwrap();
-                let b = restored.search(&rec.sketch, &r).unwrap();
-                assert_eq!(a.hits, b.hits, "mode {mode}");
-                assert_eq!(a.explanations, b.explanations, "mode {mode}");
-            }
-        }
+        let queries: Vec<&TableSketch> = recs.iter().map(|r| &r.sketch).collect();
+        assert_same_answers(&built, &reopen(&built), &queries);
+        // An updated engine, dead spans and all, round-trips exactly too.
+        let (recs, cfg) = wide_corpus();
+        let (removed, upserts) = churn(&cfg);
+        let base = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
+        let updated = base.update(&removed, &upserts).expect("20 of 340 nodes dead");
+        let restored = reopen(&updated);
+        assert_eq!(metas(&restored), metas(&updated));
+        assert_eq!(restored.dead_columns(), updated.dead_columns());
+        let queries: Vec<&TableSketch> = recs.iter().chain(&upserts).map(|r| &r.sketch).collect();
+        assert_same_answers(&updated, &restored, &queries);
     }
 
     #[test]
@@ -887,17 +1039,17 @@ mod tests {
                 tsfm_search::Hnsw::from_snapshot(built.union_index().snapshot()).unwrap(),
             )
         };
-        // Out-of-order ids.
-        let mut meta = table_metas(&recs);
-        meta.swap(0, 1);
+        // A live id listed twice.
+        let mut meta = metas(&built);
+        meta[1].table_id = meta[0].table_id.clone();
         let (j, u) = graphs();
         let Err(err) = QueryEngine::from_meta(meta, cfg.minhash_k, j, u) else {
-            panic!("unordered meta must be rejected")
+            panic!("duplicate live ids must be rejected")
         };
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
-        assert!(err.to_string().contains("out of order"), "{err}");
+        assert!(err.to_string().contains("twice"), "{err}");
         // A dropped table leaves the graphs with too many nodes.
-        let mut meta = table_metas(&recs);
+        let mut meta = metas(&built);
         meta.pop();
         let (j, u) = graphs();
         let Err(err) = QueryEngine::from_meta(meta, cfg.minhash_k, j, u) else {
@@ -905,7 +1057,7 @@ mod tests {
         };
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
         // A snapshot of the wrong width is caught before the LSH asserts.
-        let mut meta = table_metas(&recs);
+        let mut meta = metas(&built);
         meta[0].content_snapshot = MinHash { sig: vec![1, 2] };
         let (j, u) = graphs();
         let Err(err) = QueryEngine::from_meta(meta, cfg.minhash_k, j, u) else {
@@ -915,15 +1067,161 @@ mod tests {
     }
 
     #[test]
+    fn with_graphs_matches_fresh_build() {
+        let (recs, cfg) = corpus();
+        let built = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
+        let restored = reopen(&built);
+        // The persisted graphs are served as handed over, not rebuilt.
+        assert_eq!(restored.join_index().snapshot(), built.join_index().snapshot());
+        assert_eq!(restored.union_index().snapshot(), built.union_index().snapshot());
+        assert_eq!(metas(&restored), metas(&built));
+        for mode in QueryMode::ALL {
+            assert_eq!(
+                built.search(&recs[0].sketch, &req(mode, 3)).unwrap().hits,
+                restored.search(&recs[0].sketch, &req(mode, 3)).unwrap().hits
+            );
+        }
+    }
+
+    #[test]
     fn with_graphs_rejects_mismatched_graphs() {
         let (recs, cfg) = corpus();
         let built = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
         let empty = tsfm_search::Hnsw::new(cfg.minhash_k, Metric::Cosine, Default::default());
         let join = tsfm_search::Hnsw::from_snapshot(built.join_index().snapshot()).unwrap();
-        let Err(err) = QueryEngine::with_graphs(&recs, cfg.minhash_k, join, empty) else {
+        let Err(err) = QueryEngine::from_meta(metas(&built), cfg.minhash_k, join, empty) else {
             panic!("mismatched graphs must be rejected")
         };
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+    }
+
+    /// A `wide_corpus`-shaped table whose columns are named `{prefix}{c}`
+    /// and hold values shifted by `shift`.
+    fn wide_record(id: &str, prefix: &str, shift: usize, cfg: &SketchConfig) -> TableRecord {
+        let mut table = Table::new(id, id);
+        for c in 0..5 {
+            let vals = (0..30).map(|i| Value::Str(format!("v{c}-{}", shift + i)));
+            table.push_column(Column::new(format!("{prefix}{c}"), vals.collect()));
+        }
+        TableRecord::from_sketch(TableSketch::build(&table, cfg), 0)
+    }
+
+    /// Remove t03 and t10, replace t20 and t21 (columns renamed `d*`), add
+    /// u00 and u01: 20 of 340 nodes dead.
+    fn churn(cfg: &SketchConfig) -> (Vec<String>, Vec<TableRecord>) {
+        let removed = vec!["t03".to_string(), "t10".to_string()];
+        let upserts = [("u01", 500), ("t21", 300), ("u00", 400), ("t20", 200)]
+            .iter()
+            .map(|&(id, shift)| {
+                let prefix = if id.starts_with('t') { "d" } else { "c" };
+                wide_record(id, prefix, shift, cfg)
+            })
+            .collect();
+        (removed, upserts)
+    }
+
+    #[test]
+    fn update_forks_inserts_changed_and_hides_dead() {
+        let (recs, cfg) = wide_corpus();
+        let k = cfg.minhash_k;
+        let base = QueryEngine::build(&recs, k, HnswConfig::default());
+        assert!(base.is_canonical());
+        let (removed, upserts) = churn(&cfg);
+        let updated = base.update(&removed, &upserts).expect("well under a quarter dead");
+        assert!(!updated.is_canonical());
+        assert_eq!((updated.len(), updated.dead_columns()), (64, 20));
+        assert_eq!(updated.join_index().link_cache_bytes(), 0, "engine holds no build state");
+
+        // The graphs are the base's plus the upserted columns in id order.
+        let (mut join, mut union) = (base.join_index().clone(), base.union_index().clone());
+        let mut buf = Vec::new();
+        for r in canonical(&upserts) {
+            for c in &r.sketch.columns {
+                join_features(c, &mut buf);
+                join.add(&buf);
+                union_features(c, &mut buf);
+                union.add(&buf);
+            }
+        }
+        assert_eq!(updated.join_index().snapshot(), join.snapshot());
+        assert_eq!(updated.union_index().snapshot(), union.snapshot());
+
+        // No removed table and no replaced version is ever returned.
+        let live: Vec<TableRecord> = recs
+            .iter()
+            .filter(|r| !["t03", "t10", "t20", "t21"].contains(&r.table_id()))
+            .chain(&upserts)
+            .cloned()
+            .collect();
+        let fresh = QueryEngine::build(&live, k, HnswConfig::default());
+        assert_eq!(updated.table_ids(), fresh.table_ids());
+        for q in recs.iter().chain(&upserts).map(|r| &r.sketch) {
+            for mode in QueryMode::ALL {
+                let r = DiscoveryRequest::builder(mode)
+                    .k(10)
+                    .exclude_self(false)
+                    .explain(mode != QueryMode::Subset)
+                    .build()
+                    .unwrap();
+                let resp = updated.search(q, &r).unwrap();
+                assert!(resp.hits.iter().all(|h| h.table_id != "t03" && h.table_id != "t10"));
+                for ex in resp.explanations.iter().flatten() {
+                    if ex.table_id == "t20" || ex.table_id == "t21" {
+                        let replaced = ex.matches.iter().all(|m| m.corpus_column.starts_with('d'));
+                        assert!(replaced, "{ex:?}");
+                    }
+                }
+                // Subset ranks every live candidate exactly: same as fresh.
+                if mode == QueryMode::Subset {
+                    assert_eq!(resp.hits, fresh.search(q, &r).unwrap().hits);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn update_declines_at_a_quarter_dead() {
+        let (recs, cfg) = wide_corpus();
+        let base = QueryEngine::build(&recs, cfg.minhash_k, HnswConfig::default());
+        let ids = |n: usize| -> Vec<String> { (0..n).map(|t| format!("t{t:02}")).collect() };
+        // 15 tables × 5 columns = 75 of 320 nodes dead: under a quarter.
+        let grown = base.update(&ids(15), &[]).expect("75 of 320 dead");
+        assert_eq!((grown.len(), grown.dead_columns()), (49, 75));
+        assert!(base.update(&ids(16), &[]).is_none(), "80 of 320 is a quarter");
+        // Dead nodes accumulate across updates.
+        assert!(grown.update(&["t40".to_string()], &[]).is_none());
+    }
+
+    /// An update runs beside queries on the engine it forks (the catalog
+    /// serving its previous snapshot): neither disturbs the other. Here so
+    /// the nightly TSan job sees the forked lanes and the batch fan-out
+    /// overlap; the barrier makes them start together.
+    #[test]
+    fn update_beside_search_batch_on_previous_engine() {
+        let (recs, cfg) = wide_corpus();
+        let serving = QueryEngine::build(&recs, cfg.minhash_k, HnswConfig::default());
+        let (removed, upserts) = churn(&cfg);
+        let sketches: Vec<TableSketch> = recs.iter().take(16).map(|r| r.sketch.clone()).collect();
+        let r = req(QueryMode::Join, 5);
+        let want: Vec<Vec<TableHit>> =
+            sketches.iter().map(|s| serving.search(s, &r).unwrap().hits).collect();
+        let start = std::sync::Barrier::new(2);
+        let updated = std::thread::scope(|s| {
+            let updater = s.spawn(|| {
+                start.wait();
+                serving.update(&removed, &upserts)
+            });
+            start.wait();
+            for _ in 0..4 {
+                let got = serving.search_batch_with_threads(&sketches, &r, 2).unwrap();
+                let got: Vec<Vec<TableHit>> = got.into_iter().map(|b| b.hits).collect();
+                assert_eq!(got, want);
+            }
+            updater.join().unwrap().expect("under a quarter dead")
+        });
+        let serial = serving.update(&removed, &upserts).expect("under a quarter dead");
+        assert_eq!(updated.join_index().snapshot(), serial.join_index().snapshot());
+        assert_eq!(updated.union_index().snapshot(), serial.union_index().snapshot());
     }
 
     #[test]

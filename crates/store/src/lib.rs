@@ -40,7 +40,9 @@
 //! * [`QueryEngine`] — deterministic join / union / subset ranking over a
 //!   record set, reusing the Fig.-6 algorithm of [`tsfm_search::rank`];
 //!   the same engine serves the in-memory pipeline and the catalog, which
-//!   is what makes persisted results provably identical to fresh ones;
+//!   is what makes a fresh catalog build answer identically to an
+//!   in-memory one, and a reopen identically to the engine it persisted
+//!   (an incrementally updated one included);
 //! * [`wire`] — the hand-rolled JSON layer shared by `tsfm query --json`
 //!   and the `tsfm serve` JSONL-over-TCP protocol;
 //! * [`serve`] — the production serve frontend: a bounded worker pool
@@ -73,7 +75,7 @@ pub mod wire;
 
 pub use catalog::{Catalog, CatalogStats, IngestOutcome, IngestReport, ManifestEntry, SnapshotMode};
 pub use fsck::{FsckReport, IndexCacheState, Problem, ProblemKind, RepairSummary};
-pub use engine::{table_metas, QueryEngine, QueryMode, TableHit, TableMeta};
+pub use engine::{QueryEngine, QueryMode, SpanMeta, TableHit};
 pub use error::{StoreError, StoreResult};
 pub use record::TableRecord;
 pub use request::{

@@ -18,7 +18,8 @@
 //! `sketch_of` only matters for by-id queries.
 //!
 //! Mutating the catalog bumps its epoch and drops its cached snapshot;
-//! the next [`crate::Catalog::searcher`] call rebuilds. Snapshots already
+//! the next [`crate::Catalog::searcher`] call takes a new one, deriving
+//! its engine from this snapshot's where it can. Snapshots already
 //! handed out keep answering from the generation they captured (readers
 //! are never blocked or invalidated mid-flight — a lazy snapshot's arena
 //! descriptors even survive a compaction unlinking the files), and

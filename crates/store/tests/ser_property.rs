@@ -17,7 +17,8 @@ use tsfm_store::ser::{
     read_embedding_matrix, read_hnsw, read_record, write_embedding_matrix, write_hnsw,
 };
 use tsfm_store::shard::{read_shard_manifest, ArenaIndex, ShardMeta};
-use tsfm_store::{catalog, Catalog, StoreError};
+use tsfm_store::fsck::{fsck, IndexCacheState};
+use tsfm_store::{catalog, Catalog, QueryEngine, StoreError};
 use tsfm_table::csv;
 use tsfm_search::{Hnsw, HnswConfig, Metric};
 
@@ -104,6 +105,73 @@ fn index_cache_bytes(tables: usize) -> Vec<u8> {
     let bytes = std::fs::read(dir.join("index.cache")).expect("read index cache");
     let _ = std::fs::remove_dir_all(&dir);
     bytes
+}
+
+/// A catalog whose committed index cache carries a tag-2 engine-meta
+/// section — an updated engine's: after the first snapshot, `t0` is
+/// replaced (its span dies) and one table is added, so the next snapshot
+/// is derived incrementally and writes every span behind a live byte.
+fn tag2_catalog(tables: usize) -> PathBuf {
+    let dir = tmp_dir("make_tag2");
+    let mut cat = Catalog::open(&dir).expect("open");
+    let linz = |i: usize, pop: usize| {
+        let id = format!("t{i}");
+        csv::table_from_csv(&id, &id, &format!("city,pop\nLinz{i},{pop}\n"))
+    };
+    for i in 0..tables {
+        cat.add_table(&linz(i, 300 + i), i as u64 + 1).expect("add");
+    }
+    cat.searcher().expect("searcher");
+    cat.add_table(&linz(0, 999), 999).expect("replace");
+    cat.add_table(&linz(tables, 300 + tables), 1000).expect("add");
+    cat.searcher().expect("incremental searcher");
+    cat.commit().expect("commit");
+    dir
+}
+
+/// Offset of the engine-meta section in index cache bytes: past the
+/// 24-byte frame header, the fingerprint, and the two `TSFMHNS1` frames.
+fn meta_offset(bytes: &[u8]) -> usize {
+    let frame_len = |at: usize| {
+        24 + u64::from_le_bytes(bytes[at + 12..at + 20].try_into().expect("8 bytes")) as usize
+    };
+    let join = 24 + 8;
+    let union = join + frame_len(join);
+    union + frame_len(union)
+}
+
+/// [`tag2_catalog`]'s index cache bytes and where its meta section starts.
+fn tag2_index_cache_bytes(tables: usize) -> (Vec<u8>, usize) {
+    let dir = tag2_catalog(tables);
+    let bytes = std::fs::read(dir.join("index.cache")).expect("read index cache");
+    let _ = std::fs::remove_dir_all(&dir);
+    let meta = meta_offset(&bytes);
+    assert_eq!(bytes[meta], 2, "an updated engine writes meta tag 2");
+    (bytes, meta)
+}
+
+/// Recompute a v2 frame's CRC after editing its payload (and its length
+/// after truncating it), so the bytes reach the section parsers.
+fn reseal(bytes: &mut [u8]) {
+    let len = (bytes.len() - 24) as u64;
+    bytes[12..20].copy_from_slice(&len.to_le_bytes());
+    let crc = tsfm_store::durable::crc32c(&bytes[24..]);
+    bytes[20..24].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Parse resealed cache bytes all the way to an engine: every failure
+/// must be a typed `Corrupt`, and nothing may panic.
+fn engine_from_bytes(bytes: &[u8]) -> Result<(), StoreError> {
+    let dir = tmp_dir("tag2_engine");
+    let path = dir.join("index.cache");
+    std::fs::write(&path, bytes).unwrap();
+    let res = catalog::read_index_cache(&path).and_then(|(_, join, union, meta)| {
+        let meta = meta.ok_or_else(|| StoreError::corrupt("TSFMIDX1", "meta section missing"))?;
+        let k = tsfm_sketch::SketchConfig::default().minhash_k;
+        QueryEngine::from_meta(meta, k, join, union).map(|_| ())
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    res
 }
 
 /// Run `catalog::read_index_cache` over raw bytes staged as a file (its
@@ -449,4 +517,58 @@ proptest! {
             Ok(_) => prop_assert!(false, "flipped bit at {pos} (bit {bit}) went undetected"),
         }
     }
+
+    /// Every prefix of a tag-2 cache cut inside its meta section is a
+    /// typed `Corrupt` error — and so is the same cut with the frame
+    /// resealed around it, which only the section parser can catch.
+    #[test]
+    fn prop_truncated_tag2_meta_is_corrupt(tables in 5usize..8, frac in 0.0f64..1.0) {
+        let (buf, meta) = tag2_index_cache_bytes(tables);
+        let cut = meta + 1 + ((buf.len() - meta - 2) as f64 * frac) as usize;
+        match read_index_bytes(&buf[..cut]) {
+            Err(StoreError::Corrupt { format, .. }) => prop_assert_eq!(format, "TSFMIDX1"),
+            Err(other) => prop_assert!(false, "non-Corrupt error: {other:?}"),
+            Ok(_) => prop_assert!(false, "truncated index cache parsed"),
+        }
+        let mut sealed = buf[..cut].to_vec();
+        reseal(&mut sealed);
+        match engine_from_bytes(&sealed) {
+            Err(StoreError::Corrupt { format, .. }) => prop_assert_eq!(format, "TSFMIDX1"),
+            Err(other) => prop_assert!(false, "non-Corrupt error: {other:?}"),
+            Ok(()) => prop_assert!(false, "meta section cut at {cut} parsed"),
+        }
+    }
+
+    /// Any single flipped bit in a tag-2 meta section is a typed
+    /// `Corrupt` error; resealed so the flip reaches the section parser
+    /// and `QueryEngine::from_meta`, it is either still `Corrupt` or a
+    /// structurally valid engine — never a panic.
+    #[test]
+    fn prop_garbled_tag2_meta_is_detected(tables in 5usize..8, pos_frac in 0.0f64..1.0, bit in 0u8..8) {
+        let (mut buf, meta) = tag2_index_cache_bytes(tables);
+        let pos = meta + ((buf.len() - 1 - meta) as f64 * pos_frac) as usize;
+        buf[pos] ^= 1 << bit;
+        match read_index_bytes(&buf) {
+            Err(StoreError::Corrupt { format, .. }) => prop_assert_eq!(format, "TSFMIDX1"),
+            Err(other) => prop_assert!(false, "non-Corrupt error: {other:?}"),
+            Ok(_) => prop_assert!(false, "flipped bit at {pos} (bit {bit}) went undetected"),
+        }
+        reseal(&mut buf);
+        if let Err(e) = engine_from_bytes(&buf) {
+            prop_assert!(matches!(e, StoreError::Corrupt { .. }), "non-Corrupt error: {e:?}");
+        }
+    }
+}
+
+/// `fsck` verifies an updated engine's tag-2 cache like any other: the
+/// checksums hold and the fingerprint matches the contents.
+#[test]
+fn fsck_reports_a_tag2_cache_valid() {
+    let dir = tag2_catalog(6);
+    let bytes = std::fs::read(dir.join("index.cache")).expect("read index cache");
+    assert_eq!(bytes[meta_offset(&bytes)], 2);
+    let report = fsck(&dir, false).expect("fsck");
+    assert!(report.healthy(), "{}", report.to_json());
+    assert_eq!(report.index_cache, IndexCacheState::Valid);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,38 +13,41 @@
 //! Two storage tiers share the namespace. **Loose** tables — everything
 //! recently added, updated, or present in a small catalog — live one
 //! record per `segments/*.seg` file, listed directly in the root
-//! manifest; this tier is the mutation journal and behaves exactly as it
-//! always has. **Sharded** tables live in `shards/`: the id space is
-//! partitioned by hash prefix, and each shard packs its records into a
-//! flat arena behind a fixed-width offset table, so `Catalog::open`
-//! reads only the root manifest — O(shards) metadata, not O(tables) of
-//! sketches — and sketch payloads load lazily by positioned read. A
-//! loose entry shadows (and a *tombstone* marks removed/shadowed) any
-//! shard-resident copy of the same id. [`Catalog::compact`] folds loose
-//! entries and tombstones into rewritten shards — only *dirty* shards
-//! are rewritten, to a fresh generation committed file-by-file through
+//! manifest; this tier is the mutation journal. **Sharded** tables live
+//! in `shards/`: the id space is partitioned by hash prefix, and each
+//! shard packs its records into a flat arena behind a fixed-width offset
+//! table, so `Catalog::open` reads only the root manifest — O(shards)
+//! metadata, not O(tables) of sketches — and sketch payloads load lazily
+//! by positioned read. A loose entry shadows (and a *tombstone* marks
+//! removed/shadowed) any shard-resident copy of the same id.
+//! [`Catalog::compact`] folds loose entries and tombstones into
+//! rewritten shards — only *dirty* shards are rewritten, to a fresh
+//! generation committed file-by-file through
 //! [`crate::durable::commit_file`], with the root manifest flip as the
-//! single commit point — and [`Catalog::commit`] triggers it
-//! automatically once churn crosses a threshold (see
+//! single commit point — and [`Catalog::commit`] folds instead of
+//! committing loose once churn crosses a threshold (see
 //! [`Catalog::compaction_due`]).
 //!
-//! Mutations (`add_table`, `add_record`, `remove`) write new segment
-//! files immediately (unsynced) and update the in-memory manifest;
-//! [`Catalog::commit`] (also called on drop, best effort) is the single
-//! durability point: it fsyncs every segment written since the last
-//! commit, fsyncs the segment directory, atomically commits the manifest
-//! via [`crate::durable::commit_file`], and only then deletes segments
-//! the new manifest no longer references. A crash at any instant leaves
-//! the catalog at the previous committed epoch: un-fsynced segments are
-//! unreferenced garbage (`tsfm fsck` sweeps them), and replaced/removed
-//! segments survive until no manifest on disk mentions them. fsyncs are
-//! batched per commit, not issued per segment: each new segment's still-
-//! open handle is parked in `pending_sync`, and once a bulk ingest has
-//! accumulated [`durable::SyncPool::CHUNK`] of them they are handed to a
-//! background [`durable::SyncPool`] so writeback overlaps sketching;
-//! `commit` drains the pool (or syncs a small batch serially) before the
-//! manifest rename acknowledges anything. Under an armed fault plan the
-//! pool is bypassed so crash-point site numbering stays deterministic.
+//! Mutations (`add_table`, `add_record`, `remove`) write no file: a new
+//! record is serialized into its `TSFMSEG1` frame and held in memory
+//! beside its manifest entry until [`Catalog::commit`] (also called on
+//! drop, best effort), the single durability point, decides where its
+//! bytes land. A *folding* commit (compaction due) copies the frames
+//! straight into new shard arenas — a bulk ingest past the auto-shard
+//! threshold never writes, fsyncs, re-reads and unlinks a segment per
+//! table. A *loose* commit writes each frame to its content-addressed
+//! segment file, fsyncing on a [`durable::SyncPool`] that starts on each
+//! file as soon as it is written (small batches and armed fault plans
+//! sync serially, so crash-point site numbering stays deterministic),
+//! fsyncs the segment directory, atomically commits the manifest via
+//! [`crate::durable::commit_file`], and only then deletes segments the
+//! new manifest no longer references. A crash at any instant leaves the
+//! catalog at the previous committed epoch: uncommitted records were
+//! only ever in memory, a loose commit interrupted before its manifest
+//! rename leaves unreferenced segment files (`tsfm fsck` sweeps them),
+//! and replaced/removed segments survive until no manifest on disk
+//! mentions them. A failed commit keeps every uncommitted frame, so a
+//! retry writes the same bytes.
 //!
 //! Reads are split from writes: [`Catalog::searcher`] returns a
 //! [`Searcher`] — an immutable `Arc`-shared snapshot of the query engine
@@ -83,6 +86,7 @@ use crate::record::TableRecord;
 use crate::searcher::Searcher;
 use crate::ser;
 use crate::shard::{self, ArenaIndex, ShardEntry, ShardManifest, ShardMeta};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File};
 use std::io::BufReader;
@@ -300,30 +304,20 @@ pub struct Catalog {
     /// Bumped by every mutation; snapshots carry the epoch they captured.
     epoch: u64,
     manifest_dirty: bool,
-    /// Reused segment serialization buffer (records are a few KB; one
-    /// buffer serves a whole bulk ingest).
-    seg_buf: Vec<u8>,
-    /// Segment files written since the last commit, awaiting their
-    /// batched fsync (one pass at commit, not one fsync per table). The
-    /// `write_new` handle rides along so the sync happens on the open
-    /// descriptor — no by-path reopen; `None` only for retry leftovers
-    /// from a failed batch.
-    pending_sync: Vec<(PathBuf, Option<File>)>,
-    /// Concurrent fsync workers for bulk ingests: chunks of pending
-    /// segments are burst through the pool so journal batching amortizes
-    /// the per-file flush cost and the writeback overlaps sketching.
-    /// Spawned lazily by the first full chunk; `None` until then and
-    /// never used while a fault plan is armed (the serial path keeps
-    /// crash-sweep site numbering deterministic).
+    /// The serialized `TSFMSEG1` frame of every table added since the
+    /// last commit, by id, beside its uncommitted entry in `entries`. No
+    /// file exists for them yet: the commit decides whether they become
+    /// loose segment files or go straight into shard arenas.
+    pending: BTreeMap<String, Vec<u8>>,
+    /// fsync workers for loose commits past [`durable::SyncPool::MIN_BATCH`]
+    /// segments; spawned by the first such commit and never used while a
+    /// fault plan is armed (the serial path keeps crash-sweep site
+    /// numbering deterministic).
     sync_pool: Option<durable::SyncPool>,
-    /// Whether any segments were handed to `sync_pool` since the last
-    /// commit (commit must then drain the pool and sync the segment
-    /// directory even if `pending_sync` is empty).
-    pool_used: bool,
-    /// Segment files the in-memory manifest no longer references,
-    /// deleted only *after* the manifest commits — until then a manifest
-    /// on disk may still point at them.
-    pending_delete: Vec<PathBuf>,
+    /// Committed segment files the in-memory manifest stopped
+    /// referencing (file name → table id), deleted only *after* the next
+    /// commit — until then the manifest on disk still points at them.
+    pending_delete: BTreeMap<String, String>,
 }
 
 impl Catalog {
@@ -396,11 +390,9 @@ impl Catalog {
                 base: None,
                 epoch: 0,
                 manifest_dirty: false,
-                seg_buf: Vec::new(),
-                pending_sync: Vec::new(),
+                pending: BTreeMap::new(),
                 sync_pool: None,
-                pool_used: false,
-                pending_delete: Vec::new(),
+                pending_delete: BTreeMap::new(),
             });
         }
         fs::create_dir_all(dir.join(SEGMENT_DIR))?;
@@ -416,11 +408,9 @@ impl Catalog {
             base: None,
             epoch: 0,
             manifest_dirty: true,
-            seg_buf: Vec::new(),
-            pending_sync: Vec::new(),
+            pending: BTreeMap::new(),
             sync_pool: None,
-            pool_used: false,
-            pending_delete: Vec::new(),
+            pending_delete: BTreeMap::new(),
         };
         cat.write_manifest()?;
         Ok(cat)
@@ -483,7 +473,8 @@ impl Catalog {
     /// loose tier (recently added/updated, or any table of a never-
     /// compacted catalog). Shard-resident tables have no loose entry —
     /// use [`Catalog::get`] / [`Catalog::record`] for tier-agnostic
-    /// access.
+    /// access. The segment an uncommitted entry names is written by the
+    /// next commit only if that commit stays loose.
     pub fn entry(&self, id: &str) -> Option<&ManifestEntry> {
         self.entries.get(id)
     }
@@ -576,9 +567,13 @@ impl Catalog {
         Ok(self.shard_locate(id)?.map(|(_, m, i)| m.entries[i].content_hash))
     }
 
-    /// Load one table's full record — from its loose segment file, or by
-    /// positioned read out of its shard's arena.
+    /// Load one table's full record — from its uncommitted frame in
+    /// memory, its loose segment file, or by positioned read out of its
+    /// shard's arena.
     pub fn get(&self, id: &str) -> StoreResult<Option<TableRecord>> {
+        if let Some(frame) = self.pending.get(id) {
+            return Ok(Some(ser::read_record(&mut frame.as_slice())?));
+        }
         if let Some(entry) = self.entries.get(id) {
             let path = self.dir.join(SEGMENT_DIR).join(&entry.segment);
             let rec = durable::read_file_checked(&path, |r| {
@@ -637,7 +632,9 @@ impl Catalog {
         self.add_record(&TableRecord::from_sketch(sketch, content_hash))
     }
 
-    /// Store a pre-built record (the path for records carrying embeddings).
+    /// Store a pre-built record (the path for records carrying
+    /// embeddings). The record is serialized here and held in memory;
+    /// the next commit writes it.
     pub fn add_record(&mut self, rec: &TableRecord) -> StoreResult<IngestOutcome> {
         let id = rec.table_id().to_string();
         let prior = self.active_content_hash(&id)?;
@@ -645,85 +642,58 @@ impl Catalog {
             return Ok(IngestOutcome::Unchanged);
         }
         let outcome = if prior.is_some() { IngestOutcome::Updated } else { IngestOutcome::Added };
-        let segment = segment_name(&id, rec.content_hash);
-        let path = self.dir.join(SEGMENT_DIR).join(&segment);
-        {
-            let _g = tsfm_obs::span!("catalog.segment.write");
-            self.seg_buf.clear();
-            ser::write_record(&mut self.seg_buf, rec)?;
-            // Segment names are content-addressed (they embed the
-            // table-id hash *and* the content hash), so a path that does
-            // not exist yet cannot be open in any reader and takes the
-            // unsynced fast path — its fsync is batched into the next
-            // commit. An already-existing path means a reader holding an
-            // older manifest could be loading those exact bytes right
-            // now, so that rare case goes through the full atomic
-            // commit_file route.
-            if let Some(file) = durable::write_new(&path, &self.seg_buf)? {
-                self.pending_sync.push((path, Some(file)));
-                // Bulk ingest: hand full chunks to the fsync pool so the
-                // writeback overlaps continued sketching; commit() drains
-                // the pool before acknowledging anything. Fault runs keep
-                // everything on the serial commit-time path.
-                if self.pending_sync.len() >= durable::SyncPool::CHUNK
-                    && !durable::fault::armed()
-                {
-                    let pool = self
-                        .sync_pool
-                        .get_or_insert_with(|| durable::SyncPool::new(durable::SyncPool::WORKERS));
-                    for (p, f) in self.pending_sync.drain(..) {
-                        pool.enqueue(p, f);
-                    }
-                    self.pool_used = true;
-                }
-            } else {
-                durable::commit_file(&path, &self.seg_buf)?;
-            }
-        }
-        obs().counter("tsfm_catalog_segments_written_total", "Segment files written").inc();
-        obs()
-            .counter("tsfm_catalog_segment_bytes_written_total", "Segment bytes written")
-            .add(self.seg_buf.len() as u64);
-        // The replaced segment file (its name differs because the hash
-        // does) stays on disk until the manifest that stops referencing
-        // it has committed.
-        if let Some(old) = self.entries.get(&id) {
-            if old.segment != segment {
-                self.pending_delete.push(self.dir.join(SEGMENT_DIR).join(&old.segment));
-            }
-        }
         // A loose write shadowing a shard-resident copy tombstones it, so
         // `len` counts the table once and compaction drops the stale copy.
-        if !self.entries.contains_key(&id)
+        let shadows = !self.entries.contains_key(&id)
             && !self.tombstones.contains(&id)
-            && self.shard_locate(&id)?.is_some()
+            && self.shard_locate(&id)?.is_some();
+        let mut frame = Vec::new();
         {
+            let _g = tsfm_obs::span!("catalog.segment.encode");
+            ser::write_record(&mut frame, rec)?;
+        }
+        // A replaced committed segment (its name differs because the hash
+        // does) stays on disk until the manifest that stops referencing
+        // it has committed; a replaced uncommitted frame never had a file.
+        self.drop_loose(&id);
+        if shadows {
             self.tombstones.insert(id.clone());
         }
         self.entries.insert(
-            id,
+            id.clone(),
             ManifestEntry {
                 content_hash: rec.content_hash,
-                segment,
+                segment: segment_name(&id, rec.content_hash),
                 num_rows: rec.num_rows() as u64,
                 num_cols: rec.num_cols() as u32,
             },
         );
+        self.pending.insert(id, frame);
         self.invalidate();
         Ok(outcome)
     }
 
-    /// Remove a table; returns whether it existed. A loose table's
-    /// segment file is deleted at the next [`Catalog::commit`], after the
-    /// manifest that dropped it is durable — deleting first would lose
-    /// the table on a crash before commit. A shard-resident table is
-    /// tombstoned; the next compaction reclaims its arena bytes.
-    pub fn remove(&mut self, id: &str) -> StoreResult<bool> {
-        let mut existed = false;
-        if let Some(entry) = self.entries.remove(id) {
-            self.pending_delete.push(self.dir.join(SEGMENT_DIR).join(&entry.segment));
-            existed = true;
+    /// Drop `id`'s loose entry, if any: an uncommitted frame is simply
+    /// forgotten, a committed segment file is queued for deletion after
+    /// the next commit. Returns whether an entry existed.
+    fn drop_loose(&mut self, id: &str) -> bool {
+        let Some(entry) = self.entries.remove(id) else {
+            return false;
+        };
+        if self.pending.remove(id).is_none() {
+            self.pending_delete.insert(entry.segment, id.to_string());
         }
+        true
+    }
+
+    /// Remove a table; returns whether it existed. An uncommitted table
+    /// just drops its frame. A committed loose table's segment file is
+    /// deleted at the next [`Catalog::commit`], after the manifest that
+    /// dropped it is durable — deleting first would lose the table on a
+    /// crash before commit. A shard-resident table is tombstoned; the
+    /// next compaction reclaims its arena bytes.
+    pub fn remove(&mut self, id: &str) -> StoreResult<bool> {
+        let mut existed = self.drop_loose(id);
         if !self.tombstones.contains(id) && self.shard_locate(id)?.is_some() {
             self.tombstones.insert(id.to_string());
             existed = true;
@@ -854,41 +824,48 @@ impl Catalog {
         MinHasher::new(self.sketch_cfg.minhash_k, self.sketch_cfg.seed)
     }
 
-    /// Make every mutation since the last commit durable. The ordering is
-    /// the crash-safety argument:
+    /// Make every mutation since the last commit durable, choosing where
+    /// the new records' bytes land. When [`Catalog::compaction_due`] says
+    /// churn has crossed the threshold, the commit *folds*: the batch's
+    /// frames go straight from memory into new shard arenas beside the
+    /// committed loose tier (see [`Catalog::compact`]), and no segment
+    /// file is written — so a bulk ingest lands in shards without anyone
+    /// calling `compact`. Otherwise it is a *loose* commit, ordered for
+    /// crash safety:
     ///
-    /// 1. fsync each segment written since the last commit, then the
-    ///    segment directory (batched: one pass per commit, not one fsync
-    ///    per `add_record`);
+    /// 1. write each new record to its content-addressed segment file and
+    ///    fsync it — on a pool of sync workers that starts on each file
+    ///    as soon as it is written, or serially for small batches and
+    ///    under a fault plan — then fsync the segment directory;
     /// 2. commit the manifest atomically — this is the single commit
     ///    point: a crash anywhere before the manifest rename leaves the
-    ///    previous manifest referencing only previously-durable segments;
+    ///    previous manifest referencing only previously-durable segments,
+    ///    and at most unreferenced new files `tsfm fsck` sweeps;
     /// 3. only now delete segments no manifest references (best effort —
     ///    a leftover is an orphan `tsfm fsck` sweeps, never data loss).
     ///
-    /// After the loose state is durable, a compaction pass runs
-    /// automatically when [`Catalog::compaction_due`] says churn has
-    /// crossed the threshold — so a bulk ingest folds itself into shards
-    /// without anyone calling [`Catalog::compact`].
+    /// A failed commit of either kind keeps every uncommitted record in
+    /// memory, so a retry commits the same bytes.
     pub fn commit(&mut self) -> StoreResult<()> {
-        self.commit_inner()?;
         if self.compaction_due() {
-            self.compact_inner()?;
+            self.compact_inner()
+        } else {
+            self.commit_inner()
         }
-        Ok(())
     }
 
-    /// Fold the loose tier and all tombstones into the shard layer now,
-    /// regardless of thresholds (the `tsfm compact` verb and the
-    /// monolithic→sharded migration path). Loose mutations are committed
-    /// first, so a crash mid-compaction loses nothing.
+    /// Fold the loose tier — committed segments and uncommitted records
+    /// alike — and all tombstones into the shard layer now, regardless of
+    /// thresholds (the `tsfm compact` verb and the monolithic→sharded
+    /// migration path). The root manifest flip is the commit point for
+    /// the mutations since the last commit too: a crash before it leaves
+    /// the previous committed catalog.
     pub fn compact(&mut self) -> StoreResult<()> {
-        self.commit_inner()?;
         self.compact_inner()
     }
 
-    /// Whether [`Catalog::commit`] will run a compaction pass: a
-    /// loose-only catalog compacts once it holds
+    /// Whether [`Catalog::commit`] will fold into the shard layer instead
+    /// of committing loose: a loose-only catalog compacts once it holds
     /// [`shard::AUTO_SHARD_MIN`] tables; a sharded one once loose churn
     /// (updates + tombstones) reaches a quarter of the sharded
     /// population.
@@ -905,69 +882,105 @@ impl Catalog {
             return Ok(());
         }
         let _g = tsfm_obs::span!("catalog.commit");
-        // Every segment written since the last commit must be on disk
-        // before the manifest rename acknowledges it. Bulk batches go
-        // through the fsync pool (journal batching amortizes the
-        // per-file flush; mid-ingest chunks are already in flight there);
-        // small commits and fault runs sync serially — cheaper to wake no
-        // pool, and deterministic fault-site ordering for the sweeper.
-        let use_pool = !durable::fault::armed()
-            && (self.pool_used || self.pending_sync.len() > durable::SyncPool::MIN_BATCH);
-        if use_pool {
-            let pool = self
-                .sync_pool
-                .get_or_insert_with(|| durable::SyncPool::new(durable::SyncPool::WORKERS));
-            for (path, file) in self.pending_sync.drain(..) {
-                pool.enqueue(path, file);
-            }
-            let mut it = pool.drain().into_iter();
-            if let Some((path, err)) = it.next() {
-                // A failed sync fails the commit before anything is
-                // acknowledged; the failed paths fall back onto the
-                // queue (handles consumed — retried by path) so a
-                // retried commit re-syncs exactly them.
-                self.pending_sync.push((path, None));
-                self.pending_sync.extend(it.map(|(p, _)| (p, None)));
-                return Err(err);
-            }
-            durable::sync_dir(&self.dir.join(SEGMENT_DIR))?;
-        } else {
-            for (path, file) in &self.pending_sync {
-                durable::sync_pending(path, file.as_ref())?;
-            }
-            if !self.pending_sync.is_empty() {
-                durable::sync_dir(&self.dir.join(SEGMENT_DIR))?;
-            }
-            self.pending_sync.clear();
-        }
-        self.pool_used = false;
+        self.write_pending()?;
         self.write_manifest()?;
         self.manifest_dirty = false;
-        for path in self.pending_delete.drain(..) {
-            let _ = fs::remove_file(path);
+        self.pending.clear();
+        let seg_dir = self.dir.join(SEGMENT_DIR);
+        for (segment, id) in std::mem::take(&mut self.pending_delete) {
+            // A table re-added under its committed content kept its file.
+            if self.entries.get(&id).is_some_and(|e| e.segment == segment) {
+                continue;
+            }
+            let _ = fs::remove_file(seg_dir.join(segment));
         }
         Ok(())
     }
 
-    /// Rewrite dirty shards: fold committed loose segments and tombstones
-    /// into the shard layer under a fresh generation. Crash-safety
-    /// ordering mirrors `commit`:
+    /// Write every uncommitted frame to its segment file and make them
+    /// all durable, segment directory included. Batches past
+    /// [`durable::SyncPool::MIN_BATCH`] hand each fresh handle to the
+    /// sync pool as soon as it is written, so the fsyncs overlap the
+    /// remaining writes; small batches and fault runs sync serially —
+    /// cheaper to wake no pool, and deterministic fault-site ordering for
+    /// the sweeper. Leaves `pending` untouched: until the manifest
+    /// commits, a failure keeps every frame for the retry.
+    fn write_pending(&mut self) -> StoreResult<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let seg_dir = self.dir.join(SEGMENT_DIR);
+        let pool = if !durable::fault::armed()
+            && self.pending.len() > durable::SyncPool::MIN_BATCH
+        {
+            let pool = self
+                .sync_pool
+                .get_or_insert_with(|| durable::SyncPool::new(durable::SyncPool::WORKERS));
+            Some(&*pool)
+        } else {
+            None
+        };
+        let files = obs().counter("tsfm_catalog_segments_written_total", "Segment files written");
+        let bytes =
+            obs().counter("tsfm_catalog_segment_bytes_written_total", "Segment bytes written");
+        let written = self.pending.iter().try_for_each(|(id, frame)| -> StoreResult<()> {
+            let _g = tsfm_obs::span!("catalog.segment.write");
+            let entry = self.entries.get(id).ok_or_else(|| {
+                StoreError::internal(format!("uncommitted record {id:?} has no manifest entry"))
+            })?;
+            let path = seg_dir.join(&entry.segment);
+            // Segment names are content-addressed (they embed the
+            // table-id hash *and* the content hash), so a path that does
+            // not exist yet cannot be open in any reader and takes the
+            // unsynced fast path. An already-existing path — a reader
+            // holding an older manifest may be loading those bytes right
+            // now, or a failed commit left it — goes through the atomic
+            // commit_file route.
+            match durable::write_new(&path, frame)? {
+                Some(file) => match pool {
+                    Some(pool) => pool.enqueue(path, file),
+                    None => durable::sync_pending(&path, &file)?,
+                },
+                None => durable::commit_file(&path, frame)?,
+            }
+            files.inc();
+            bytes.add(frame.len() as u64);
+            Ok(())
+        });
+        // Drain even after a failed write, so no stale sync failure is
+        // left in the pool for the retry to trip over.
+        let failed = pool.map(durable::SyncPool::drain).unwrap_or_default();
+        written?;
+        if let Some((_, err)) = failed.into_iter().next() {
+            return Err(err);
+        }
+        durable::sync_dir(&seg_dir)
+    }
+
+    /// Rewrite dirty shards: fold the loose tier — committed segments and
+    /// uncommitted frames — and tombstones into the shard layer under a
+    /// fresh generation. Crash-safety ordering mirrors a loose commit:
     ///
     /// 1. new-generation arena + shard-manifest files are committed one
     ///    by one ([`durable::commit_file`] each) — a crash here leaves
     ///    orphan files the root manifest never mentions (`tsfm fsck`
     ///    sweeps them);
     /// 2. the root manifest flips to the new generation in one atomic
-    ///    commit — the single commit point;
-    /// 3. only then are old-generation shard files and absorbed loose
-    ///    segments unlinked (best effort). Snapshots holding the old
-    ///    arenas keep reading them through their open descriptors.
+    ///    commit — the single commit point, for the fold and for every
+    ///    mutation since the last commit;
+    /// 3. only then are old-generation shard files and absorbed or
+    ///    replaced loose segments unlinked (best effort). Snapshots
+    ///    holding the old arenas keep reading them through their open
+    ///    descriptors.
     ///
-    /// Only shards touched by churn are rewritten, unless the shard
-    /// space itself changes width (then every table re-buckets).
+    /// Nothing in memory changes before the flip, so a failure anywhere
+    /// earlier leaves the catalog as it was, ready for a retry that
+    /// writes the same bytes. Only shards touched by churn are rewritten,
+    /// unless the shard space itself changes width (then every table
+    /// re-buckets). With nothing to fold it is a loose commit.
     fn compact_inner(&mut self) -> StoreResult<()> {
         if self.shards.is_empty() && self.entries.is_empty() {
-            return Ok(());
+            return self.commit_inner();
         }
         let _g = tsfm_obs::span!("catalog.compact");
         let space = shard::shard_count_for(self.len() as u64) as usize;
@@ -987,17 +1000,17 @@ impl Catalog {
             }
         }
         if !dirty.iter().any(|&d| d) {
-            return Ok(());
+            return self.commit_inner();
         }
         let generation =
             self.shards.iter().flatten().map(|s| s.meta.generation).max().unwrap_or(0) + 1;
 
         // Gather each dirty target shard's new contents as raw TSFMSEG1
         // frame bytes: copied verbatim (CRC-verified) out of old arenas,
-        // or read from loose segment files — re-parsed there, so a
-        // corrupt segment fails the compaction instead of poisoning a
-        // shard.
-        let mut buckets: Vec<Vec<(ShardEntry, Vec<u8>)>> = vec![Vec::new(); space];
+        // borrowed from the uncommitted frames, or read from committed
+        // segment files — re-parsed there, so a corrupt segment fails the
+        // compaction instead of poisoning a shard.
+        let mut buckets: Vec<Vec<(ShardEntry, Cow<'_, [u8]>)>> = vec![Vec::new(); space];
         for slot in self.shards.iter().flatten() {
             if !reshard && !dirty[slot.meta.index as usize] {
                 continue; // clean shard: carried over untouched
@@ -1010,53 +1023,44 @@ impl Catalog {
                 }
                 let payload = arena.read_payload(i)?;
                 buckets[shard::shard_of(&e.id, space as u32) as usize]
-                    .push((e.clone(), payload));
+                    .push((e.clone(), Cow::Owned(payload)));
             }
         }
         for (id, le) in &self.entries {
-            let path = self.dir.join(SEGMENT_DIR).join(&le.segment);
-            let bytes = fs::read(&path)?;
-            let rec = ser::read_record(&mut bytes.as_slice()).map_err(|e| {
-                durable::note_corruption(e.into_format("TSFMSEG1").with_file(&path, 0))
-            })?;
-            if rec.content_hash != le.content_hash || rec.table_id() != id {
-                return Err(durable::note_corruption(
-                    StoreError::corrupt(
-                        "TSFMSEG1",
-                        format!("segment {} does not match manifest entry for {id:?}", le.segment),
-                    )
-                    .with_file(&path, 0),
-                ));
-            }
+            let payload = match self.pending.get(id) {
+                Some(frame) => Cow::Borrowed(frame.as_slice()),
+                None => Cow::Owned(self.read_segment(id, le)?),
+            };
             let entry = ShardEntry {
                 id: id.clone(),
                 content_hash: le.content_hash,
                 num_rows: le.num_rows,
                 num_cols: le.num_cols,
             };
-            buckets[shard::shard_of(id, space as u32) as usize].push((entry, bytes));
+            buckets[shard::shard_of(id, space as u32) as usize].push((entry, payload));
         }
 
         // Write every dirty shard's new generation (arena first, then its
-        // manifest), collecting the new slot vector as we go.
+        // manifest). Clean shards keep their slot, taken over after the
+        // flip so its already-loaded manifest/arena caches survive.
         let shard_dir = self.shard_dir();
         fs::create_dir_all(&shard_dir)?;
         let mut new_shards: Vec<Option<ShardSlot>> = Vec::with_capacity(space);
-        for (idx, bucket) in buckets.iter_mut().enumerate() {
+        let mut metas: Vec<Option<ShardMeta>> = Vec::with_capacity(space);
+        for (idx, mut bucket) in buckets.into_iter().enumerate() {
             if !dirty[idx] {
-                // Steal the old slot (same index: space unchanged) so its
-                // already-loaded manifest/arena caches survive. A hole
-                // here is impossible — holes are always marked dirty.
-                let Some(slot) = self.shards[idx].take() else {
+                // Same index: the space is unchanged. A hole here is
+                // impossible — holes are always marked dirty.
+                let Some(slot) = &self.shards[idx] else {
                     return Err(StoreError::internal("clean shard slot missing in compaction"));
                 };
-                new_shards.push(Some(slot));
+                metas.push(Some(slot.meta.clone()));
+                new_shards.push(None);
                 continue;
             }
             bucket.sort_by(|a, b| a.0.id.cmp(&b.0.id));
-            let entries: Vec<ShardEntry> = bucket.iter().map(|(e, _)| e.clone()).collect();
-            let payloads: Vec<Vec<u8>> =
-                bucket.iter_mut().map(|(_, p)| std::mem::take(p)).collect();
+            let (entries, payloads): (Vec<ShardEntry>, Vec<Cow<'_, [u8]>>) =
+                bucket.into_iter().unzip();
             let arena_bytes = shard::build_arena(idx as u32, generation, &payloads);
             let meta = ShardMeta {
                 index: idx as u32,
@@ -1074,26 +1078,32 @@ impl Catalog {
                 entries,
             };
             shard::write_shard_manifest(&shard_dir.join(meta.shard_file()), &manifest)?;
+            metas.push(Some(meta.clone()));
             let slot = ShardSlot::new(meta);
             let _ = slot.manifest.set(Arc::new(manifest));
             new_shards.push(Some(slot));
         }
 
         // Everything the new root manifest will no longer reference —
-        // old-generation shard files and absorbed loose segments —
-        // collected before the flip, deleted only after it.
+        // rewritten shards' old generation, committed loose segments and
+        // those already replaced or removed — collected before the flip,
+        // deleted only after it. Uncommitted frames never had a file.
         let mut doomed: Vec<PathBuf> = Vec::new();
-        for slot in self.shards.iter().flatten() {
-            doomed.push(shard_dir.join(slot.meta.shard_file()));
-            doomed.push(shard_dir.join(slot.meta.arena_file()));
+        for (idx, slot) in self.shards.iter().enumerate() {
+            if let Some(slot) = slot.as_ref().filter(|_| reshard || dirty[idx]) {
+                doomed.push(shard_dir.join(slot.meta.shard_file()));
+                doomed.push(shard_dir.join(slot.meta.arena_file()));
+            }
         }
-        for e in self.entries.values() {
-            doomed.push(self.dir.join(SEGMENT_DIR).join(&e.segment));
+        let seg_dir = self.dir.join(SEGMENT_DIR);
+        for (id, e) in &self.entries {
+            if !self.pending.contains_key(id) {
+                doomed.push(seg_dir.join(&e.segment));
+            }
         }
+        doomed.extend(self.pending_delete.keys().map(|s| seg_dir.join(s)));
 
         // The commit point: flip the root manifest to the new generation.
-        let metas: Vec<Option<ShardMeta>> =
-            new_shards.iter().map(|s| s.as_ref().map(|s| s.meta.clone())).collect();
         write_manifest_file(
             &self.dir.join(MANIFEST_FILE),
             &self.sketch_cfg,
@@ -1101,9 +1111,17 @@ impl Catalog {
             &metas,
             &BTreeSet::new(),
         )?;
-        self.entries.clear();
-        self.tombstones.clear();
+        for (idx, slot) in new_shards.iter_mut().enumerate() {
+            if !dirty[idx] {
+                *slot = self.shards[idx].take();
+            }
+        }
         self.shards = new_shards;
+        self.entries.clear();
+        self.pending.clear();
+        self.pending_delete.clear();
+        self.tombstones.clear();
+        self.manifest_dirty = false;
         for path in doomed {
             let _ = fs::remove_file(path);
         }
@@ -1114,12 +1132,35 @@ impl Catalog {
         Ok(())
     }
 
+    /// A committed loose segment's raw frame bytes, verified to decode and
+    /// to match its manifest entry.
+    fn read_segment(&self, id: &str, le: &ManifestEntry) -> StoreResult<Vec<u8>> {
+        let path = self.dir.join(SEGMENT_DIR).join(&le.segment);
+        let bytes = fs::read(&path)?;
+        let rec = ser::read_record(&mut bytes.as_slice()).map_err(|e| {
+            durable::note_corruption(e.into_format("TSFMSEG1").with_file(&path, 0))
+        })?;
+        if rec.content_hash != le.content_hash || rec.table_id() != id {
+            return Err(durable::note_corruption(
+                StoreError::corrupt(
+                    "TSFMSEG1",
+                    format!("segment {} does not match manifest entry for {id:?}", le.segment),
+                )
+                .with_file(&path, 0),
+            ));
+        }
+        Ok(bytes)
+    }
+
     pub fn stats(&self) -> CatalogStats {
         let mut segment_bytes: u64 = self
             .entries
-            .values()
-            .filter_map(|e| {
-                fs::metadata(self.dir.join(SEGMENT_DIR).join(&e.segment)).ok().map(|m| m.len())
+            .iter()
+            .filter_map(|(id, e)| match self.pending.get(id) {
+                Some(frame) => Some(frame.len() as u64),
+                None => fs::metadata(self.dir.join(SEGMENT_DIR).join(&e.segment))
+                    .ok()
+                    .map(|m| m.len()),
             })
             .sum();
         let mut columns: u64 = self.entries.values().map(|e| u64::from(e.num_cols)).sum();
@@ -1924,19 +1965,56 @@ mod tests {
         assert!(cat.load_all_records().unwrap().len() == 2);
     }
 
+    fn segment_files(dir: &Path) -> usize {
+        fs::read_dir(dir.join(SEGMENT_DIR)).unwrap().count()
+    }
+
     #[test]
     fn remove_deletes_segment() {
         let dir = tmp_dir("rm");
         let mut cat = Catalog::open(&dir).unwrap();
+        // An uncommitted add writes no file, so removing it leaves none.
         cat.add_table(&table("t", &[1]), 5).unwrap();
+        assert_eq!(segment_files(&dir), 0);
         assert!(cat.remove("t").unwrap());
         assert!(!cat.remove("t").unwrap());
         assert_eq!(cat.len(), 0);
-        // The segment file survives until the removal is committed —
-        // until then the on-disk manifest still references it.
-        assert_eq!(fs::read_dir(dir.join(SEGMENT_DIR)).unwrap().count(), 1);
         cat.commit().unwrap();
-        assert_eq!(fs::read_dir(dir.join(SEGMENT_DIR)).unwrap().count(), 0);
+        assert_eq!(segment_files(&dir), 0);
+        // A committed table's segment file survives its removal until the
+        // removal is committed — until then the on-disk manifest still
+        // references it.
+        cat.add_table(&table("t", &[1]), 5).unwrap();
+        cat.commit().unwrap();
+        assert_eq!(segment_files(&dir), 1);
+        assert!(cat.remove("t").unwrap());
+        assert_eq!(segment_files(&dir), 1);
+        cat.commit().unwrap();
+        assert_eq!(segment_files(&dir), 0);
+    }
+
+    /// Replacing a committed table and then restoring its committed
+    /// content, all in one batch, must keep the file the new manifest
+    /// names — in a loose commit and in a folding one.
+    #[test]
+    fn restoring_committed_content_keeps_its_segment() {
+        let dir = tmp_dir("restore");
+        let mut cat = Catalog::open(&dir).unwrap();
+        cat.add_table(&table("t", &[1]), 5).unwrap();
+        cat.commit().unwrap();
+        assert_eq!(cat.add_table(&table("t", &[1, 2]), 6).unwrap(), IngestOutcome::Updated);
+        assert_eq!(cat.add_table(&table("t", &[1]), 5).unwrap(), IngestOutcome::Updated);
+        cat.commit().unwrap();
+        assert_eq!(segment_files(&dir), 1);
+        drop(cat);
+        let mut cat = Catalog::open(&dir).unwrap();
+        assert_eq!(cat.record("t").unwrap().content_hash, 5);
+        assert_eq!(cat.add_table(&table("t", &[1, 2]), 6).unwrap(), IngestOutcome::Updated);
+        assert_eq!(cat.add_table(&table("t", &[1]), 5).unwrap(), IngestOutcome::Updated);
+        cat.compact().unwrap();
+        assert_eq!(segment_files(&dir), 0, "the fold absorbed the committed segment");
+        drop(cat);
+        assert_eq!(Catalog::open(&dir).unwrap().record("t").unwrap().content_hash, 5);
     }
 
     #[test]

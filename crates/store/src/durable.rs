@@ -11,11 +11,11 @@
 //!   it, rename it over the target, fsync the parent directory. A crash
 //!   at any instant leaves either the old file or the new one, never a
 //!   torn mix;
-//! * [`write_new`] — the bulk-ingest fast path for content-addressed
-//!   segment files: `create_new` + one write, **no fsync** — the catalog
-//!   batches segment fsyncs into [`sync_file`]/[`sync_dir`] calls at
-//!   commit time so durability costs one pass per commit, not one fsync
-//!   per table;
+//! * [`write_new`] — the fast path for content-addressed segment files:
+//!   `create_new` + one write, **no fsync** — a loose catalog commit
+//!   hands each fresh handle to [`sync_pending`] or a [`SyncPool`] and
+//!   ends with one [`sync_dir`], so durability costs one pass per commit,
+//!   not a tmp + rename dance per table;
 //! * [`read_file_checked`] — opens a file and runs a parser over a
 //!   byte-counting reader, stamping any [`StoreError::Corrupt`] with the
 //!   file name and the offset where decoding stopped, and counting it in
@@ -277,12 +277,11 @@ pub fn commit_file(path: &Path, bytes: &[u8]) -> StoreResult<()> {
 
 /// Create-and-write a file that must not exist yet (the content-addressed
 /// segment fast path). Returns the still-open handle on success — **not
-/// yet fsynced**: callers keep it and batch [`sync_pending`] /
-/// [`SyncPool`] + [`sync_dir`] at commit time, syncing the handle
-/// directly instead of paying a by-path reopen (`open(2)` in a
-/// multi-thousand-entry segment directory costs as much as the fsync
-/// itself). Returns `Ok(None)` — having written nothing — if the path
-/// already exists.
+/// yet fsynced**: the caller syncs the handle itself ([`sync_pending`] or
+/// a [`SyncPool`]) and then the directory ([`sync_dir`]), instead of
+/// paying a by-path reopen (`open(2)` in a multi-thousand-entry segment
+/// directory costs as much as the fsync itself). Returns `Ok(None)` —
+/// having written nothing — if the path already exists.
 pub fn write_new(path: &Path, bytes: &[u8]) -> StoreResult<Option<File>> {
     fault_check("create", path)?;
     match File::options().write(true).create_new(true).open(path) {
@@ -295,41 +294,36 @@ pub fn write_new(path: &Path, bytes: &[u8]) -> StoreResult<Option<File>> {
     }
 }
 
-/// fsync one pending file: through its retained handle when the caller
-/// still holds it, by path otherwise (the retry path after a failed
-/// batch). One fault site either way, keyed on the path.
-pub fn sync_pending(path: &Path, file: Option<&File>) -> StoreResult<()> {
+/// fsync a file [`write_new`] just created, through its handle. One fault
+/// site, keyed on the path.
+pub fn sync_pending(path: &Path, file: &File) -> StoreResult<()> {
     fault_check("fsync", path)?;
-    match file {
-        Some(f) => Ok(f.sync_data()?),
-        None => Ok(File::open(path)?.sync_all()?),
-    }
-}
-
-/// fsync one file by path.
-pub fn sync_file(path: &Path) -> StoreResult<()> {
-    fault_check("fsync", path)?;
-    Ok(File::open(path)?.sync_all()?)
+    Ok(file.sync_data()?)
 }
 
 // ---- background sync pipeline ---------------------------------------------
 
-/// A pool of fsync workers that amortizes segment durability for bulk
-/// commits.
+/// A pool of fsync workers that makes a loose commit's segment files
+/// durable while the commit is still writing the rest of them.
 ///
 /// A single fsync on this class of hardware costs ~100-200µs of mostly
-/// idle journal-commit latency — serially fsyncing a 10k-table ingest at
-/// commit time would double its wall clock. But concurrent fsyncs share
+/// idle journal-commit latency — serially fsyncing a 10k-table commit
+/// would double an ingest's wall clock. But concurrent fsyncs share
 /// journal commits (ext4's jbd2 batches every waiter into the running
-/// transaction), so a burst of blocked workers turns one-flush-per-file
-/// into a handful of journal flushes per batch. The catalog hands over
-/// [`SyncPool::CHUNK`]-sized batches mid-ingest (overlapping writeback
-/// with sketching; a per-file trickle instead was measured to stall the
-/// foreground writer's journal handles) and `Catalog::commit` drains the
-/// pool before acknowledging anything. Files arrive with their
-/// still-open [`write_new`] handle: syncing the handle skips a by-path
-/// `open(2)`, which in a multi-thousand-entry segment directory costs as
-/// much as the fsync itself.
+/// transaction), so a crowd of blocked workers turns one-flush-per-file
+/// into a handful of journal flushes per batch. `Catalog::commit` hands
+/// each segment's still-open [`write_new`] handle over the moment the
+/// file is written, so the syncs overlap the remaining writes (writing
+/// every file first and syncing afterwards measured no faster), and drains
+/// the pool before acknowledging anything. Syncing the handle skips a
+/// by-path `open(2)`, which in a multi-thousand-entry segment directory
+/// costs as much as the fsync itself.
+///
+/// Every queued entry is an open descriptor, so at most one per worker
+/// is in flight: [`SyncPool::enqueue`] blocks beyond that, and a commit
+/// never holds more segment descriptors than the pool has workers. (A
+/// deeper queue once ran a 1 500-table ingest out of descriptors under
+/// the common `ulimit -n 1024`.)
 ///
 /// The durability contract is unchanged: the drain happens (and fails on
 /// the first sync error) *before* the segment directory is synced and
@@ -337,11 +331,11 @@ pub fn sync_file(path: &Path) -> StoreResult<()> {
 /// every referenced segment is on disk.
 ///
 /// Workers deliberately bypass the fault layer: while a fault plan is
-/// armed the catalog routes syncs through the serial `pending_sync`
-/// path instead (see [`fault::armed`]), keeping crash-sweep site
-/// numbering deterministic.
+/// armed the catalog syncs each file serially through [`sync_pending`]
+/// instead (see [`fault::armed`]), keeping crash-sweep site numbering
+/// deterministic.
 pub struct SyncPool {
-    tx: Option<std::sync::mpsc::Sender<(PathBuf, Option<File>)>>,
+    tx: Option<std::sync::mpsc::Sender<(PathBuf, File)>>,
     state: std::sync::Arc<(std::sync::Mutex<SyncState>, std::sync::Condvar)>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
@@ -365,22 +359,8 @@ impl SyncPool {
     /// deterministic serial path in fault runs and normal runs alike.
     pub const MIN_BATCH: usize = 8;
 
-    /// Mid-ingest chunk size: once this many freshly written segments
-    /// are pending, the catalog hands the whole chunk to the pool and
-    /// keeps ingesting while it syncs. Coarse chunks keep the journal
-    /// storms bursty — a per-file trickle forces a journal commit per
-    /// handful of files and measurably stalls the foreground writer's
-    /// transaction handles, while one storm every couple thousand files
-    /// overlaps most of the writeback with sketching.
-    pub const CHUNK: usize = 2048;
-
-    /// Backpressure bound: `enqueue` blocks once this many syncs are in
-    /// flight. Each queued entry holds an open file descriptor, so the
-    /// bound keeps a slow disk from accumulating unbounded fd debt.
-    const MAX_IN_FLIGHT: usize = 4096;
-
     pub fn new(workers: usize) -> Self {
-        let (tx, rx) = std::sync::mpsc::channel::<(PathBuf, Option<File>)>();
+        let (tx, rx) = std::sync::mpsc::channel::<(PathBuf, File)>();
         let rx = std::sync::Arc::new(std::sync::Mutex::new(rx));
         let state = std::sync::Arc::new((
             std::sync::Mutex::new(SyncState::default()),
@@ -390,17 +370,15 @@ impl SyncPool {
             .map(|_| {
                 let rx = std::sync::Arc::clone(&rx);
                 let state = std::sync::Arc::clone(&state);
-                // tsfm_lint: allow(no-spawn-outside-pool, "SyncPool IS a bounded pool: worker count is fixed at construction, enqueue blocks at MAX_IN_FLIGHT, the loop body cannot panic because sync errors are caught into SyncState, and Drop joins every worker")
+                // tsfm_lint: allow(no-spawn-outside-pool, "SyncPool IS a bounded pool: worker count is fixed at construction, enqueue blocks once every worker holds a sync, the loop body cannot panic because sync errors are caught into SyncState, and Drop joins every worker")
                 std::thread::spawn(move || loop {
                     // Hold the receiver lock only for the recv itself;
                     // a closed channel means the pool was dropped.
                     let Ok((path, file)) = tsfm_obs::sync::lock_unpoisoned(&rx).recv() else {
                         return;
                     };
-                    let result = match file {
-                        Some(f) => f.sync_data(),
-                        None => File::open(&path).and_then(|f| f.sync_data()),
-                    };
+                    let result = file.sync_data();
+                    drop(file);
                     let (lock, cvar) = &*state;
                     let mut st = tsfm_obs::sync::lock_unpoisoned(lock);
                     st.in_flight -= 1;
@@ -414,15 +392,16 @@ impl SyncPool {
         Self { tx: Some(tx), state, workers }
     }
 
-    /// Queue one background fsync — through the retained [`write_new`]
-    /// handle when given, by path otherwise. Failures surface at the
-    /// next [`SyncPool::drain`] — i.e. at commit time, before anything
-    /// is acknowledged. Blocks while the pool is at its in-flight bound.
-    pub fn enqueue(&self, path: PathBuf, file: Option<File>) {
+    /// Queue one background fsync through the retained [`write_new`]
+    /// handle, which the worker closes once synced. Failures surface at
+    /// the next [`SyncPool::drain`] — i.e. at commit time, before
+    /// anything is acknowledged. Blocks while every worker already holds
+    /// a sync, so open handles never outnumber the workers.
+    pub fn enqueue(&self, path: PathBuf, file: File) {
         let (lock, cvar) = &*self.state;
         {
             let mut st = tsfm_obs::sync::lock_unpoisoned(lock);
-            while st.in_flight >= Self::MAX_IN_FLIGHT {
+            while st.in_flight >= self.workers.len() {
                 st = match cvar.wait(st) {
                     Ok(g) => g,
                     Err(poisoned) => poisoned.into_inner(),
@@ -650,32 +629,35 @@ mod tests {
         assert!(handle.is_some());
         assert!(write_new(&target, b"xyz").unwrap().is_none());
         assert_eq!(fs::read(&target).unwrap(), b"abc");
-        // Sync through the retained handle, by path, and as a
-        // retry-without-handle; all three must succeed.
-        sync_pending(&target, handle.as_ref()).unwrap();
-        sync_pending(&target, None).unwrap();
-        sync_file(&target).unwrap();
+        sync_pending(&target, &handle.unwrap()).unwrap();
         sync_dir(&dir).unwrap();
     }
 
     #[test]
     fn sync_pool_syncs_handles_and_reports_failures() {
         let dir = tmp("pool");
-        let pool = SyncPool::new(4);
-        let good = dir.join("good.bin");
-        let handle = write_new(&good, b"payload").unwrap();
-        pool.enqueue(good, handle);
+        let pool = SyncPool::new(2);
+        // More files than workers: enqueue must block and resume, never
+        // deadlock, while at most two handles are in flight.
+        for i in 0..8 {
+            let good = dir.join(format!("good{i}.bin"));
+            let handle = write_new(&good, b"payload").unwrap().unwrap();
+            pool.enqueue(good, handle);
+        }
         assert!(pool.drain().is_empty(), "healthy sync must not fail");
-        // A path that cannot be opened surfaces as a failed entry at the
-        // next drain — exactly what a commit must see before acking.
-        let missing = dir.join("missing.bin");
-        pool.enqueue(missing.clone(), None);
+        // A descriptor that cannot be synced (a socket: EINVAL) surfaces
+        // as a failed entry at the next drain — exactly what a commit
+        // must see before acking.
+        let (sock, _peer) = std::os::unix::net::UnixStream::pair().unwrap();
+        let unsyncable = File::from(std::os::fd::OwnedFd::from(sock));
+        let bad = dir.join("socket");
+        pool.enqueue(bad.clone(), unsyncable);
         let failed = pool.drain();
         assert_eq!(failed.len(), 1);
-        assert_eq!(failed[0].0, missing);
+        assert_eq!(failed[0].0, bad);
         // The pool stays usable after a failure.
         let again = dir.join("again.bin");
-        let handle = write_new(&again, b"more").unwrap();
+        let handle = write_new(&again, b"more").unwrap().unwrap();
         pool.enqueue(again, handle);
         assert!(pool.drain().is_empty());
     }

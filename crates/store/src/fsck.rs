@@ -59,7 +59,7 @@ pub enum ProblemKind {
     /// The manifest references a segment file that does not exist.
     MissingSegment,
     /// A segment file no manifest entry references (e.g. written by a
-    /// crashed ingest whose manifest never committed).
+    /// loose commit that crashed before its manifest rename).
     OrphanSegment,
     /// A shard manifest or arena fails its checksum, disagrees with the
     /// root manifest, or holds a slot whose payload disagrees with the

@@ -249,11 +249,11 @@ pub struct ArenaSlot {
 
 /// Build the full byte image of an arena file for `payloads` (each one a
 /// complete `TSFMSEG1` frame), in slot order.
-pub(crate) fn build_arena(index: u32, generation: u64, payloads: &[Vec<u8>]) -> Vec<u8> {
+pub(crate) fn build_arena(index: u32, generation: u64, payloads: &[impl AsRef<[u8]>]) -> Vec<u8> {
     let table_len = ARENA_SLOT_LEN * payloads.len() as u64;
     let mut data_offset = ARENA_HEADER_LEN + table_len;
     let mut table = Vec::with_capacity(table_len as usize);
-    for p in payloads {
+    for p in payloads.iter().map(AsRef::as_ref) {
         table.extend_from_slice(&data_offset.to_le_bytes());
         table.extend_from_slice(&(p.len() as u64).to_le_bytes());
         table.extend_from_slice(&durable::crc32c(p).to_le_bytes());
@@ -268,7 +268,7 @@ pub(crate) fn build_arena(index: u32, generation: u64, payloads: &[Vec<u8>]) -> 
     out.extend_from_slice(&durable::crc32c(&table).to_le_bytes());
     out.extend_from_slice(&table);
     for p in payloads {
-        out.extend_from_slice(p);
+        out.extend_from_slice(p.as_ref());
     }
     out
 }

@@ -11,8 +11,15 @@
 //! * once a commit has been acknowledged (`commit()` returned `Ok`), a
 //!   later crash never loses it; and
 //! * `tsfm fsck --repair` then clears any debris the crash left behind
-//!   (orphaned segments from uncommitted adds, torn `.tmp` staging files)
-//!   and the store verifies green.
+//!   (orphaned segments from an interrupted loose commit, torn `.tmp`
+//!   staging files, unreferenced shard generations) and the store
+//!   verifies green.
+//!
+//! The same workload runs in two shapes, because the commit decides where
+//! the new records land: over a small shard layer its churn reaches the
+//! compaction quarter and the commit *folds* the batch straight into new
+//! arenas (no segment file at all); over a larger one it stays *loose*
+//! and writes, fsyncs and directory-syncs segment files. Both are swept.
 //!
 //! The fault plan in `durable::fault` is process-global, so the whole
 //! sweep lives in ONE `#[test]` body — Rust's parallel test runner must
@@ -41,24 +48,45 @@ fn table(id: &str, rows: usize, salt: u64) -> Table {
     csv::table_from_csv(id, id, &text)
 }
 
-/// Committed, unfaulted baseline: tables `a` and `b` compacted into the
-/// shard tier, index cache built. This state is acknowledged — every
-/// crash below must preserve it until a later commit supersedes it.
-fn build_baseline(dir: &Path) {
+/// How the faulted commit lands, set by how many shard residents the
+/// baseline holds besides `a` and `b`. The workload's churn is 2 loose
+/// entries + 2 tombstones: against 2 residents that reaches the quarter
+/// and the commit folds; against 17 it stays under it and commits loose.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    name: &'static str,
+    extra: usize,
+    folds: bool,
+}
+
+const SHAPES: [Shape; 2] = [
+    Shape { name: "folding", extra: 0, folds: true },
+    Shape { name: "loose", extra: 15, folds: false },
+];
+
+fn extra_ids(shape: Shape) -> Vec<String> {
+    (0..shape.extra).map(|i| format!("p{i:02}")).collect()
+}
+
+/// Committed, unfaulted baseline: tables `a`, `b` and the shape's extras
+/// compacted into the shard tier, index cache built. This state is
+/// acknowledged — every crash below must preserve it until a later
+/// commit supersedes it.
+fn build_baseline(dir: &Path, shape: Shape) {
     let mut cat = Catalog::open(dir).expect("baseline open");
     cat.add_table(&table("a", 4, 1), 10).expect("baseline add a");
     cat.add_table(&table("b", 5, 2), 20).expect("baseline add b");
+    for (i, id) in extra_ids(shape).iter().enumerate() {
+        cat.add_table(&table(id, 3, 40 + i as u64), 40 + i as u64).expect("baseline add extra");
+    }
     cat.searcher().expect("baseline searcher");
     cat.compact().expect("baseline compact");
 }
 
 /// The faulted workload: add `c`, rewrite `b`, drop `a`, commit, rebuild
-/// the index. The commit's churn (two loose writes shadowing / removing
-/// two shard residents) trips the auto-compaction heuristic, so the sweep
-/// also walks every fault site inside shard + arena rewriting. Returns
-/// whether `commit()` was acknowledged before any fault fired. Every
-/// error is swallowed — after the injected fault trips the plan poisons
-/// all later durable ops, simulating a hard crash.
+/// the index. Returns whether `commit()` was acknowledged before any
+/// fault fired. Every error is swallowed — after the injected fault trips
+/// the plan poisons all later durable ops, simulating a hard crash.
 fn mutate(dir: &Path) -> bool {
     let mut acked = false;
     let _ = (|| -> StoreResult<()> {
@@ -74,23 +102,27 @@ fn mutate(dir: &Path) -> bool {
     acked
 }
 
-const BASELINE: &[&str] = &["a", "b"];
-const COMMITTED: &[&str] = &["b", "c"];
+/// The two legal table sets: before the workload's commit and after it.
+fn legal_states(shape: Shape) -> (BTreeSet<String>, BTreeSet<String>) {
+    let with_extras = |ids: &[&str]| -> BTreeSet<String> {
+        ids.iter().map(|s| (*s).to_string()).chain(extra_ids(shape)).collect()
+    };
+    (with_extras(&["a", "b"]), with_extras(&["b", "c"]))
+}
 
 /// Full consistency probe: open, list, load every record, rebuild a
 /// searcher, and check the table set is one of the two legal manifest
 /// states (`acked` pins it to the post-commit one). Any failure comes
 /// back as a message for the sweep to report alongside its site number.
-fn probe(dir: &Path, acked: bool) -> Result<(), String> {
+fn probe(dir: &Path, shape: Shape, acked: bool) -> Result<(), String> {
     let mut cat = Catalog::open(dir).map_err(|e| format!("reopen failed: {e}"))?;
     let ids: BTreeSet<String> = cat
         .table_ids()
         .map_err(|e| format!("table_ids failed: {e}"))?
         .into_iter()
         .collect();
-    let as_set = |ids: &[&str]| ids.iter().map(|s| (*s).to_string()).collect::<BTreeSet<_>>();
-    let legal: &[&[&str]] = if acked { &[COMMITTED] } else { &[BASELINE, COMMITTED] };
-    if !legal.iter().any(|want| ids == as_set(want)) {
+    let (baseline, committed) = legal_states(shape);
+    if ids != committed && (acked || ids != baseline) {
         return Err(format!("reopened table set {ids:?} is not a committed state (acked={acked})"));
     }
     for id in &ids {
@@ -103,87 +135,105 @@ fn probe(dir: &Path, acked: bool) -> Result<(), String> {
     Ok(())
 }
 
-#[test]
-fn every_crash_point_reopens_consistent() {
-    // Dry run: count the injection sites the workload passes through.
-    let count_dir = tmp_dir("count");
-    build_baseline(&count_dir);
-    fault::arm_counting(&count_dir);
-    let acked = mutate(&count_dir);
+fn segment_files(dir: &Path) -> usize {
+    std::fs::read_dir(dir.join("segments")).map_or(0, Iterator::count)
+}
+
+/// Dry run: count the injection sites the shape's workload passes
+/// through, and check the commit took the shape's path.
+fn count_sites(shape: Shape) -> u64 {
+    let dir = tmp_dir(&format!("{}_count", shape.name));
+    build_baseline(&dir, shape);
+    fault::arm_counting(&dir);
+    let acked = mutate(&dir);
     let sites = fault::disarm();
-    assert!(acked, "unfaulted dry run must commit");
+    assert!(acked, "{}: unfaulted dry run must commit", shape.name);
     assert!(!fault::tripped(), "counting mode never trips");
     assert!(
         sites >= 10,
-        "expected a rich site inventory (segment writes, fsyncs, manifest \
-         and index commits); counted only {sites}"
+        "{}: expected a rich site inventory (arena or segment writes, fsyncs, manifest \
+         and index commits); counted only {sites}",
+        shape.name
     );
-    probe(&count_dir, acked).expect("unfaulted workload must probe clean");
-    let _ = std::fs::remove_dir_all(&count_dir);
+    let segments = segment_files(&dir);
+    if shape.folds {
+        assert_eq!(segments, 0, "a folding commit must create nothing under segments/");
+    } else {
+        assert_eq!(segments, 2, "a loose commit writes one segment per new record");
+    }
+    probe(&dir, shape, acked).expect("unfaulted workload must probe clean");
+    let _ = std::fs::remove_dir_all(&dir);
+    sites
+}
 
+#[test]
+fn every_crash_point_reopens_consistent() {
     let mut swept = 0u64;
+    let mut expected = 0u64;
     let mut repairs = 0u64;
-    for mode in [FaultMode::Fail, FaultMode::Torn] {
-        for site in 0..sites {
-            let dir = tmp_dir(&format!("{mode:?}_{site}"));
-            build_baseline(&dir);
-            fault::arm(&dir, site, mode);
-            let acked = mutate(&dir);
-            let was_tripped = fault::tripped(); // read before disarm clears the plan
-            let seen = fault::disarm();
-            assert!(
-                was_tripped,
-                "site {site} ({mode:?}) was never reached (saw {seen} of {sites} sites) — \
-                 the workload must be deterministic"
-            );
+    let mut inventory = Vec::new();
+    for shape in SHAPES {
+        let sites = count_sites(shape);
+        inventory.push(format!("{} {sites}", shape.name));
+        expected += 2 * sites;
+        for mode in [FaultMode::Fail, FaultMode::Torn] {
+            for site in 0..sites {
+                let ctx = format!("{} site {site} ({mode:?})", shape.name);
+                let dir = tmp_dir(&format!("{}_{mode:?}_{site}", shape.name));
+                build_baseline(&dir, shape);
+                fault::arm(&dir, site, mode);
+                let acked = mutate(&dir);
+                let was_tripped = fault::tripped(); // read before disarm clears the plan
+                let seen = fault::disarm();
+                assert!(
+                    was_tripped,
+                    "{ctx} was never reached (saw {seen} of {sites} sites) — \
+                     the workload must be deterministic"
+                );
 
-            // First, the store must reopen consistent — or be repairable
-            // back to a consistent state that keeps everything acked.
-            if let Err(why) = probe(&dir, acked) {
-                let report = fsck(&dir, true).unwrap_or_else(|e| {
-                    panic!("site {site} ({mode:?}): probe failed ({why}) and fsck errored: {e}")
-                });
+                // First, the store must reopen consistent — or be
+                // repairable back to a consistent state that keeps
+                // everything acked.
+                if let Err(why) = probe(&dir, shape, acked) {
+                    let report = fsck(&dir, true).unwrap_or_else(|e| {
+                        panic!("{ctx}: probe failed ({why}) and fsck errored: {e}")
+                    });
+                    assert!(
+                        report.consistent_after(),
+                        "{ctx}: probe failed ({why}) and repair did not restore \
+                         consistency: {}",
+                        report.to_json()
+                    );
+                    repairs += 1;
+                    probe(&dir, shape, acked)
+                        .unwrap_or_else(|e| panic!("{ctx}: inconsistent even after repair: {e}"));
+                }
+
+                // Then fsck must be able to sweep any crash debris
+                // (orphaned segments, torn .tmp files) and verify green.
+                let report =
+                    fsck(&dir, true).unwrap_or_else(|e| panic!("{ctx}: fsck errored: {e}"));
                 assert!(
                     report.consistent_after(),
-                    "site {site} ({mode:?}): probe failed ({why}) and repair did not \
-                     restore consistency: {}",
+                    "{ctx}: unrepairable damage: {}",
                     report.to_json()
                 );
-                repairs += 1;
-                probe(&dir, acked).unwrap_or_else(|e| {
-                    panic!("site {site} ({mode:?}): inconsistent even after repair: {e}")
-                });
+                let clean =
+                    fsck(&dir, false).unwrap_or_else(|e| panic!("{ctx}: re-verify errored: {e}"));
+                assert!(clean.healthy(), "{ctx}: store not green after repair: {}", clean.to_json());
+                // Repair never costs acknowledged data.
+                probe(&dir, shape, acked)
+                    .unwrap_or_else(|e| panic!("{ctx}: acked state lost after repair: {e}"));
+
+                let _ = std::fs::remove_dir_all(&dir);
+                swept += 1;
             }
-
-            // Then fsck must be able to sweep any crash debris (orphaned
-            // uncommitted segments, torn .tmp files) and verify green.
-            let report = fsck(&dir, true)
-                .unwrap_or_else(|e| panic!("site {site} ({mode:?}): fsck errored: {e}"));
-            assert!(
-                report.consistent_after(),
-                "site {site} ({mode:?}): unrepairable damage: {}",
-                report.to_json()
-            );
-            let clean = fsck(&dir, false)
-                .unwrap_or_else(|e| panic!("site {site} ({mode:?}): re-verify errored: {e}"));
-            assert!(
-                clean.healthy(),
-                "site {site} ({mode:?}): store not green after repair: {}",
-                clean.to_json()
-            );
-            // Repair never costs acknowledged data.
-            probe(&dir, acked).unwrap_or_else(|e| {
-                panic!("site {site} ({mode:?}): acked state lost after repair: {e}")
-            });
-
-            let _ = std::fs::remove_dir_all(&dir);
-            swept += 1;
         }
     }
     // The sweep itself must have exercised the full matrix.
-    assert_eq!(swept, 2 * sites, "site × mode matrix incomplete");
+    assert_eq!(swept, expected, "shape × site × mode matrix incomplete");
     println!(
-        "crash-point sweep: {swept} injected crashes across {sites} sites, \
-         {repairs} needed fsck --repair"
+        "crash-point sweep: {swept} injected crashes over sites ({}), {repairs} needed fsck --repair",
+        inventory.join(", ")
     );
 }

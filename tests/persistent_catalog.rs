@@ -183,3 +183,34 @@ fn tsfm_cli_end_to_end() {
     let out = Command::new(bin).arg("bogus").output().unwrap();
     assert!(!out.status.success());
 }
+
+/// A 1 500-table ingest must fit a 256-descriptor limit: a loose commit
+/// holds at most one open segment per fsync worker, never the batch.
+#[test]
+fn tsfm_ingest_under_a_low_descriptor_limit() {
+    let csv_dir = tmp_dir("fd_lake");
+    for i in 0..1500 {
+        fs::write(csv_dir.join(format!("t{i:04}.csv")), format!("k,v\nkey{i},{i}\nalt{i},{}\n", i * 7))
+            .unwrap();
+    }
+    let cat_dir = tmp_dir("fd_cat");
+    let bin = env!("CARGO_BIN_EXE_tsfm");
+    let out = Command::new("sh")
+        .args(["-c", "ulimit -n 256 && exec \"$0\" ingest \"$1\" \"$2\""])
+        .args([bin, cat_dir.to_str().unwrap(), csv_dir.to_str().unwrap()])
+        .output()
+        .expect("spawn sh");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "ingest under ulimit -n 256 failed:\nstdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("1500 added"), "{stdout}");
+    assert_eq!(Catalog::open(&cat_dir).unwrap().len(), 1500);
+    let fsck = Command::new(bin).args(["fsck", cat_dir.to_str().unwrap()]).output().unwrap();
+    let report = String::from_utf8_lossy(&fsck.stdout);
+    assert!(fsck.status.success() && report.contains("\"healthy\":true"), "{report}");
+    let _ = fs::remove_dir_all(&csv_dir);
+    let _ = fs::remove_dir_all(&cat_dir);
+}

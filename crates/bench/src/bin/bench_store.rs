@@ -268,11 +268,9 @@ fn run_scale_step(world: &World, n: usize, threads: usize) -> Result<ScaleRow, S
     let ingest_tables_per_s = n as f64 / t0.elapsed().as_secs_f64();
     drop(tables);
 
-    // Commit durably folds everything into shards (auto-compaction at
-    // this scale), then `compact()` guarantees it even below threshold.
+    // A catalog's first commit durably folds everything into shards.
     let t0 = Instant::now();
     cat.commit().map_err(|e| e.to_string())?;
-    cat.compact().map_err(|e| e.to_string())?;
     let commit_ms = t0.elapsed().as_secs_f64() * 1e3;
     let shards = cat.shard_count();
 

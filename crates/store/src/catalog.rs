@@ -10,32 +10,36 @@
 //! <dir>/index.cache        TSFMIDX1: fingerprint + join/union HNSW graphs + per-table engine meta
 //! ```
 //!
-//! Two storage tiers share the namespace. **Loose** tables — everything
-//! recently added, updated, or present in a small catalog — live one
-//! record per `segments/*.seg` file, listed directly in the root
-//! manifest; this tier is the mutation journal. **Sharded** tables live
-//! in `shards/`: the id space is partitioned by hash prefix, and each
-//! shard packs its records into a flat arena behind a fixed-width offset
+//! Two storage tiers share the namespace. **Sharded** tables live in
+//! `shards/`: the id space is partitioned by hash prefix, and each shard
+//! packs its records into a flat arena behind a fixed-width offset
 //! table, so `Catalog::open` reads only the root manifest — O(shards)
 //! metadata, not O(tables) of sketches — and sketch payloads load lazily
-//! by positioned read. A loose entry shadows (and a *tombstone* marks
-//! removed/shadowed) any shard-resident copy of the same id.
-//! [`Catalog::compact`] folds loose entries and tombstones into
+//! by positioned read. Every ingest lands there: the first commit of a
+//! catalog without a shard layer folds everything it holds into arenas.
+//! **Loose** tables — updates small against the shard population, and
+//! every table of a store written before the shard layer existed, until
+//! its first commit that changes it — live one record per
+//! `segments/*.seg` file, listed directly in the root manifest; this
+//! tier is the mutation journal. A loose entry shadows (and a
+//! *tombstone* marks removed/shadowed) any shard-resident copy of the
+//! same id. [`Catalog::compact`] folds loose entries and tombstones into
 //! rewritten shards — only *dirty* shards are rewritten, to a fresh
 //! generation committed file-by-file through
 //! [`crate::durable::commit_file`], with the root manifest flip as the
 //! single commit point — and [`Catalog::commit`] folds instead of
-//! committing loose once churn crosses a threshold (see
-//! [`Catalog::compaction_due`]).
+//! committing loose whenever [`Catalog::compaction_due`] says so.
 //!
 //! Mutations (`add_table`, `add_record`, `remove`) write no file: a new
 //! record is serialized into its `TSFMSEG1` frame and held in memory
 //! beside its manifest entry until [`Catalog::commit`] (also called on
 //! drop, best effort), the single durability point, decides where its
-//! bytes land. A *folding* commit (compaction due) copies the frames
-//! straight into new shard arenas — a bulk ingest past the auto-shard
-//! threshold never writes, fsyncs, re-reads and unlinks a segment per
-//! table. A *loose* commit writes each frame to its content-addressed
+//! bytes land. A commit with nothing uncommitted writes nothing, so
+//! opening and querying a store never rewrites its manifest, segments or
+//! shards. A *folding* commit
+//! copies the frames straight into new shard arenas — an ingest never
+//! writes, fsyncs, re-reads and unlinks a segment per table. A *loose*
+//! commit writes each frame to its content-addressed
 //! segment file, fsyncing on a [`durable::SyncPool`] that starts on each
 //! file as soon as it is written (small batches and armed fault plans
 //! sync serially, so crash-point site numbering stays deterministic),
@@ -164,10 +168,11 @@ impl IngestReport {
 
 /// Run `work(0..n)` across `threads` workers (atomic work-stealing, scoped
 /// threads), returning outputs in index order. `0` / `1` threads or a
-/// single job runs inline. `work` must be a pure function of its index —
-/// the ingest pool uses it for parse + sketch jobs, whose outputs are then
-/// applied serially in input order, so the catalog ends up byte-identical
-/// to a serial ingest at any thread count.
+/// single job runs inline. `work`'s output must not depend on the order
+/// jobs run in — the ingest pool uses it for one source's read, hash,
+/// check, parse, sketch and encode, whose outputs are then applied
+/// serially in input order, so the catalog ends up byte-identical to a
+/// serial ingest at any thread count.
 fn parallel_map<T: Send>(
     n: usize,
     threads: usize,
@@ -215,6 +220,42 @@ fn parallel_map<T: Send>(
     }
     tagged.sort_unstable_by_key(|&(i, _)| i);
     Ok(tagged.into_iter().map(|(_, t)| t).collect())
+}
+
+/// A record serialized for the catalog: its `TSFMSEG1` frame and the
+/// manifest entry it is held under. Encoding reads no catalog state, so
+/// ingest workers do it.
+struct Encoded {
+    id: String,
+    entry: ManifestEntry,
+    frame: Vec<u8>,
+}
+
+impl Encoded {
+    fn new(rec: &TableRecord) -> StoreResult<Self> {
+        let _g = tsfm_obs::span!("catalog.segment.encode");
+        let mut frame = Vec::new();
+        ser::write_record(&mut frame, rec)?;
+        let id = rec.table_id().to_string();
+        let entry = ManifestEntry {
+            content_hash: rec.content_hash,
+            segment: segment_name(&id, rec.content_hash),
+            num_rows: rec.num_rows() as u64,
+            num_cols: rec.num_cols() as u32,
+        };
+        Ok(Self { id, entry, frame })
+    }
+}
+
+/// What an ingest worker made of one source, applied in input order.
+enum Prepared {
+    /// The active copy already has the source's content hash.
+    Unchanged,
+    /// A new or changed table; `prior` is the content hash of the active
+    /// copy it replaces.
+    Changed { prior: Option<u64>, rec: Encoded },
+    /// `(file name, error)` for a source that could not be read.
+    Failed(String, String),
 }
 
 /// Aggregate catalog statistics (the `tsfm stats` output).
@@ -470,11 +511,13 @@ impl Catalog {
     }
 
     /// The *loose* manifest entry for `id`, if the table lives in the
-    /// loose tier (recently added/updated, or any table of a never-
-    /// compacted catalog). Shard-resident tables have no loose entry —
-    /// use [`Catalog::get`] / [`Catalog::record`] for tier-agnostic
-    /// access. The segment an uncommitted entry names is written by the
-    /// next commit only if that commit stays loose.
+    /// loose tier: added or updated since the last commit, committed by a
+    /// small update beside the shard layer, or held by a store written
+    /// before the shard layer existed. Shard-resident tables — every
+    /// table a catalog's first commit folded — have no loose entry; use
+    /// [`Catalog::get`] / [`Catalog::record`] for tier-agnostic access.
+    /// The segment an uncommitted entry names is written by the next
+    /// commit only if that commit stays loose.
     pub fn entry(&self, id: &str) -> Option<&ManifestEntry> {
         self.entries.get(id)
     }
@@ -636,41 +679,37 @@ impl Catalog {
     /// embeddings). The record is serialized here and held in memory;
     /// the next commit writes it.
     pub fn add_record(&mut self, rec: &TableRecord) -> StoreResult<IngestOutcome> {
-        let id = rec.table_id().to_string();
-        let prior = self.active_content_hash(&id)?;
+        let prior = self.active_content_hash(rec.table_id())?;
         if prior == Some(rec.content_hash) {
             return Ok(IngestOutcome::Unchanged);
         }
-        let outcome = if prior.is_some() { IngestOutcome::Updated } else { IngestOutcome::Added };
-        // A loose write shadowing a shard-resident copy tombstones it, so
-        // `len` counts the table once and compaction drops the stale copy.
-        let shadows = !self.entries.contains_key(&id)
-            && !self.tombstones.contains(&id)
-            && self.shard_locate(&id)?.is_some();
-        let mut frame = Vec::new();
-        {
-            let _g = tsfm_obs::span!("catalog.segment.encode");
-            ser::write_record(&mut frame, rec)?;
+        Ok(self.apply(Encoded::new(rec)?, prior))
+    }
+
+    /// Hold an encoded record as its table's new loose entry. `prior` is
+    /// the content hash of the active copy it replaces (`None` for a new
+    /// id), read from the current state and known to differ from the
+    /// record's.
+    fn apply(&mut self, rec: Encoded, prior: Option<u64>) -> IngestOutcome {
+        let Encoded { id, entry, frame } = rec;
+        // An active copy without a loose entry is shard-resident: the new
+        // entry shadows it, and its tombstone keeps `len` counting the
+        // table once and lets compaction drop the stale copy.
+        if prior.is_some() && !self.entries.contains_key(&id) {
+            self.tombstones.insert(id.clone());
         }
         // A replaced committed segment (its name differs because the hash
         // does) stays on disk until the manifest that stops referencing
         // it has committed; a replaced uncommitted frame never had a file.
         self.drop_loose(&id);
-        if shadows {
-            self.tombstones.insert(id.clone());
-        }
-        self.entries.insert(
-            id.clone(),
-            ManifestEntry {
-                content_hash: rec.content_hash,
-                segment: segment_name(&id, rec.content_hash),
-                num_rows: rec.num_rows() as u64,
-                num_cols: rec.num_cols() as u32,
-            },
-        );
+        self.entries.insert(id.clone(), entry);
         self.pending.insert(id, frame);
         self.invalidate();
-        Ok(outcome)
+        if prior.is_some() {
+            IngestOutcome::Updated
+        } else {
+            IngestOutcome::Added
+        }
     }
 
     /// Drop `id`'s loose entry, if any: an uncommitted frame is simply
@@ -714,12 +753,13 @@ impl Catalog {
     }
 
     /// [`Catalog::ingest_dir`] with an explicit worker count (`0` or `1`
-    /// runs inline). The result — report, segment files, manifest, and
-    /// every future query answer — is identical at any thread count:
-    /// sources are read and checked against the manifest serially in
-    /// sorted file order, only the CPU-bound parse + sketch work fans out
-    /// (file stems are unique within a directory, so jobs are
-    /// independent), and records are applied back in file order.
+    /// runs inline). Each worker does the whole job for one file: read
+    /// it, hash it, check the hash against the catalog (reads only — file
+    /// stems are unique within a directory, so no job changes what
+    /// another checks), and for a new or changed source parse, sketch and
+    /// encode its record. The results are applied in sorted file order,
+    /// so the report, the committed files and every future query answer
+    /// are identical at any thread count.
     pub fn ingest_dir_with_threads(
         &mut self,
         dir: impl AsRef<Path>,
@@ -734,51 +774,34 @@ impl Catalog {
         let mut report = IngestReport::default();
         let hasher = self.hasher();
         let max_rows = self.sketch_cfg.max_rows;
-        // Bound how many raw file texts are in memory at once: read +
-        // content-hash serially (skipping unchanged sources before any
-        // parsing), hand the pool one chunk of changed files at a time,
-        // and apply each chunk's records in file order before reading
-        // more — a lake-sized ingest never holds more than ~8 texts per
-        // worker, and the resulting catalog is identical to the old
-        // one-file-at-a-time loop.
-        let chunk_size = threads.max(1) * 8;
-        let mut jobs: Vec<(String, String, u64)> = Vec::new();
-        let mut files = files.into_iter().peekable();
-        while let Some(path) = files.next() {
-            let name = path.file_name().unwrap_or_default().to_string_lossy().to_string();
-            let id = path.file_stem().unwrap_or_default().to_string_lossy().to_string();
-            match fs::read_to_string(&path) {
-                Ok(text) => {
-                    let content_hash = hash_str(&text);
-                    if self.active_content_hash(&id)? == Some(content_hash) {
-                        report.unchanged += 1;
-                    } else {
-                        jobs.push((id, text, content_hash));
-                    }
+        // One pass over every file: a worker keeps only the encoded frame
+        // of a changed source, which the catalog holds until the commit
+        // anyway.
+        let this = &*self;
+        let prepared = parallel_map(files.len(), threads, |j| {
+            let path = &files[j];
+            let text = match fs::read_to_string(path) {
+                Ok(text) => text,
+                Err(e) => {
+                    let name = path.file_name().unwrap_or_default().to_string_lossy();
+                    return Ok(Prepared::Failed(name.into_owned(), e.to_string()));
                 }
-                Err(e) => report.failed.push((name, e.to_string())),
-            }
-            if jobs.len() >= chunk_size || files.peek().is_none() {
-                let records = parallel_map(jobs.len(), threads, |j| {
-                    let (id, text, content_hash) = &jobs[j];
-                    let table = csv::table_from_csv(id, id, text);
-                    let sketch = TableSketch::build_with_hasher(&table, &hasher, max_rows);
-                    TableRecord::from_sketch(sketch, *content_hash)
-                })?;
-                jobs.clear();
-                for rec in records {
-                    report.count(self.add_record(&rec)?);
-                }
-            }
-        }
+            };
+            let id = path.file_stem().unwrap_or_default().to_string_lossy().into_owned();
+            this.prepare(&id, hash_str(&text), || {
+                let table = csv::table_from_csv(&id, &id, &text);
+                TableSketch::build_with_hasher(&table, &hasher, max_rows)
+            })
+        })?;
+        self.apply_prepared(prepared, &mut report)?;
         self.commit()?;
         Ok(report)
     }
 
-    /// Bulk-add in-memory tables, sketching across `threads` workers
-    /// (the `store_bench` ingest path). Results are identical to calling
-    /// [`Catalog::add_table`] for each table in order. `tables` and
-    /// `content_hashes` must be parallel slices.
+    /// Bulk-add in-memory tables, checking, sketching and encoding across
+    /// `threads` workers (the `store_bench` ingest path). Results are
+    /// identical to calling [`Catalog::add_table`] for each table in
+    /// order. `tables` and `content_hashes` must be parallel slices.
     pub fn ingest_tables(
         &mut self,
         tables: &[Table],
@@ -787,35 +810,59 @@ impl Catalog {
     ) -> StoreResult<IngestReport> {
         assert_eq!(tables.len(), content_hashes.len(), "one content hash per table");
         let mut report = IngestReport::default();
-        // A batch that repeats a table id makes the skip pre-scan below
-        // ambiguous (a later duplicate must be judged against the state
-        // its predecessor left, not the pre-batch state); take the exact
-        // serial path for those.
-        let mut seen = std::collections::BTreeSet::new();
+        // A batch that repeats a table id would have its workers judge a
+        // later duplicate against the pre-batch state, not the state its
+        // predecessor left; take the exact serial path for those.
+        let mut seen = BTreeSet::new();
         if tables.iter().any(|t| !seen.insert(t.id.as_str())) {
             for (t, &h) in tables.iter().zip(content_hashes) {
                 report.count(self.add_table(t, h)?);
             }
             return Ok(report);
         }
-        let mut jobs: Vec<usize> = Vec::new();
-        for i in 0..tables.len() {
-            if self.active_content_hash(&tables[i].id)? != Some(content_hashes[i]) {
-                jobs.push(i);
-            }
-        }
-        report.unchanged = tables.len() - jobs.len();
         let hasher = self.hasher();
         let max_rows = self.sketch_cfg.max_rows;
-        let records = parallel_map(jobs.len(), threads, |j| {
-            let ti = jobs[j];
-            let sketch = TableSketch::build_with_hasher(&tables[ti], &hasher, max_rows);
-            TableRecord::from_sketch(sketch, content_hashes[ti])
+        let this = &*self;
+        let prepared = parallel_map(tables.len(), threads, |i| {
+            this.prepare(&tables[i].id, content_hashes[i], || {
+                TableSketch::build_with_hasher(&tables[i], &hasher, max_rows)
+            })
         })?;
-        for rec in records {
-            report.count(self.add_record(&rec)?);
-        }
+        self.apply_prepared(prepared, &mut report)?;
         Ok(report)
+    }
+
+    /// An ingest worker's job for one source, reading the catalog only:
+    /// [`Prepared::Unchanged`] when `id`'s active copy already has
+    /// `content_hash`, else the record `sketch` builds, encoded.
+    fn prepare(
+        &self,
+        id: &str,
+        content_hash: u64,
+        sketch: impl FnOnce() -> TableSketch,
+    ) -> StoreResult<Prepared> {
+        let prior = self.active_content_hash(id)?;
+        if prior == Some(content_hash) {
+            return Ok(Prepared::Unchanged);
+        }
+        let rec = Encoded::new(&TableRecord::from_sketch(sketch(), content_hash))?;
+        Ok(Prepared::Changed { prior, rec })
+    }
+
+    /// Apply ingest workers' results in input order.
+    fn apply_prepared(
+        &mut self,
+        prepared: Vec<StoreResult<Prepared>>,
+        report: &mut IngestReport,
+    ) -> StoreResult<()> {
+        for p in prepared {
+            match p? {
+                Prepared::Unchanged => report.count(IngestOutcome::Unchanged),
+                Prepared::Changed { prior, rec } => report.count(self.apply(rec, prior)),
+                Prepared::Failed(name, err) => report.failed.push((name, err)),
+            }
+        }
+        Ok(())
     }
 
     /// The catalog's shared MinHash family (a pure function of the sketch
@@ -825,13 +872,15 @@ impl Catalog {
     }
 
     /// Make every mutation since the last commit durable, choosing where
-    /// the new records' bytes land. When [`Catalog::compaction_due`] says
-    /// churn has crossed the threshold, the commit *folds*: the batch's
-    /// frames go straight from memory into new shard arenas beside the
-    /// committed loose tier (see [`Catalog::compact`]), and no segment
-    /// file is written — so a bulk ingest lands in shards without anyone
-    /// calling `compact`. Otherwise it is a *loose* commit, ordered for
-    /// crash safety:
+    /// the new records' bytes land; with none, write nothing. When
+    /// [`Catalog::compaction_due`] says so — the first commit of a
+    /// catalog without a shard layer, or churn past a quarter of the
+    /// shard residents — the commit *folds*: the batch's frames go
+    /// straight from memory into new shard arenas beside the committed
+    /// loose tier (see [`Catalog::compact`]), and no segment file is
+    /// written — so every ingest lands in shards without anyone calling
+    /// `compact`. Otherwise it is a *loose* commit, ordered for crash
+    /// safety:
     ///
     /// 1. write each new record to its content-addressed segment file and
     ///    fsync it — on a pool of sync workers that starts on each file
@@ -847,6 +896,11 @@ impl Catalog {
     /// A failed commit of either kind keeps every uncommitted record in
     /// memory, so a retry commits the same bytes.
     pub fn commit(&mut self) -> StoreResult<()> {
+        // A store that was only opened and queried keeps its manifest and
+        // segments, even one the folding rule would move into arenas.
+        if !self.manifest_dirty {
+            return Ok(());
+        }
         if self.compaction_due() {
             self.compact_inner()
         } else {
@@ -865,13 +919,15 @@ impl Catalog {
     }
 
     /// Whether [`Catalog::commit`] will fold into the shard layer instead
-    /// of committing loose: a loose-only catalog compacts once it holds
-    /// [`shard::AUTO_SHARD_MIN`] tables; a sharded one once loose churn
-    /// (updates + tombstones) reaches a quarter of the sharded
+    /// of committing loose. A catalog without a shard layer folds at its
+    /// first commit that changes it while it holds any table: every
+    /// ingest, however small, and the first mutation of a store written
+    /// before the shard layer existed. A sharded one folds once loose
+    /// churn (updates + tombstones) reaches a quarter of the sharded
     /// population.
     pub fn compaction_due(&self) -> bool {
         if self.shards.is_empty() {
-            return self.entries.len() as u64 >= shard::AUTO_SHARD_MIN;
+            return self.manifest_dirty && !self.entries.is_empty();
         }
         let sharded: u64 = self.shards.iter().flatten().map(|s| s.meta.entry_count).sum();
         (self.entries.len() + self.tombstones.len()) as u64 * 4 >= sharded.max(1)
@@ -1928,14 +1984,27 @@ mod tests {
         assert!(index_build_histogram().count() > before, "a rebuild records its build time");
     }
 
+    /// Fold `n` filler tables into the shard layer — a catalog's first
+    /// commit always folds — so that a later commit of fewer than `n / 4`
+    /// changes stays loose and writes segment files.
+    fn folded_baseline(cat: &mut Catalog, n: i64) {
+        for i in 0..n {
+            cat.add_table(&table(&format!("base{i}"), &[i, i + 7]), 1000 + i as u64).unwrap();
+        }
+        cat.commit().unwrap();
+        assert_eq!(cat.shard_count(), 1, "a first commit folds");
+        assert_eq!(segment_files(&cat.dir), 0);
+    }
+
     #[test]
     fn unchanged_content_is_noop_changed_is_update() {
         let dir = tmp_dir("incr");
         let mut cat = Catalog::open(&dir).unwrap();
+        folded_baseline(&mut cat, 8);
         assert_eq!(cat.add_table(&table("t", &[1]), 5).unwrap(), IngestOutcome::Added);
         assert_eq!(cat.add_table(&table("t", &[1]), 5).unwrap(), IngestOutcome::Unchanged);
         assert_eq!(cat.add_table(&table("t", &[1, 2]), 6).unwrap(), IngestOutcome::Updated);
-        assert_eq!(cat.len(), 1);
+        assert_eq!(cat.len(), 9);
         // The replaced segment outlives the update until the manifest
         // that dropped it commits; after commit exactly one remains.
         cat.commit().unwrap();
@@ -1973,12 +2042,13 @@ mod tests {
     fn remove_deletes_segment() {
         let dir = tmp_dir("rm");
         let mut cat = Catalog::open(&dir).unwrap();
+        folded_baseline(&mut cat, 8);
         // An uncommitted add writes no file, so removing it leaves none.
         cat.add_table(&table("t", &[1]), 5).unwrap();
         assert_eq!(segment_files(&dir), 0);
         assert!(cat.remove("t").unwrap());
         assert!(!cat.remove("t").unwrap());
-        assert_eq!(cat.len(), 0);
+        assert_eq!(cat.len(), 8);
         cat.commit().unwrap();
         assert_eq!(segment_files(&dir), 0);
         // A committed table's segment file survives its removal until the
@@ -2000,8 +2070,10 @@ mod tests {
     fn restoring_committed_content_keeps_its_segment() {
         let dir = tmp_dir("restore");
         let mut cat = Catalog::open(&dir).unwrap();
+        folded_baseline(&mut cat, 8);
         cat.add_table(&table("t", &[1]), 5).unwrap();
         cat.commit().unwrap();
+        assert_eq!(segment_files(&dir), 1);
         assert_eq!(cat.add_table(&table("t", &[1, 2]), 6).unwrap(), IngestOutcome::Updated);
         assert_eq!(cat.add_table(&table("t", &[1]), 5).unwrap(), IngestOutcome::Updated);
         cat.commit().unwrap();
@@ -2129,17 +2201,36 @@ mod tests {
         assert!(stats.segment_bytes > 0);
 
         // A fresh catalog ingesting the same directory over an explicit
-        // worker pool ends up with identical entries.
+        // worker pool ends up with the same tables at the same content.
         let dir2 = tmp_dir("ingest_par");
         let mut cat2 = Catalog::open(&dir2).unwrap();
         let rp = cat2.ingest_dir_with_threads(&data, 4).unwrap();
         assert_eq!((rp.added, rp.updated, rp.unchanged), (3, 0, 0));
-        assert_eq!(cat.entries, cat2.entries);
+        let contents = |c: &Catalog| -> Vec<(String, u64)> {
+            let ids = c.table_ids().unwrap();
+            ids.into_iter().map(|id| (id.clone(), c.record(&id).unwrap().content_hash)).collect()
+        };
+        assert_eq!(contents(&cat), contents(&cat2));
+    }
+
+    /// The committed bytes an ingest must reproduce at any thread count:
+    /// the root manifest and every shard file, by name.
+    fn committed_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        let mut out: BTreeMap<String, Vec<u8>> = fs::read_dir(dir.join(shard::SHARD_DIR))
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name().to_string_lossy().into_owned(), fs::read(e.path()).unwrap())
+            })
+            .collect();
+        out.insert(MANIFEST_FILE.to_string(), fs::read(dir.join(MANIFEST_FILE)).unwrap());
+        out
     }
 
     /// The parallel ingest pool must be invisible: any thread count
-    /// produces the same report, the same manifest and segment set, and a
-    /// catalog whose every query answer matches a serial ingest.
+    /// produces the same report — failures in the same order — the same
+    /// committed files, and a catalog whose every query answer matches a
+    /// serial ingest.
     #[test]
     fn parallel_ingest_matches_serial() {
         let tables: Vec<Table> = (0..12)
@@ -2150,16 +2241,17 @@ mod tests {
         let serial_dir = tmp_dir("par_serial");
         let mut serial = Catalog::open(&serial_dir).unwrap();
         let sr = serial.ingest_tables(&tables, &hashes, 1).unwrap();
+        serial.commit().unwrap();
         assert_eq!((sr.added, sr.updated, sr.unchanged), (12, 0, 0));
 
         let par_dir = tmp_dir("par_pool");
         let mut par = Catalog::open(&par_dir).unwrap();
         let pr = par.ingest_tables(&tables, &hashes, 4).unwrap();
+        par.commit().unwrap();
         assert_eq!(sr, pr, "report differs between thread counts");
 
-        // Same manifest entries (segment names are content-addressed, so
-        // equality covers the file set) and same persisted records.
-        assert_eq!(serial.entries, par.entries);
+        // The same committed bytes and the same persisted records.
+        assert_eq!(committed_files(&serial_dir), committed_files(&par_dir));
         for id in serial.table_ids().unwrap() {
             let a = serial.record(&id).unwrap();
             let b = par.record(&id).unwrap();
@@ -2180,6 +2272,42 @@ mod tests {
         new_hashes[3] = 9999;
         let third = par.ingest_tables(&tables, &new_hashes, 4).unwrap();
         assert_eq!((third.added, third.updated, third.unchanged), (0, 1, 11));
+
+        // A directory at 1, 2 and 8 workers, with unreadable sources (two
+        // directories named like CSVs) among the readable ones.
+        let lake = tmp_dir("par_lake");
+        fs::create_dir_all(&lake).unwrap();
+        for i in 0..40 {
+            let stem = match i {
+                0..=19 => format!("a{i:02}"),
+                20..=29 => format!("n{i:02}"),
+                _ => format!("z{i:02}"),
+            };
+            let text = format!("k,v\nkey{i},{}\nalt{},{}\n", i * 3, i % 7, 40 - i);
+            fs::write(lake.join(format!("{stem}.csv")), text).unwrap();
+        }
+        fs::create_dir_all(lake.join("m.csv")).unwrap();
+        fs::create_dir_all(lake.join("x.csv")).unwrap();
+        let runs: Vec<(IngestReport, BTreeMap<String, Vec<u8>>)> = [1, 2, 8]
+            .into_iter()
+            .map(|threads| {
+                let dir = tmp_dir(&format!("par_dir{threads}"));
+                let mut cat = Catalog::open(&dir).unwrap();
+                let report = cat.ingest_dir_with_threads(&lake, threads).unwrap();
+                assert_eq!(segment_files(&dir), 0, "the first commit folds");
+                let again = cat.ingest_dir_with_threads(&lake, threads).unwrap();
+                assert_eq!((again.sketched(), again.unchanged, again.failed.len()), (0, 40, 2));
+                (report, committed_files(&dir))
+            })
+            .collect();
+        let (first, files) = &runs[0];
+        assert_eq!((first.added, first.updated, first.unchanged), (40, 0, 0));
+        let failed: Vec<&str> = first.failed.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(failed, ["m.csv", "x.csv"]);
+        for (report, other) in &runs[1..] {
+            assert_eq!(report, first, "report differs between thread counts");
+            assert!(other == files, "committed files differ between thread counts");
+        }
     }
 
     /// Duplicate ids within one batch fall back to exact serial

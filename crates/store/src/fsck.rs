@@ -738,6 +738,21 @@ mod tests {
         cat
     }
 
+    /// [`seeded_catalog`] over a folded baseline of `4n + 1` filler
+    /// tables — a catalog's first commit always folds — so the `n` seeded
+    /// tables commit loose and their segment files exist. Returns the
+    /// catalog and the baseline's size.
+    fn loose_seeded_catalog(dir: &Path, n: i64) -> (Catalog, usize) {
+        let base = 4 * n + 1;
+        let mut cat = Catalog::open(dir).unwrap();
+        for i in 0..base {
+            cat.add_table(&table(&format!("base{i}"), &[-i, i]), i as u64 + 1).unwrap();
+        }
+        cat.commit().unwrap();
+        drop(cat);
+        (seeded_catalog(dir, n), base as usize)
+    }
+
     #[test]
     fn clean_store_is_healthy() {
         let dir = tmp_dir("clean");
@@ -759,7 +774,7 @@ mod tests {
     #[test]
     fn corrupt_segment_detected_and_repaired() {
         let dir = tmp_dir("seg");
-        let cat = seeded_catalog(&dir, 4);
+        let (cat, base) = loose_seeded_catalog(&dir, 4);
         let victim = cat.entry("t2").unwrap().segment.clone();
         drop(cat);
         // Flip one payload bit.
@@ -771,7 +786,7 @@ mod tests {
 
         let report = fsck(&dir, false).unwrap();
         assert!(!report.healthy());
-        assert_eq!(report.segments_ok, 3);
+        assert_eq!(report.segments_ok, base + 3);
         assert!(report
             .problems
             .iter()
@@ -789,10 +804,10 @@ mod tests {
         // The store is now smaller but green: re-verifies clean and opens.
         let after = fsck(&dir, false).unwrap();
         assert!(after.healthy(), "{}", after.to_json());
-        assert_eq!((after.tables, after.segments_ok), (3, 3));
+        assert_eq!((after.tables, after.segments_ok), (base + 3, base + 3));
         assert_eq!(after.index_cache, IndexCacheState::Valid);
         let mut cat = Catalog::open(&dir).unwrap();
-        assert_eq!(cat.len(), 3);
+        assert_eq!(cat.len(), base + 3);
         assert!(cat.searcher().unwrap().sketch_of("t1").is_ok());
     }
 
@@ -820,7 +835,7 @@ mod tests {
     #[test]
     fn missing_segment_detected_and_dropped() {
         let dir = tmp_dir("missing");
-        let cat = seeded_catalog(&dir, 3);
+        let (cat, _) = loose_seeded_catalog(&dir, 3);
         let victim = cat.entry("t0").unwrap().segment.clone();
         drop(cat);
         fs::remove_file(dir.join(catalog::SEGMENT_DIR).join(victim)).unwrap();

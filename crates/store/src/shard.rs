@@ -60,10 +60,6 @@ pub(crate) const SHARD_TARGET_TABLES: u64 = 4096;
 /// tiny, and 256 shards × [`SHARD_TARGET_TABLES`] covers ~1M tables).
 pub(crate) const MAX_SHARDS: u64 = 256;
 
-/// A loose-only catalog auto-compacts into shards at its first commit
-/// with at least this many tables.
-pub(crate) const AUTO_SHARD_MIN: u64 = 4096;
-
 /// Default capacity of a lazy snapshot's LRU sketch cache.
 pub(crate) const SKETCH_CACHE_CAP: usize = 4096;
 

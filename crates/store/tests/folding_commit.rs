@@ -7,6 +7,10 @@
 //! compaction, the same reads before a commit as after it, and a failed
 //! commit that keeps the batch so its retry writes the same bytes.
 //!
+//! A catalog's first commit always folds, so every loose commit here sits
+//! on a folded baseline of more than four times the batch: against it the
+//! batch stays under the compaction quarter.
+//!
 //! The fault plan and the catalog counters are process-wide, so every
 //! test here takes `SERIAL`.
 
@@ -56,6 +60,19 @@ fn add_all(cat: &mut Catalog, recs: &[TableRecord]) {
     }
 }
 
+/// Open a fresh catalog at `dir` and fold `4 × batch + 1` filler tables
+/// into its shard layer, so that a commit of `batch` new records stays
+/// loose.
+fn baseline(dir: &Path, batch: usize) -> Catalog {
+    let mut cat = Catalog::open(dir).unwrap();
+    for i in 0..4 * batch as u64 + 1 {
+        cat.add_record(&record(&format!("b{i:03}"), 1000 + i)).unwrap();
+    }
+    cat.commit().unwrap();
+    assert_eq!(cat.shard_count(), 1, "a first commit folds");
+    cat
+}
+
 /// Every file under `dir/sub`, name → bytes (empty when `sub` is absent).
 fn files(dir: &Path, sub: &str) -> BTreeMap<String, Vec<u8>> {
     std::fs::read_dir(dir.join(sub))
@@ -97,10 +114,11 @@ fn folding_commit_writes_the_bytes_of_a_loose_commit_then_compact() {
     let _serial = serial();
     let recs = batch();
 
-    // One batch three ways: folded straight from memory, committed loose
-    // and then compacted, and half committed loose before the fold.
+    // One batch three ways over the same baseline: folded straight from
+    // memory, committed loose and then compacted, and half committed
+    // loose before the fold.
     let fold_dir = tmp_dir("fold");
-    let mut fold = Catalog::open(&fold_dir).unwrap();
+    let mut fold = baseline(&fold_dir, recs.len());
     add_all(&mut fold, &recs);
     let before = segments_written();
     fold.compact().unwrap();
@@ -108,7 +126,7 @@ fn folding_commit_writes_the_bytes_of_a_loose_commit_then_compact() {
     assert!(files(&fold_dir, "segments").is_empty());
 
     let loose_dir = tmp_dir("loose");
-    let mut loose = Catalog::open(&loose_dir).unwrap();
+    let mut loose = baseline(&loose_dir, recs.len());
     add_all(&mut loose, &recs);
     assert!(!loose.compaction_due());
     loose.commit().unwrap();
@@ -116,9 +134,10 @@ fn folding_commit_writes_the_bytes_of_a_loose_commit_then_compact() {
     loose.compact().unwrap();
 
     let mixed_dir = tmp_dir("mixed");
-    let mut mixed = Catalog::open(&mixed_dir).unwrap();
+    let mut mixed = baseline(&mixed_dir, recs.len());
     add_all(&mut mixed, &recs[..15]);
     mixed.commit().unwrap();
+    assert_eq!(files(&mixed_dir, "segments").len(), 15);
     add_all(&mut mixed, &recs[15..]);
     mixed.compact().unwrap();
 
@@ -135,8 +154,8 @@ fn folding_commit_writes_the_bytes_of_a_loose_commit_then_compact() {
     let second = |cat: &mut Catalog| {
         cat.add_record(&record("t02", 102)).unwrap();
         cat.add_record(&record("t03", 103)).unwrap();
-        for n in 0..5 {
-            cat.add_record(&record(&format!("n{n}"), 200 + n)).unwrap();
+        for n in 0..40 {
+            cat.add_record(&record(&format!("n{n:02}"), 200 + n)).unwrap();
         }
     };
     first(&mut fold);
@@ -169,14 +188,19 @@ fn uncommitted_reads_match_committed_reads() {
     let recs = batch();
     for fold in [false, true] {
         let dir = tmp_dir(if fold { "reads_fold" } else { "reads_loose" });
-        let mut cat = Catalog::open(&dir).unwrap();
+        let mut cat = baseline(&dir, recs.len());
+        let resident_bytes = cat.stats().segment_bytes;
         add_all(&mut cat, &recs);
         let pre_records: Vec<Vec<u8>> =
             recs.iter().map(|r| record_bytes(&cat, r.table_id())).collect();
         let pre_hits = answers(&cat.searcher().unwrap());
         assert!(files(&dir, "segments").is_empty(), "nothing is written before the commit");
         let frame_bytes: usize = pre_records.iter().map(Vec::len).sum();
-        assert_eq!(cat.stats().segment_bytes, frame_bytes as u64, "stats count held frames");
+        assert_eq!(
+            cat.stats().segment_bytes,
+            resident_bytes + frame_bytes as u64,
+            "stats count held frames"
+        );
         if fold {
             cat.compact().unwrap();
         } else {
@@ -186,7 +210,8 @@ fn uncommitted_reads_match_committed_reads() {
 
         // A cold reopen reads what the commit wrote — segments or arenas.
         let mut cat = Catalog::open(&dir).unwrap();
-        assert_eq!(cat.shard_count() > 0, fold);
+        let loose = if fold { 0 } else { recs.len() };
+        assert_eq!(files(&dir, "segments").len(), loose);
         for (r, pre) in recs.iter().zip(&pre_records) {
             assert_eq!(&record_bytes(&cat, r.table_id()), pre, "{}", r.table_id());
         }
@@ -229,12 +254,13 @@ fn failed_commit_keeps_the_batch_and_the_retry_writes_the_same_bytes() {
     // Loose: the first segment write tears halfway (site 1); the retry
     // replaces the torn file atomically and writes the rest.
     let ref_loose = tmp_dir("retry_ref_loose");
-    let mut reference = Catalog::open(&ref_loose).unwrap();
+    let mut reference = baseline(&ref_loose, recs.len());
     add_all(&mut reference, &recs);
     reference.commit().unwrap();
+    assert_eq!(files(&ref_loose, "segments").len(), recs.len());
 
     let loose_dir = tmp_dir("retry_loose");
-    let mut cat = Catalog::open(&loose_dir).unwrap();
+    let mut cat = baseline(&loose_dir, recs.len());
     add_all(&mut cat, &recs);
     fault::arm(&loose_dir, 1, FaultMode::Torn);
     assert!(cat.commit().is_err(), "the torn segment write fails the commit");
@@ -242,10 +268,7 @@ fn failed_commit_keeps_the_batch_and_the_retry_writes_the_same_bytes() {
     assert_eq!(files(&loose_dir, "segments").len(), 1, "only the torn file exists");
     cat.commit().unwrap();
     assert_eq!(files(&loose_dir, "segments"), files(&ref_loose, "segments"), "retried commit");
-    assert_eq!(
-        std::fs::read(loose_dir.join("catalog.manifest")).unwrap(),
-        std::fs::read(ref_loose.join("catalog.manifest")).unwrap()
-    );
+    assert_eq!(sharded_state(&loose_dir), sharded_state(&ref_loose));
     drop((cat, reference));
     let report = fsck(&loose_dir, false).unwrap();
     assert!(report.healthy(), "{}", report.to_json());

@@ -74,6 +74,14 @@ fn manifest_bytes(tables: usize) -> Vec<u8> {
 fn segment_bytes(rows: usize) -> Vec<u8> {
     let dir = tmp_dir("make_segment");
     let mut cat = Catalog::open(&dir).expect("open");
+    // A first commit folds into a shard arena; over five shard residents
+    // a one-table commit stays loose and writes a segment file.
+    for i in 0..5 {
+        let id = format!("base{i}");
+        let t = csv::table_from_csv(&id, &id, &format!("city,pop\nLinz{i},{i}\n"));
+        cat.add_table(&t, 1000 + i).expect("add baseline");
+    }
+    cat.commit().expect("fold baseline");
     let csv_text = (0..rows).fold("city,pop\n".to_string(), |mut acc, i| {
         acc.push_str(&format!("Graz{i},{}\n", 200 + i));
         acc

@@ -307,7 +307,14 @@ fn error_taxonomy_round_trips_the_facade() {
     let t = csv::table_from_csv("q", "q", "a\n1\n");
     assert!(matches!(searcher.search_table(&t, &req), Err(StoreError::EmptyIndex)));
 
-    // Corrupt segment → Corrupt{format: TSFMSEG1}.
+    // Corrupt segment → Corrupt{format: TSFMSEG1}. A first commit folds
+    // into a shard arena; over five shard residents a one-table commit
+    // stays loose and writes a segment file.
+    for i in 0..5u64 {
+        let id = format!("f{i}");
+        cat.add_table(&csv::table_from_csv(&id, &id, &format!("a\n{}\n", i + 2)), 100 + i).unwrap();
+    }
+    cat.commit().unwrap();
     cat.add_table(&t, 1).unwrap();
     cat.commit().unwrap();
     let seg_dir = cat_dir.join("segments");

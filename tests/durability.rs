@@ -5,9 +5,12 @@
 //!
 //! `tests/fixtures/v1_store/` is a catalog committed by the v1 binary
 //! (magic + `version=1` headers, no CRC): three tables ingested from
-//! `tests/fixtures/lake/`. It is checked in as immutable bytes — every
-//! test copies it to a temp dir first.
+//! `tests/fixtures/lake/`; `tests/fixtures/v2_store/` is the same lake
+//! committed loose by the checksummed code before the shard layer. Both
+//! are checked in as immutable bytes — every test copies one to a temp
+//! dir first.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -16,6 +19,7 @@ use tabsketchfm::store::{Catalog, DiscoveryRequest, QueryMode};
 use tabsketchfm::table::csv;
 
 const V1_FIXTURE: &str = "tests/fixtures/v1_store";
+const V2_FIXTURE: &str = "tests/fixtures/v2_store";
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tsfm_durability_{tag}_{}", std::process::id()));
@@ -24,19 +28,84 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Recursive copy of the committed fixture into a scratch dir.
-fn copy_fixture(tag: &str) -> PathBuf {
+/// Copy of a committed loose-store fixture into a temp dir.
+fn copy_store(fixture: &str, tag: &str) -> PathBuf {
     let dst = tmp_dir(tag);
-    fs::copy(Path::new(V1_FIXTURE).join("catalog.manifest"), dst.join("catalog.manifest"))
-        .unwrap();
-    fs::copy(Path::new(V1_FIXTURE).join("index.cache"), dst.join("index.cache")).unwrap();
+    fs::copy(Path::new(fixture).join("catalog.manifest"), dst.join("catalog.manifest")).unwrap();
+    fs::copy(Path::new(fixture).join("index.cache"), dst.join("index.cache")).unwrap();
     let seg_dst = dst.join("segments");
     fs::create_dir_all(&seg_dst).unwrap();
-    for e in fs::read_dir(Path::new(V1_FIXTURE).join("segments")).unwrap() {
+    for e in fs::read_dir(Path::new(fixture).join("segments")).unwrap() {
         let e = e.unwrap();
         fs::copy(e.path(), seg_dst.join(e.file_name())).unwrap();
     }
     dst
+}
+
+/// Every file under `dir`, by path relative to it.
+fn tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut out = BTreeMap::new();
+    let mut todo = vec![dir.to_path_buf()];
+    while let Some(d) = todo.pop() {
+        for e in fs::read_dir(&d).unwrap() {
+            let path = e.unwrap().path();
+            if path.is_dir() {
+                todo.push(path);
+            } else {
+                out.insert(path.strip_prefix(dir).unwrap().to_path_buf(), fs::read(&path).unwrap());
+            }
+        }
+    }
+    out
+}
+
+/// Opening and querying a pre-shard store, then dropping it, leaves its
+/// manifest and segments as they were — though its next changing commit
+/// would fold it into arenas. The fixture's index cache predates the
+/// engine-meta section, so the first query rebuilds that derived file;
+/// from then on a read-only open writes nothing at all.
+#[test]
+fn read_only_open_of_a_legacy_store_writes_nothing() {
+    let dir = copy_store(V2_FIXTURE, "read_only");
+    let open_query_drop = || {
+        let mut cat = Catalog::open(&dir).unwrap();
+        assert_eq!(cat.searcher().unwrap().len(), 3);
+    };
+    let without_cache = |mut files: BTreeMap<PathBuf, Vec<u8>>| {
+        files.remove(Path::new("index.cache"));
+        files
+    };
+    let before = tree(&dir);
+    open_query_drop();
+    let after = tree(&dir);
+    assert!(without_cache(after.clone()) == without_cache(before), "the store was rewritten");
+    assert!(!dir.join("shards").exists());
+    open_query_drop();
+    assert!(tree(&dir) == after, "a read-only open wrote a file");
+}
+
+/// The first commit that changes a pre-shard store — a removal alone —
+/// folds every remaining table into one shard arena and empties
+/// `segments/`.
+#[test]
+fn first_changing_commit_folds_a_legacy_store() {
+    let dir = copy_store(V2_FIXTURE, "first_commit");
+    let mut cat = Catalog::open(&dir).unwrap();
+    assert!(cat.remove("animals").unwrap());
+    cat.commit().unwrap();
+    assert_eq!(cat.shard_count(), 1);
+    drop(cat);
+    assert_eq!(fs::read_dir(dir.join("segments")).unwrap().count(), 0);
+    let arenas = fs::read_dir(dir.join("shards"))
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().path().extension().is_some_and(|x| x == "arena"))
+        .count();
+    assert_eq!(arenas, 1);
+    let report = fsck(&dir, false).unwrap();
+    assert!(report.healthy(), "{}", report.to_json());
+    assert_eq!((report.tables, report.segments_ok), (2, 2));
+    let cat = Catalog::open(&dir).unwrap();
+    assert_eq!(cat.table_ids().unwrap(), ["cities", "city_areas"]);
 }
 
 /// Frame version field of a store file: bytes 8..12, little-endian.
@@ -61,7 +130,7 @@ fn assert_known_good_ranking(dir: &Path) {
 
 #[test]
 fn v1_store_reads_verifies_and_migrates_to_v2() {
-    let dir = copy_fixture("migrate");
+    let dir = copy_store(V1_FIXTURE, "migrate");
 
     // Every file in the fixture is a v1 frame.
     assert_eq!(frame_version(&dir.join("catalog.manifest")), 1);
@@ -76,24 +145,27 @@ fn v1_store_reads_verifies_and_migrates_to_v2() {
     // Queries over v1 bytes return the recorded ranking.
     assert_known_good_ranking(&dir);
 
-    // Any mutation commits v2 frames: drop one table, re-add another with
-    // fresh content. The manifest and the rewritten segment upgrade; the
-    // untouched segment legitimately stays v1.
+    // Any mutation commits v2: drop one table, re-add another with fresh
+    // content. The first commit that changes the store folds every table
+    // into a shard arena — the untouched v1 frames copied verbatim, now
+    // behind the arena's per-slot CRC — and leaves no loose segment.
     let mut cat = Catalog::open(&dir).unwrap();
     assert!(cat.remove("animals").unwrap());
     let t = csv::table_from_csv("extra", "extra", "name,area\nDonaustadt,22.4\nLeopoldstadt,19.2\n");
     cat.add_table(&t, 424_242).unwrap();
     cat.searcher().unwrap(); // rebuild + rewrite the index cache
     cat.commit().unwrap();
+    assert_eq!(cat.shard_count(), 1);
     drop(cat);
 
     assert_eq!(frame_version(&dir.join("catalog.manifest")), 2, "manifest upgraded");
     assert_eq!(frame_version(&dir.join("index.cache")), 2, "index cache upgraded");
+    assert_eq!(fs::read_dir(dir.join("segments")).unwrap().count(), 0, "segments absorbed");
 
     let report = fsck(&dir, false).unwrap();
     assert!(report.healthy(), "{}", report.to_json());
     assert_eq!(report.tables, 3, "cities, city_areas, extra");
-    assert_eq!(report.v1_segments, 2, "untouched segments stay v1 until rewritten");
+    assert_eq!((report.segments_ok, report.v1_segments), (3, 0), "every table read from the arena");
 
     // The mixed v1/v2 store still opens and answers.
     let mut cat = Catalog::open(&dir).unwrap();
@@ -105,7 +177,7 @@ fn v1_store_reads_verifies_and_migrates_to_v2() {
 #[test]
 fn fsck_cli_detects_and_repairs_real_corruption() {
     let bin = env!("CARGO_BIN_EXE_tsfm");
-    let dir = copy_fixture("cli");
+    let dir = copy_store(V1_FIXTURE, "cli");
     let dir_s = dir.to_str().unwrap();
 
     // Healthy store: exit 0, healthy:true in the JSON report.
@@ -165,18 +237,23 @@ fn fsck_cli_detects_and_repairs_real_corruption() {
 
 #[test]
 fn corruption_metric_counts_checked_read_failures() {
-    let dir = copy_fixture("metric");
-    // Upgrade to v2 first so the flip is caught by CRC, then corrupt.
+    let dir = copy_store(V1_FIXTURE, "metric");
+    // Upgrade first so the flip is caught by CRC: the first commit that
+    // changes the store folds every table into one checksummed arena.
     let mut cat = Catalog::open(&dir).unwrap();
     let t = csv::table_from_csv("probe", "probe", "a,b\n1,2\n3,4\n");
     cat.add_table(&t, 7).unwrap();
     cat.commit().unwrap();
-    let seg = cat.entry("probe").unwrap().segment.clone();
     drop(cat);
-    let victim = dir.join("segments").join(seg);
+    // `probe` sorts last, so its payload ends the arena.
+    let victim = fs::read_dir(dir.join("shards"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "arena"))
+        .expect("the fold wrote an arena");
     let mut bytes = fs::read(&victim).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
+    let at = bytes.len() - 8;
+    bytes[at] ^= 0x01;
     fs::write(&victim, &bytes).unwrap();
 
     let before = counter_value("tsfm_store_corruptions_detected_total");

@@ -184,17 +184,30 @@ fn tsfm_cli_end_to_end() {
     assert!(!out.status.success());
 }
 
-/// A 1 500-table ingest must fit a 256-descriptor limit: a loose commit
-/// holds at most one open segment per fsync worker, never the batch.
+/// A loose commit of 1 500 tables must fit a 256-descriptor limit: it
+/// holds at most one open segment per fsync worker, never the batch. A
+/// catalog's first ingest folds into shards, so 6 100 tables go in
+/// first; 1 500 more stay under a quarter of them and commit loose.
 #[test]
 fn tsfm_ingest_under_a_low_descriptor_limit() {
-    let csv_dir = tmp_dir("fd_lake");
-    for i in 0..1500 {
-        fs::write(csv_dir.join(format!("t{i:04}.csv")), format!("k,v\nkey{i},{i}\nalt{i},{}\n", i * 7))
-            .unwrap();
-    }
+    let lake = |tag: &str, prefix: &str, n: usize| -> PathBuf {
+        let dir = tmp_dir(tag);
+        for i in 0..n {
+            let text = format!("k,v\nkey{i},{i}\nalt{i},{}\n", i * 7);
+            fs::write(dir.join(format!("{prefix}{i:04}.csv")), text).unwrap();
+        }
+        dir
+    };
+    let base_dir = lake("fd_base", "b", 6100);
+    let csv_dir = lake("fd_lake", "t", 1500);
     let cat_dir = tmp_dir("fd_cat");
     let bin = env!("CARGO_BIN_EXE_tsfm");
+    let out = Command::new(bin)
+        .args(["ingest", cat_dir.to_str().unwrap(), base_dir.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success() && stdout.contains("6100 added"), "{stdout}");
     let out = Command::new("sh")
         .args(["-c", "ulimit -n 256 && exec \"$0\" ingest \"$1\" \"$2\""])
         .args([bin, cat_dir.to_str().unwrap(), csv_dir.to_str().unwrap()])
@@ -207,10 +220,13 @@ fn tsfm_ingest_under_a_low_descriptor_limit() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("1500 added"), "{stdout}");
-    assert_eq!(Catalog::open(&cat_dir).unwrap().len(), 1500);
+    let segments = fs::read_dir(cat_dir.join("segments")).unwrap().count();
+    assert_eq!(segments, 1500, "the second ingest committed loose");
+    assert_eq!(Catalog::open(&cat_dir).unwrap().len(), 7600);
     let fsck = Command::new(bin).args(["fsck", cat_dir.to_str().unwrap()]).output().unwrap();
     let report = String::from_utf8_lossy(&fsck.stdout);
     assert!(fsck.status.success() && report.contains("\"healthy\":true"), "{report}");
-    let _ = fs::remove_dir_all(&csv_dir);
-    let _ = fs::remove_dir_all(&cat_dir);
+    for dir in [&base_dir, &csv_dir, &cat_dir] {
+        let _ = fs::remove_dir_all(dir);
+    }
 }

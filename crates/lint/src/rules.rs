@@ -163,8 +163,8 @@ const DURABLE_MODULE: &str = "crates/store/src/durable.rs";
 
 /// `durable-write-required`: raw write primitives in `tsfm_store` library
 /// code. Everything the store persists must go through
-/// `durable::commit_file` / `durable::write_new` (tmp + fsync + rename)
-/// so a crash can never leave a torn file behind; `File::create` and
+/// `durable::commit_file` (tmp + fsync + rename + directory sync) so a
+/// crash can never leave a torn file behind; `File::create` and
 /// `fs::write` outside the `durable` module bypass that protocol.
 pub fn durable_write_required(fa: &FileAnalysis, out: &mut Vec<Finding>) {
     if !fa.rel.starts_with(DURABLE_SCOPE) || fa.rel == DURABLE_MODULE {
@@ -179,7 +179,7 @@ pub fn durable_write_required(fa: &FileAnalysis, out: &mut Vec<Finding>) {
                 line: fa.line_of(at),
                 message: format!(
                     "{label} in store library code bypasses the durable commit protocol: \
-                     write through durable::commit_file / durable::write_new, or justify \
+                     write through durable::commit_file, or justify \
                      with an allow comment"
                 ),
             });

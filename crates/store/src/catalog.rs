@@ -4,7 +4,8 @@
 //!
 //! ```text
 //! <dir>/catalog.manifest   TSFMCAT1: sketch config + loose entries + shard metas + tombstones
-//! <dir>/segments/<f>.seg   TSFMSEG1: one loose TableRecord per file
+//! <dir>/segments/<r>.arena TSFMARN1: one loose run — the records of one loose commit
+//! <dir>/segments/<f>.seg   TSFMSEG1: one legacy loose record (read-only; see below)
 //! <dir>/shards/<s>.shard   TSFMSHD1: per-shard table metadata (see crate::shard)
 //! <dir>/shards/<s>.arena   TSFMARN1: per-shard flat sketch arena, read positionally
 //! <dir>/index.cache        TSFMIDX1: fingerprint + join/union HNSW graphs + per-table engine meta
@@ -17,15 +18,16 @@
 //! metadata, not O(tables) of sketches — and sketch payloads load lazily
 //! by positioned read. Every ingest lands there: the first commit of a
 //! catalog without a shard layer folds everything it holds into arenas.
-//! **Loose** tables — updates small against the shard population, and
-//! every table of a store written before the shard layer existed, until
-//! its first commit that changes it — live one record per
-//! `segments/*.seg` file, listed directly in the root manifest; this
-//! tier is the mutation journal. A loose entry shadows (and a
-//! *tombstone* marks removed/shadowed) any shard-resident copy of the
-//! same id. [`Catalog::compact`] folds loose entries and tombstones into
-//! rewritten shards — only *dirty* shards are rewritten, to a fresh
-//! generation committed file-by-file through
+//! **Loose** tables — updates small against the shard population — are
+//! the mutation journal: listed directly in the root manifest, each entry
+//! naming a *run* under `segments/` and its slot there. A run has the
+//! arena layout and holds every record one loose commit wrote. Stores
+//! written before runs existed may still list one-record `.seg` files;
+//! those are read as they are and folded like runs, never written. A
+//! loose entry shadows (and a *tombstone* marks removed/shadowed) any
+//! shard-resident copy of the same id. [`Catalog::compact`] folds loose
+//! entries and tombstones into rewritten shards — only *dirty* shards are
+//! rewritten, to a fresh generation committed file-by-file through
 //! [`crate::durable::commit_file`], with the root manifest flip as the
 //! single commit point — and [`Catalog::commit`] folds instead of
 //! committing loose whenever [`Catalog::compaction_due`] says so.
@@ -36,22 +38,17 @@
 //! drop, best effort), the single durability point, decides where its
 //! bytes land. A commit with nothing uncommitted writes nothing, so
 //! opening and querying a store never rewrites its manifest, segments or
-//! shards. A *folding* commit
-//! copies the frames straight into new shard arenas — an ingest never
-//! writes, fsyncs, re-reads and unlinks a segment per table. A *loose*
-//! commit writes each frame to its content-addressed
-//! segment file, fsyncing on a [`durable::SyncPool`] that starts on each
-//! file as soon as it is written (small batches and armed fault plans
-//! sync serially, so crash-point site numbering stays deterministic),
-//! fsyncs the segment directory, atomically commits the manifest via
-//! [`crate::durable::commit_file`], and only then deletes segments the
-//! new manifest no longer references. A crash at any instant leaves the
-//! catalog at the previous committed epoch: uncommitted records were
-//! only ever in memory, a loose commit interrupted before its manifest
-//! rename leaves unreferenced segment files (`tsfm fsck` sweeps them),
-//! and replaced/removed segments survive until no manifest on disk
-//! mentions them. A failed commit keeps every uncommitted frame, so a
-//! retry writes the same bytes.
+//! shards. A *folding* commit copies the frames straight into new shard
+//! arenas; a *loose* one copies them, in id order, into one new run.
+//! Either way every file is written whole through `commit_file` (one
+//! fsync, one rename, one directory sync), the root manifest commits
+//! last, and only then are the files it stopped referencing unlinked. A
+//! crash at any instant leaves the catalog at the previous committed
+//! epoch: uncommitted records were only ever in memory, a commit
+//! interrupted before its manifest rename leaves files no manifest
+//! references (`tsfm fsck` sweeps them), and superseded files survive
+//! until no manifest on disk mentions them. A failed commit keeps every
+//! uncommitted frame, so a retry writes the same bytes.
 //!
 //! Reads are split from writes: [`Catalog::searcher`] returns a
 //! [`Searcher`] — an immutable `Arc`-shared snapshot of the query engine
@@ -91,6 +88,7 @@ use crate::searcher::Searcher;
 use crate::ser;
 use crate::shard::{self, ArenaIndex, ShardEntry, ShardManifest, ShardMeta};
 use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File};
 use std::io::BufReader;
@@ -120,12 +118,16 @@ pub(crate) const MANIFEST_FILE: &str = "catalog.manifest";
 pub(crate) const INDEX_FILE: &str = "index.cache";
 pub(crate) const SEGMENT_DIR: &str = "segments";
 
-/// Manifest entry for one table.
+/// Manifest entry for one loose table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestEntry {
     pub content_hash: u64,
-    /// Segment file name under `segments/`.
+    /// The file under `segments/` holding the record: a run, or a legacy
+    /// one-record `.seg` file. Empty until a loose commit writes it.
     pub segment: String,
+    /// The record's slot in its run; `None` for a legacy `.seg` file and
+    /// for an uncommitted entry.
+    pub slot: Option<u32>,
     pub num_rows: u64,
     pub num_cols: u32,
 }
@@ -239,7 +241,8 @@ impl Encoded {
         let id = rec.table_id().to_string();
         let entry = ManifestEntry {
             content_hash: rec.content_hash,
-            segment: segment_name(&id, rec.content_hash),
+            segment: String::new(),
+            slot: None,
             num_rows: rec.num_rows() as u64,
             num_cols: rec.num_cols() as u32,
         };
@@ -347,18 +350,14 @@ pub struct Catalog {
     manifest_dirty: bool,
     /// The serialized `TSFMSEG1` frame of every table added since the
     /// last commit, by id, beside its uncommitted entry in `entries`. No
-    /// file exists for them yet: the commit decides whether they become
-    /// loose segment files or go straight into shard arenas.
+    /// file exists for them yet: the commit decides whether they go into
+    /// one loose run or straight into shard arenas.
     pending: BTreeMap<String, Vec<u8>>,
-    /// fsync workers for loose commits past [`durable::SyncPool::MIN_BATCH`]
-    /// segments; spawned by the first such commit and never used while a
-    /// fault plan is armed (the serial path keeps crash-sweep site
-    /// numbering deterministic).
-    sync_pool: Option<durable::SyncPool>,
-    /// Committed segment files the in-memory manifest stopped
-    /// referencing (file name → table id), deleted only *after* the next
-    /// commit — until then the manifest on disk still points at them.
-    pending_delete: BTreeMap<String, String>,
+    /// The `segments/` files a manifest on disk may reference: those the
+    /// last committed manifest names, plus any run written for a manifest
+    /// whose commit failed. A commit unlinks the ones its manifest stops
+    /// naming, after the flip; a new run never takes one of their names.
+    committed: BTreeSet<String>,
 }
 
 impl Catalog {
@@ -423,7 +422,6 @@ impl Catalog {
                 dir,
                 sketch_cfg,
                 hnsw_cfg: HnswConfig::default(),
-                entries,
                 shards: metas.into_iter().map(|m| m.map(ShardSlot::new)).collect(),
                 tombstones,
                 snapshot_mode: SnapshotMode::default(),
@@ -432,8 +430,8 @@ impl Catalog {
                 epoch: 0,
                 manifest_dirty: false,
                 pending: BTreeMap::new(),
-                sync_pool: None,
-                pending_delete: BTreeMap::new(),
+                committed: entries.values().map(|e| e.segment.clone()).collect(),
+                entries,
             });
         }
         fs::create_dir_all(dir.join(SEGMENT_DIR))?;
@@ -448,11 +446,12 @@ impl Catalog {
             snapshot: None,
             base: None,
             epoch: 0,
-            manifest_dirty: true,
+            manifest_dirty: false,
             pending: BTreeMap::new(),
-            sync_pool: None,
-            pending_delete: BTreeMap::new(),
+            committed: BTreeSet::new(),
         };
+        // The empty manifest is the catalog's first committed state: the
+        // first commit without mutations writes nothing.
         cat.write_manifest()?;
         Ok(cat)
     }
@@ -516,8 +515,8 @@ impl Catalog {
     /// before the shard layer existed. Shard-resident tables — every
     /// table a catalog's first commit folded — have no loose entry; use
     /// [`Catalog::get`] / [`Catalog::record`] for tier-agnostic access.
-    /// The segment an uncommitted entry names is written by the next
-    /// commit only if that commit stays loose.
+    /// An uncommitted entry names no file yet: the next commit puts its
+    /// record into a run only if that commit stays loose.
     pub fn entry(&self, id: &str) -> Option<&ManifestEntry> {
         self.entries.get(id)
     }
@@ -611,28 +610,11 @@ impl Catalog {
     }
 
     /// Load one table's full record — from its uncommitted frame in
-    /// memory, its loose segment file, or by positioned read out of its
-    /// shard's arena.
+    /// memory, its loose run (or legacy segment file), or by positioned
+    /// read out of its shard's arena.
     pub fn get(&self, id: &str) -> StoreResult<Option<TableRecord>> {
-        if let Some(frame) = self.pending.get(id) {
-            return Ok(Some(ser::read_record(&mut frame.as_slice())?));
-        }
         if let Some(entry) = self.entries.get(id) {
-            let path = self.dir.join(SEGMENT_DIR).join(&entry.segment);
-            let rec = durable::read_file_checked(&path, |r| {
-                let rec = ser::read_record(r)?;
-                if rec.content_hash != entry.content_hash || rec.table_id() != id {
-                    return Err(StoreError::corrupt(
-                        "TSFMSEG1",
-                        format!(
-                            "segment {} does not match manifest entry for {id:?}",
-                            entry.segment
-                        ),
-                    ));
-                }
-                Ok(rec)
-            })?;
-            return Ok(Some(rec));
+            return self.loose_record(id, entry, &mut OpenRuns::new()).map(Some);
         }
         if self.tombstones.contains(id) {
             return Ok(None);
@@ -698,10 +680,8 @@ impl Catalog {
         if prior.is_some() && !self.entries.contains_key(&id) {
             self.tombstones.insert(id.clone());
         }
-        // A replaced committed segment (its name differs because the hash
-        // does) stays on disk until the manifest that stops referencing
-        // it has committed; a replaced uncommitted frame never had a file.
-        self.drop_loose(&id);
+        // A replaced committed record stays in its run until the next
+        // commit's manifest stops referencing it.
         self.entries.insert(id.clone(), entry);
         self.pending.insert(id, frame);
         self.invalidate();
@@ -712,27 +692,15 @@ impl Catalog {
         }
     }
 
-    /// Drop `id`'s loose entry, if any: an uncommitted frame is simply
-    /// forgotten, a committed segment file is queued for deletion after
-    /// the next commit. Returns whether an entry existed.
-    fn drop_loose(&mut self, id: &str) -> bool {
-        let Some(entry) = self.entries.remove(id) else {
-            return false;
-        };
-        if self.pending.remove(id).is_none() {
-            self.pending_delete.insert(entry.segment, id.to_string());
-        }
-        true
-    }
-
     /// Remove a table; returns whether it existed. An uncommitted table
-    /// just drops its frame. A committed loose table's segment file is
-    /// deleted at the next [`Catalog::commit`], after the manifest that
-    /// dropped it is durable — deleting first would lose the table on a
-    /// crash before commit. A shard-resident table is tombstoned; the
-    /// next compaction reclaims its arena bytes.
+    /// just drops its frame. A committed loose table's run is unlinked by
+    /// the first commit whose manifest references none of its records —
+    /// deleting first would lose the table on a crash before commit. A
+    /// shard-resident table is tombstoned; the next compaction reclaims its
+    /// arena bytes.
     pub fn remove(&mut self, id: &str) -> StoreResult<bool> {
-        let mut existed = self.drop_loose(id);
+        self.pending.remove(id);
+        let mut existed = self.entries.remove(id).is_some();
         if !self.tombstones.contains(id) && self.shard_locate(id)?.is_some() {
             self.tombstones.insert(id.to_string());
             existed = true;
@@ -877,24 +845,23 @@ impl Catalog {
     /// catalog without a shard layer, or churn past a quarter of the
     /// shard residents — the commit *folds*: the batch's frames go
     /// straight from memory into new shard arenas beside the committed
-    /// loose tier (see [`Catalog::compact`]), and no segment file is
-    /// written — so every ingest lands in shards without anyone calling
-    /// `compact`. Otherwise it is a *loose* commit, ordered for crash
-    /// safety:
+    /// loose tier (see [`Catalog::compact`]), so every ingest lands in
+    /// shards without anyone calling `compact`. Otherwise it is a *loose*
+    /// commit, ordered for crash safety:
     ///
-    /// 1. write each new record to its content-addressed segment file and
-    ///    fsync it — on a pool of sync workers that starts on each file
-    ///    as soon as it is written, or serially for small batches and
-    ///    under a fault plan — then fsync the segment directory;
-    /// 2. commit the manifest atomically — this is the single commit
-    ///    point: a crash anywhere before the manifest rename leaves the
-    ///    previous manifest referencing only previously-durable segments,
-    ///    and at most unreferenced new files `tsfm fsck` sweeps;
-    /// 3. only now delete segments no manifest references (best effort —
-    ///    a leftover is an orphan `tsfm fsck` sweeps, never data loss).
+    /// 1. write every new record, in id order, into one new run under
+    ///    `segments/` through [`durable::commit_file`], and point each
+    ///    record's entry at its slot — a crash here leaves at most a run
+    ///    no manifest references, which `tsfm fsck` sweeps;
+    /// 2. commit the manifest atomically — the single commit point;
+    /// 3. only now unlink the `segments/` files the previous manifest
+    ///    referenced and this one does not (best effort — a leftover is an
+    ///    orphan `tsfm fsck` sweeps, never data loss).
     ///
-    /// A failed commit of either kind keeps every uncommitted record in
-    /// memory, so a retry commits the same bytes.
+    /// The run's name follows from the committed state and is never one a
+    /// manifest on disk may reference, so a run that is read never changes
+    /// under its reader. A failed commit of either kind keeps every
+    /// uncommitted record in memory, so a retry commits the same bytes.
     pub fn commit(&mut self) -> StoreResult<()> {
         // A store that was only opened and queried keeps its manifest and
         // segments, even one the folding rule would move into arenas.
@@ -904,12 +871,13 @@ impl Catalog {
         if self.compaction_due() {
             self.compact_inner()
         } else {
-            self.commit_inner()
+            self.commit_loose()
         }
     }
 
-    /// Fold the loose tier — committed segments and uncommitted records
-    /// alike — and all tombstones into the shard layer now, regardless of
+    /// Fold the loose tier — committed runs, legacy segments and
+    /// uncommitted records alike — and all tombstones into the shard
+    /// layer now, regardless of
     /// thresholds (the `tsfm compact` verb and the monolithic→sharded
     /// migration path). The root manifest flip is the commit point for
     /// the mutations since the last commit too: a crash before it leaves
@@ -933,89 +901,73 @@ impl Catalog {
         (self.entries.len() + self.tombstones.len()) as u64 * 4 >= sharded.max(1)
     }
 
-    fn commit_inner(&mut self) -> StoreResult<()> {
+    fn commit_loose(&mut self) -> StoreResult<()> {
         if !self.manifest_dirty {
             return Ok(());
         }
         let _g = tsfm_obs::span!("catalog.commit");
-        self.write_pending()?;
-        self.write_manifest()?;
+        let run = if self.pending.is_empty() { None } else { Some(self.write_run()?) };
+        if let Err(e) = self.write_manifest() {
+            // The manifest may have landed (a failed directory sync follows
+            // its rename), so the run it names keeps its name reserved.
+            self.committed.extend(run);
+            return Err(e);
+        }
         self.manifest_dirty = false;
         self.pending.clear();
-        let seg_dir = self.dir.join(SEGMENT_DIR);
-        for (segment, id) in std::mem::take(&mut self.pending_delete) {
-            // A table re-added under its committed content kept its file.
-            if self.entries.get(&id).is_some_and(|e| e.segment == segment) {
-                continue;
-            }
-            let _ = fs::remove_file(seg_dir.join(segment));
-        }
+        let referenced: BTreeSet<String> =
+            self.entries.values().map(|e| e.segment.clone()).collect();
+        self.unlink_unreferenced(referenced);
         Ok(())
     }
 
-    /// Write every uncommitted frame to its segment file and make them
-    /// all durable, segment directory included. Batches past
-    /// [`durable::SyncPool::MIN_BATCH`] hand each fresh handle to the
-    /// sync pool as soon as it is written, so the fsyncs overlap the
-    /// remaining writes; small batches and fault runs sync serially —
-    /// cheaper to wake no pool, and deterministic fault-site ordering for
-    /// the sweeper. Leaves `pending` untouched: until the manifest
+    /// Write every uncommitted frame, in id order, into one new run under
+    /// `segments/` and point each frame's entry at its slot; returns the
+    /// run's file name. The name takes the next sequence number past every
+    /// run a manifest on disk may reference, within the current shard
+    /// generation, so a retry of a failed commit writes the same file with
+    /// the same bytes. Leaves `pending` untouched: until the manifest
     /// commits, a failure keeps every frame for the retry.
-    fn write_pending(&mut self) -> StoreResult<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let seg_dir = self.dir.join(SEGMENT_DIR);
-        let pool = if !durable::fault::armed()
-            && self.pending.len() > durable::SyncPool::MIN_BATCH
-        {
-            let pool = self
-                .sync_pool
-                .get_or_insert_with(|| durable::SyncPool::new(durable::SyncPool::WORKERS));
-            Some(&*pool)
-        } else {
-            None
-        };
-        let files = obs().counter("tsfm_catalog_segments_written_total", "Segment files written");
-        let bytes =
-            obs().counter("tsfm_catalog_segment_bytes_written_total", "Segment bytes written");
-        let written = self.pending.iter().try_for_each(|(id, frame)| -> StoreResult<()> {
-            let _g = tsfm_obs::span!("catalog.segment.write");
-            let entry = self.entries.get(id).ok_or_else(|| {
+    fn write_run(&mut self) -> StoreResult<String> {
+        let _g = tsfm_obs::span!("catalog.segment.write");
+        let generation =
+            self.shards.iter().flatten().map(|s| s.meta.generation).max().unwrap_or(0);
+        let last = self.committed.iter().filter_map(|f| run_seq(f, generation)).max();
+        let seq = last.unwrap_or(0) + 1;
+        let name = run_file_name(generation, seq);
+        let frames: Vec<&Vec<u8>> = self.pending.values().collect();
+        let bytes = shard::build_arena(seq, generation, &frames);
+        durable::commit_file(&self.dir.join(SEGMENT_DIR).join(&name), &bytes)?;
+        obs().counter("tsfm_catalog_segments_written_total", "Segment files written").inc();
+        obs()
+            .counter("tsfm_catalog_segment_bytes_written_total", "Segment bytes written")
+            .add(bytes.len() as u64);
+        for (slot, id) in self.pending.keys().enumerate() {
+            let entry = self.entries.get_mut(id).ok_or_else(|| {
                 StoreError::internal(format!("uncommitted record {id:?} has no manifest entry"))
             })?;
-            let path = seg_dir.join(&entry.segment);
-            // Segment names are content-addressed (they embed the
-            // table-id hash *and* the content hash), so a path that does
-            // not exist yet cannot be open in any reader and takes the
-            // unsynced fast path. An already-existing path — a reader
-            // holding an older manifest may be loading those bytes right
-            // now, or a failed commit left it — goes through the atomic
-            // commit_file route.
-            match durable::write_new(&path, frame)? {
-                Some(file) => match pool {
-                    Some(pool) => pool.enqueue(path, file),
-                    None => durable::sync_pending(&path, &file)?,
-                },
-                None => durable::commit_file(&path, frame)?,
-            }
-            files.inc();
-            bytes.add(frame.len() as u64);
-            Ok(())
-        });
-        // Drain even after a failed write, so no stale sync failure is
-        // left in the pool for the retry to trip over.
-        let failed = pool.map(durable::SyncPool::drain).unwrap_or_default();
-        written?;
-        if let Some((_, err)) = failed.into_iter().next() {
-            return Err(err);
+            entry.segment.clone_from(&name);
+            entry.slot = Some(slot as u32);
         }
-        durable::sync_dir(&seg_dir)
+        Ok(name)
     }
 
-    /// Rewrite dirty shards: fold the loose tier — committed segments and
-    /// uncommitted frames — and tombstones into the shard layer under a
-    /// fresh generation. Crash-safety ordering mirrors a loose commit:
+    /// After a manifest flip: unlink every `segments/` file a manifest on
+    /// disk may have referenced that the new one, naming `referenced`,
+    /// does not (best effort — a leftover is an orphan `tsfm fsck`
+    /// sweeps), and make `referenced` the committed set.
+    fn unlink_unreferenced(&mut self, referenced: BTreeSet<String>) {
+        let seg_dir = self.dir.join(SEGMENT_DIR);
+        for gone in self.committed.difference(&referenced) {
+            let _ = fs::remove_file(seg_dir.join(gone));
+        }
+        self.committed = referenced;
+    }
+
+    /// Rewrite dirty shards: fold the loose tier — committed runs, legacy
+    /// segments and uncommitted frames — and tombstones into the shard
+    /// layer under a fresh generation. Crash-safety ordering mirrors a
+    /// loose commit:
     ///
     /// 1. new-generation arena + shard-manifest files are committed one
     ///    by one ([`durable::commit_file`] each) — a crash here leaves
@@ -1024,10 +976,9 @@ impl Catalog {
     /// 2. the root manifest flips to the new generation in one atomic
     ///    commit — the single commit point, for the fold and for every
     ///    mutation since the last commit;
-    /// 3. only then are old-generation shard files and absorbed or
-    ///    replaced loose segments unlinked (best effort). Snapshots
-    ///    holding the old arenas keep reading them through their open
-    ///    descriptors.
+    /// 3. only then are old-generation shard files and every `segments/`
+    ///    file unlinked (best effort). Snapshots holding the old arenas
+    ///    keep reading them through their open descriptors.
     ///
     /// Nothing in memory changes before the flip, so a failure anywhere
     /// earlier leaves the catalog as it was, ready for a retry that
@@ -1036,7 +987,7 @@ impl Catalog {
     /// re-buckets). With nothing to fold it is a loose commit.
     fn compact_inner(&mut self) -> StoreResult<()> {
         if self.shards.is_empty() && self.entries.is_empty() {
-            return self.commit_inner();
+            return self.commit_loose();
         }
         let _g = tsfm_obs::span!("catalog.compact");
         let space = shard::shard_count_for(self.len() as u64) as usize;
@@ -1056,16 +1007,16 @@ impl Catalog {
             }
         }
         if !dirty.iter().any(|&d| d) {
-            return self.commit_inner();
+            return self.commit_loose();
         }
         let generation =
             self.shards.iter().flatten().map(|s| s.meta.generation).max().unwrap_or(0) + 1;
 
         // Gather each dirty target shard's new contents as raw TSFMSEG1
-        // frame bytes: copied verbatim (CRC-verified) out of old arenas,
-        // borrowed from the uncommitted frames, or read from committed
-        // segment files — re-parsed there, so a corrupt segment fails the
-        // compaction instead of poisoning a shard.
+        // frame bytes: copied verbatim (CRC-verified) out of old arenas and
+        // loose runs, borrowed from the uncommitted frames, or read from
+        // legacy segment files — re-parsed there, so a corrupt segment
+        // fails the compaction instead of poisoning a shard.
         let mut buckets: Vec<Vec<(ShardEntry, Cow<'_, [u8]>)>> = vec![Vec::new(); space];
         for slot in self.shards.iter().flatten() {
             if !reshard && !dirty[slot.meta.index as usize] {
@@ -1082,10 +1033,11 @@ impl Catalog {
                     .push((e.clone(), Cow::Owned(payload)));
             }
         }
+        let mut runs = OpenRuns::new();
         for (id, le) in &self.entries {
             let payload = match self.pending.get(id) {
                 Some(frame) => Cow::Borrowed(frame.as_slice()),
-                None => Cow::Owned(self.read_segment(id, le)?),
+                None => Cow::Owned(self.loose_frame(id, le, &mut runs)?),
             };
             let entry = ShardEntry {
                 id: id.clone(),
@@ -1140,10 +1092,8 @@ impl Catalog {
             new_shards.push(Some(slot));
         }
 
-        // Everything the new root manifest will no longer reference —
-        // rewritten shards' old generation, committed loose segments and
-        // those already replaced or removed — collected before the flip,
-        // deleted only after it. Uncommitted frames never had a file.
+        // Rewritten shards' old generation, collected before the flip and
+        // deleted only after it, with every `segments/` file.
         let mut doomed: Vec<PathBuf> = Vec::new();
         for (idx, slot) in self.shards.iter().enumerate() {
             if let Some(slot) = slot.as_ref().filter(|_| reshard || dirty[idx]) {
@@ -1151,13 +1101,6 @@ impl Catalog {
                 doomed.push(shard_dir.join(slot.meta.arena_file()));
             }
         }
-        let seg_dir = self.dir.join(SEGMENT_DIR);
-        for (id, e) in &self.entries {
-            if !self.pending.contains_key(id) {
-                doomed.push(seg_dir.join(&e.segment));
-            }
-        }
-        doomed.extend(self.pending_delete.keys().map(|s| seg_dir.join(s)));
 
         // The commit point: flip the root manifest to the new generation.
         write_manifest_file(
@@ -1175,12 +1118,12 @@ impl Catalog {
         self.shards = new_shards;
         self.entries.clear();
         self.pending.clear();
-        self.pending_delete.clear();
         self.tombstones.clear();
         self.manifest_dirty = false;
         for path in doomed {
             let _ = fs::remove_file(path);
         }
+        self.unlink_unreferenced(BTreeSet::new());
         // Content-preserving: the merged fingerprint is unchanged, so the
         // index cache stays valid, handed-out snapshots stay correct, and
         // neither the epoch nor the cached snapshot needs to move.
@@ -1188,37 +1131,75 @@ impl Catalog {
         Ok(())
     }
 
-    /// A committed loose segment's raw frame bytes, verified to decode and
-    /// to match its manifest entry.
-    fn read_segment(&self, id: &str, le: &ManifestEntry) -> StoreResult<Vec<u8>> {
+    /// A committed loose record's raw `TSFMSEG1` frame: a run slot by
+    /// positioned, CRC-checked read (opened once per pass through `runs`),
+    /// or a legacy segment file read whole, verified to decode and to match
+    /// its manifest entry.
+    fn loose_frame(
+        &self,
+        id: &str,
+        le: &ManifestEntry,
+        runs: &mut OpenRuns,
+    ) -> StoreResult<Vec<u8>> {
+        if let Some(slot) = le.slot {
+            return self.run(&le.segment, runs)?.read_payload(slot as usize);
+        }
         let path = self.dir.join(SEGMENT_DIR).join(&le.segment);
         let bytes = fs::read(&path)?;
         let rec = ser::read_record(&mut bytes.as_slice()).map_err(|e| {
             durable::note_corruption(e.into_format("TSFMSEG1").with_file(&path, 0))
         })?;
-        if rec.content_hash != le.content_hash || rec.table_id() != id {
-            return Err(durable::note_corruption(
-                StoreError::corrupt(
-                    "TSFMSEG1",
-                    format!("segment {} does not match manifest entry for {id:?}", le.segment),
-                )
-                .with_file(&path, 0),
-            ));
-        }
+        check_loose(id, le, &rec, &path, 0)?;
         Ok(bytes)
     }
 
+    /// A loose record, decoded: from its uncommitted frame, or from its run
+    /// slot or legacy segment file, verified to match its manifest entry.
+    fn loose_record(
+        &self,
+        id: &str,
+        le: &ManifestEntry,
+        runs: &mut OpenRuns,
+    ) -> StoreResult<TableRecord> {
+        if let Some(frame) = self.pending.get(id) {
+            return ser::read_record(&mut frame.as_slice());
+        }
+        let path = self.dir.join(SEGMENT_DIR).join(&le.segment);
+        let (rec, offset) = match le.slot {
+            Some(slot) => {
+                let run = self.run(&le.segment, runs)?;
+                let offset = run.slots.get(slot as usize).map_or(0, |s| s.offset);
+                (run.read_record(slot as usize)?, offset)
+            }
+            None => (durable::read_file_checked(&path, ser::read_record)?, 0),
+        };
+        check_loose(id, le, &rec, &path, offset)?;
+        Ok(rec)
+    }
+
+    /// The loose run `name`, opened at most once per read pass.
+    fn run<'r>(&self, name: &str, runs: &'r mut OpenRuns) -> StoreResult<&'r ArenaIndex> {
+        match runs.entry(name.to_string()) {
+            Entry::Occupied(open) => Ok(open.into_mut()),
+            Entry::Vacant(slot) => {
+                Ok(slot.insert(ArenaIndex::open_run(&self.dir.join(SEGMENT_DIR).join(name))?))
+            }
+        }
+    }
+
     pub fn stats(&self) -> CatalogStats {
-        let mut segment_bytes: u64 = self
+        let files: BTreeSet<&str> = self
             .entries
             .iter()
-            .filter_map(|(id, e)| match self.pending.get(id) {
-                Some(frame) => Some(frame.len() as u64),
-                None => fs::metadata(self.dir.join(SEGMENT_DIR).join(&e.segment))
-                    .ok()
-                    .map(|m| m.len()),
-            })
-            .sum();
+            .filter(|(id, _)| !self.pending.contains_key(*id))
+            .map(|(_, e)| e.segment.as_str())
+            .collect();
+        let mut segment_bytes: u64 = self.pending.values().map(|f| f.len() as u64).sum();
+        segment_bytes += files
+            .into_iter()
+            .filter_map(|f| fs::metadata(self.dir.join(SEGMENT_DIR).join(f)).ok())
+            .map(|m| m.len())
+            .sum::<u64>();
         let mut columns: u64 = self.entries.values().map(|e| u64::from(e.num_cols)).sum();
         let mut rows: u64 = self.entries.values().map(|e| e.num_rows).sum();
         for slot in self.shards.iter().flatten() {
@@ -1434,16 +1415,8 @@ impl Catalog {
     /// of the corpus with no arena home. The lazy-open fast path builds
     /// its in-memory corpus from exactly this.
     fn load_loose_records(&self) -> StoreResult<Vec<TableRecord>> {
-        let mut out = Vec::with_capacity(self.entries.len());
-        for id in self.entries.keys() {
-            out.push(self.get(id)?.ok_or_else(|| {
-                StoreError::corrupt(
-                    "TSFMCAT1",
-                    format!("manifest entry {id:?} has no segment on disk"),
-                )
-            })?);
-        }
-        Ok(out)
+        let mut runs = OpenRuns::new();
+        self.entries.iter().map(|(id, e)| self.loose_record(id, e, &mut runs)).collect()
     }
 
     /// Load every active record (ascending id order), across both tiers.
@@ -1773,7 +1746,10 @@ pub(crate) fn write_manifest_file(
     ser::write_u32(&mut body, entries.len() as u32)?;
     for (id, e) in entries {
         ser::write_str(&mut body, id)?;
-        ser::write_str(&mut body, &e.segment)?;
+        match e.slot {
+            Some(slot) => ser::write_str(&mut body, &format!("{}#{slot}", e.segment))?,
+            None => ser::write_str(&mut body, &e.segment)?,
+        }
         ser::write_u64(&mut body, e.content_hash)?;
         ser::write_u64(&mut body, e.num_rows)?;
         ser::write_u32(&mut body, e.num_cols)?;
@@ -1893,15 +1869,24 @@ fn read_manifest_body<R: std::io::Read>(
     let mut entries = BTreeMap::new();
     for _ in 0..count {
         let id = ser::read_str(r)?;
-        let segment = ser::read_str(r)?;
-        if segment.contains('/') || segment.contains("..") {
+        // A run entry's location is `<run>#<slot>`; a legacy segment's is
+        // its file name.
+        let location = ser::read_str(r)?;
+        let parsed = match location.split_once('#') {
+            Some((run, slot)) => slot.parse::<u32>().ok().map(|slot| (run, Some(slot))),
+            None => Some((location.as_str(), None)),
+        };
+        let Some((segment, slot)) =
+            parsed.filter(|(f, _)| !f.is_empty() && !f.contains('/') && !f.contains(".."))
+        else {
             return Err(StoreError::corrupt(
                 "TSFMCAT1",
-                format!("suspicious segment path {segment:?}"),
+                format!("suspicious segment location {location:?}"),
             ));
-        }
+        };
         let entry = ManifestEntry {
-            segment,
+            slot,
+            segment: segment.to_string(),
             content_hash: ser::read_u64(r)?,
             num_rows: ser::read_u64(r)?,
             num_cols: ser::read_u32(r)?,
@@ -1911,16 +1896,41 @@ fn read_manifest_body<R: std::io::Read>(
     Ok((cfg, entries))
 }
 
-/// Segment file name: sanitized table id, the id's own hash (distinct ids
-/// may sanitize/truncate to the same prefix), and the content hash (so an
-/// update never overwrites the segment a reader might be loading).
-fn segment_name(id: &str, content_hash: u64) -> String {
-    let sane: String = id
-        .chars()
-        .take(64)
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-        .collect();
-    format!("{sane}-{:08x}-{content_hash:016x}.seg", hash_str(id) as u32)
+/// A loose run's file name under `segments/`: the shard generation it was
+/// written under and its sequence number within that generation.
+fn run_file_name(generation: u64, seq: u32) -> String {
+    format!("run-{generation:08x}-{seq:08x}.arena")
+}
+
+/// The sequence number of `name` if it is a run written under `generation`.
+fn run_seq(name: &str, generation: u64) -> Option<u32> {
+    let hex = name.strip_prefix(&format!("run-{generation:08x}-"))?.strip_suffix(".arena")?;
+    u32::from_str_radix(hex, 16).ok()
+}
+
+/// Loose runs opened during one read pass, by file name.
+type OpenRuns = BTreeMap<String, ArenaIndex>;
+
+/// A committed loose record must be the one its manifest entry names;
+/// anything else is corruption of the file at `path`.
+fn check_loose(
+    id: &str,
+    le: &ManifestEntry,
+    rec: &TableRecord,
+    path: &Path,
+    offset: u64,
+) -> StoreResult<()> {
+    if rec.content_hash == le.content_hash && rec.table_id() == id {
+        return Ok(());
+    }
+    let (format, what) = match le.slot {
+        Some(slot) => ("TSFMARN1", format!("slot {slot} of run {}", le.segment)),
+        None => ("TSFMSEG1", format!("segment {}", le.segment)),
+    };
+    Err(durable::note_corruption(
+        StoreError::corrupt(format, format!("{what} does not match manifest entry for {id:?}"))
+            .with_file(path, offset),
+    ))
 }
 
 #[cfg(test)]
@@ -1986,7 +1996,7 @@ mod tests {
 
     /// Fold `n` filler tables into the shard layer — a catalog's first
     /// commit always folds — so that a later commit of fewer than `n / 4`
-    /// changes stays loose and writes segment files.
+    /// changes stays loose and writes a run.
     fn folded_baseline(cat: &mut Catalog, n: i64) {
         for i in 0..n {
             cat.add_table(&table(&format!("base{i}"), &[i, i + 7]), 1000 + i as u64).unwrap();
@@ -2005,33 +2015,54 @@ mod tests {
         assert_eq!(cat.add_table(&table("t", &[1]), 5).unwrap(), IngestOutcome::Unchanged);
         assert_eq!(cat.add_table(&table("t", &[1, 2]), 6).unwrap(), IngestOutcome::Updated);
         assert_eq!(cat.len(), 9);
-        // The replaced segment outlives the update until the manifest
-        // that dropped it commits; after commit exactly one remains.
+        // Only the last version is held, so the commit writes one run of
+        // one record.
         cat.commit().unwrap();
-        let n = fs::read_dir(dir.join(SEGMENT_DIR))
-            .unwrap()
-            .filter(|e| {
-                e.as_ref().unwrap().path().extension().is_some_and(|x| x == "seg")
-            })
-            .count();
-        assert_eq!(n, 1);
+        assert_eq!(segment_files(&dir), 1);
+        let entry = cat.entry("t").unwrap();
+        assert_eq!((entry.content_hash, entry.slot), (6, Some(0)));
+        assert_eq!(cat.record("t").unwrap().content_hash, 6);
     }
 
     #[test]
     fn colliding_sanitized_ids_keep_distinct_segments() {
-        // "a b" and "a_b" sanitize to the same prefix, and identical
-        // contents give identical content hashes — the id hash in the
-        // segment name must keep the files apart.
+        // "a b" and "a_b" would sanitize to the same file-name prefix, and
+        // identical contents give identical content hashes: in one run
+        // they still take distinct slots, each read back as its own id.
         let dir = tmp_dir("collide");
         let mut cat = Catalog::open(&dir).unwrap();
+        folded_baseline(&mut cat, 12);
         cat.add_table(&table("a b", &[1, 2]), 7).unwrap();
         cat.add_table(&table("a_b", &[1, 2]), 7).unwrap();
-        assert_eq!(cat.len(), 2);
+        cat.commit().unwrap();
+        assert_eq!(segment_files(&dir), 1);
+        let (ea, eb) = (cat.entry("a b").unwrap(), cat.entry("a_b").unwrap());
+        assert_eq!(ea.segment, eb.segment, "one loose commit, one run");
+        assert_eq!((ea.slot, eb.slot), (Some(0), Some(1)));
+        drop(cat);
+        let cat = Catalog::open(&dir).unwrap();
+        assert_eq!(cat.len(), 14);
         let ra = cat.get("a b").unwrap().expect("first id intact");
         let rb = cat.get("a_b").unwrap().expect("second id intact");
         assert_eq!(ra.table_id(), "a b");
         assert_eq!(rb.table_id(), "a_b");
-        assert!(cat.load_all_records().unwrap().len() == 2);
+        assert!(cat.load_all_records().unwrap().len() == 14);
+    }
+
+    /// Opening a fresh directory commits its empty manifest once; a
+    /// commit with nothing uncommitted, and the drop, leave that file as
+    /// it is.
+    #[test]
+    fn fresh_open_writes_its_manifest_once() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tmp_dir("fresh");
+        let mut cat = Catalog::open(&dir).unwrap();
+        let path = cat.manifest_path();
+        let (ino, bytes) = (fs::metadata(&path).unwrap().ino(), fs::read(&path).unwrap());
+        cat.commit().unwrap();
+        drop(cat);
+        assert_eq!(fs::metadata(&path).unwrap().ino(), ino, "the manifest was rewritten");
+        assert_eq!(fs::read(&path).unwrap(), bytes);
     }
 
     fn segment_files(dir: &Path) -> usize {
@@ -2051,9 +2082,9 @@ mod tests {
         assert_eq!(cat.len(), 8);
         cat.commit().unwrap();
         assert_eq!(segment_files(&dir), 0);
-        // A committed table's segment file survives its removal until the
-        // removal is committed — until then the on-disk manifest still
-        // references it.
+        // A committed table's run survives its removal until the removal
+        // is committed — until then the on-disk manifest still references
+        // it — and goes with the commit that leaves it unreferenced.
         cat.add_table(&table("t", &[1]), 5).unwrap();
         cat.commit().unwrap();
         assert_eq!(segment_files(&dir), 1);
@@ -2064,8 +2095,9 @@ mod tests {
     }
 
     /// Replacing a committed table and then restoring its committed
-    /// content, all in one batch, must keep the file the new manifest
-    /// names — in a loose commit and in a folding one.
+    /// content, all in one batch, must leave the file the new manifest
+    /// names on disk — a new run in a loose commit (the old one goes), an
+    /// arena in a folding one.
     #[test]
     fn restoring_committed_content_keeps_its_segment() {
         let dir = tmp_dir("restore");
@@ -2076,15 +2108,17 @@ mod tests {
         assert_eq!(segment_files(&dir), 1);
         assert_eq!(cat.add_table(&table("t", &[1, 2]), 6).unwrap(), IngestOutcome::Updated);
         assert_eq!(cat.add_table(&table("t", &[1]), 5).unwrap(), IngestOutcome::Updated);
+        let old_run = cat.committed.clone();
         cat.commit().unwrap();
         assert_eq!(segment_files(&dir), 1);
+        assert_ne!(cat.committed, old_run, "the restored record went into a new run");
         drop(cat);
         let mut cat = Catalog::open(&dir).unwrap();
         assert_eq!(cat.record("t").unwrap().content_hash, 5);
         assert_eq!(cat.add_table(&table("t", &[1, 2]), 6).unwrap(), IngestOutcome::Updated);
         assert_eq!(cat.add_table(&table("t", &[1]), 5).unwrap(), IngestOutcome::Updated);
         cat.compact().unwrap();
-        assert_eq!(segment_files(&dir), 0, "the fold absorbed the committed segment");
+        assert_eq!(segment_files(&dir), 0, "the fold absorbed the committed run");
         drop(cat);
         assert_eq!(Catalog::open(&dir).unwrap().record("t").unwrap().content_hash, 5);
     }

@@ -7,15 +7,13 @@
 //!
 //! * [`crc32c`] — a std-only slicing-by-8 CRC32C (Castagnoli), the
 //!   checksum every v2 `TSFM*` frame carries over its payload;
-//! * [`commit_file`] — the atomic write path: write a temp file, fsync
-//!   it, rename it over the target, fsync the parent directory. A crash
-//!   at any instant leaves either the old file or the new one, never a
-//!   torn mix;
-//! * [`write_new`] — the fast path for content-addressed segment files:
-//!   `create_new` + one write, **no fsync** — a loose catalog commit
-//!   hands each fresh handle to [`sync_pending`] or a [`SyncPool`] and
-//!   ends with one [`sync_dir`], so durability costs one pass per commit,
-//!   not a tmp + rename dance per table;
+//! * [`commit_file`] — the one write path: write a temp file, fsync it,
+//!   rename it over the target, fsync the parent directory. A crash at
+//!   any instant leaves either the old file or the new one, never a torn
+//!   mix. Every file the store writes is a whole file written here — the
+//!   root manifest, the index cache, shard manifests and arenas, and the
+//!   one run a loose commit writes under `segments/` — so a commit costs
+//!   one fsync per file it writes, however many tables it carries;
 //! * [`read_file_checked`] — opens a file and runs a parser over a
 //!   byte-counting reader, stamping any [`StoreError::Corrupt`] with the
 //!   file name and the offset where decoding stopped, and counting it in
@@ -159,15 +157,6 @@ pub mod fault {
             && lock_unpoisoned(&PLAN).as_ref().is_some_and(|p| p.tripped)
     }
 
-    /// Whether any fault plan is armed. The catalog consults this to
-    /// pick its fsync strategy: an armed plan forces the serial
-    /// sync-at-commit path, because background sync workers racing the
-    /// workload would make fault-site numbering nondeterministic and the
-    /// crash sweeper requires a stable site inventory.
-    pub fn armed() -> bool {
-        ARMED.load(Ordering::SeqCst)
-    }
-
     /// What the current operation on `path` should do.
     pub(super) enum Injection {
         Proceed,
@@ -237,7 +226,7 @@ fn fault_write(f: &mut File, path: &Path, bytes: &[u8]) -> StoreResult<()> {
 // ---- atomic commit protocol -----------------------------------------------
 
 /// The temp-file sibling `commit_file` stages through. Every target this
-/// store commits (`catalog.manifest`, `index.cache`, `segments/*.seg`,
+/// store commits (`catalog.manifest`, `index.cache`, `segments/*.arena`,
 /// `BENCH_*.json`) maps to a distinct `.tmp` name within its directory.
 fn tmp_path(path: &Path) -> PathBuf {
     path.with_extension("tmp")
@@ -273,176 +262,6 @@ pub fn commit_file(path: &Path, bytes: &[u8]) -> StoreResult<()> {
         sync_dir(parent)?;
     }
     Ok(())
-}
-
-/// Create-and-write a file that must not exist yet (the content-addressed
-/// segment fast path). Returns the still-open handle on success — **not
-/// yet fsynced**: the caller syncs the handle itself ([`sync_pending`] or
-/// a [`SyncPool`]) and then the directory ([`sync_dir`]), instead of
-/// paying a by-path reopen (`open(2)` in a multi-thousand-entry segment
-/// directory costs as much as the fsync itself). Returns `Ok(None)` —
-/// having written nothing — if the path already exists.
-pub fn write_new(path: &Path, bytes: &[u8]) -> StoreResult<Option<File>> {
-    fault_check("create", path)?;
-    match File::options().write(true).create_new(true).open(path) {
-        Ok(mut f) => {
-            fault_write(&mut f, path, bytes)?;
-            Ok(Some(f))
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(None),
-        Err(e) => Err(e.into()),
-    }
-}
-
-/// fsync a file [`write_new`] just created, through its handle. One fault
-/// site, keyed on the path.
-pub fn sync_pending(path: &Path, file: &File) -> StoreResult<()> {
-    fault_check("fsync", path)?;
-    Ok(file.sync_data()?)
-}
-
-// ---- background sync pipeline ---------------------------------------------
-
-/// A pool of fsync workers that makes a loose commit's segment files
-/// durable while the commit is still writing the rest of them.
-///
-/// A single fsync on this class of hardware costs ~100-200µs of mostly
-/// idle journal-commit latency — serially fsyncing a 10k-table commit
-/// would double an ingest's wall clock. But concurrent fsyncs share
-/// journal commits (ext4's jbd2 batches every waiter into the running
-/// transaction), so a crowd of blocked workers turns one-flush-per-file
-/// into a handful of journal flushes per batch. `Catalog::commit` hands
-/// each segment's still-open [`write_new`] handle over the moment the
-/// file is written, so the syncs overlap the remaining writes (writing
-/// every file first and syncing afterwards measured no faster), and drains
-/// the pool before acknowledging anything. Syncing the handle skips a
-/// by-path `open(2)`, which in a multi-thousand-entry segment directory
-/// costs as much as the fsync itself.
-///
-/// Every queued entry is an open descriptor, so at most one per worker
-/// is in flight: [`SyncPool::enqueue`] blocks beyond that, and a commit
-/// never holds more segment descriptors than the pool has workers. (A
-/// deeper queue once ran a 1 500-table ingest out of descriptors under
-/// the common `ulimit -n 1024`.)
-///
-/// The durability contract is unchanged: the drain happens (and fails on
-/// the first sync error) *before* the segment directory is synced and
-/// the manifest is committed, so an acknowledged commit still means
-/// every referenced segment is on disk.
-///
-/// Workers deliberately bypass the fault layer: while a fault plan is
-/// armed the catalog syncs each file serially through [`sync_pending`]
-/// instead (see [`fault::armed`]), keeping crash-sweep site numbering
-/// deterministic.
-pub struct SyncPool {
-    tx: Option<std::sync::mpsc::Sender<(PathBuf, File)>>,
-    state: std::sync::Arc<(std::sync::Mutex<SyncState>, std::sync::Condvar)>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-#[derive(Default)]
-struct SyncState {
-    in_flight: usize,
-    /// Paths whose fsync failed since the last drain, with the error.
-    failed: Vec<(PathBuf, StoreError)>,
-}
-
-impl SyncPool {
-    /// Enough concurrency to saturate journal batching without melting
-    /// the journal thread; workers are blocked in `fsync(2)` essentially
-    /// their whole lives, so the count is I/O depth, not CPU load.
-    pub const WORKERS: usize = 128;
-
-    /// Commits with at most this many pending segments sync serially:
-    /// below it, journal batching cannot recoup the cost of waking a
-    /// worker pool, and the crash sweeper's small workloads stay on the
-    /// deterministic serial path in fault runs and normal runs alike.
-    pub const MIN_BATCH: usize = 8;
-
-    pub fn new(workers: usize) -> Self {
-        let (tx, rx) = std::sync::mpsc::channel::<(PathBuf, File)>();
-        let rx = std::sync::Arc::new(std::sync::Mutex::new(rx));
-        let state = std::sync::Arc::new((
-            std::sync::Mutex::new(SyncState::default()),
-            std::sync::Condvar::new(),
-        ));
-        let workers = (0..workers.max(1))
-            .map(|_| {
-                let rx = std::sync::Arc::clone(&rx);
-                let state = std::sync::Arc::clone(&state);
-                // tsfm_lint: allow(no-spawn-outside-pool, "SyncPool IS a bounded pool: worker count is fixed at construction, enqueue blocks once every worker holds a sync, the loop body cannot panic because sync errors are caught into SyncState, and Drop joins every worker")
-                std::thread::spawn(move || loop {
-                    // Hold the receiver lock only for the recv itself;
-                    // a closed channel means the pool was dropped.
-                    let Ok((path, file)) = tsfm_obs::sync::lock_unpoisoned(&rx).recv() else {
-                        return;
-                    };
-                    let result = file.sync_data();
-                    drop(file);
-                    let (lock, cvar) = &*state;
-                    let mut st = tsfm_obs::sync::lock_unpoisoned(lock);
-                    st.in_flight -= 1;
-                    if let Err(e) = result {
-                        st.failed.push((path, e.into()));
-                    }
-                    cvar.notify_all();
-                })
-            })
-            .collect();
-        Self { tx: Some(tx), state, workers }
-    }
-
-    /// Queue one background fsync through the retained [`write_new`]
-    /// handle, which the worker closes once synced. Failures surface at
-    /// the next [`SyncPool::drain`] — i.e. at commit time, before
-    /// anything is acknowledged. Blocks while every worker already holds
-    /// a sync, so open handles never outnumber the workers.
-    pub fn enqueue(&self, path: PathBuf, file: File) {
-        let (lock, cvar) = &*self.state;
-        {
-            let mut st = tsfm_obs::sync::lock_unpoisoned(lock);
-            while st.in_flight >= self.workers.len() {
-                st = match cvar.wait(st) {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-            }
-            st.in_flight += 1;
-        }
-        if let Some(tx) = &self.tx {
-            if tx.send((path, file)).is_ok() {
-                return;
-            }
-        }
-        // Workers are gone (only possible mid-teardown): undo the count.
-        tsfm_obs::sync::lock_unpoisoned(lock).in_flight -= 1;
-    }
-
-    /// Block until every queued fsync finished; return the paths that
-    /// failed, with their errors. An empty vec means everything queued
-    /// since the last drain is durable.
-    pub fn drain(&self) -> Vec<(PathBuf, StoreError)> {
-        let (lock, cvar) = &*self.state;
-        let mut st = tsfm_obs::sync::lock_unpoisoned(lock);
-        while st.in_flight > 0 {
-            st = match cvar.wait(st) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
-        std::mem::take(&mut st.failed)
-    }
-}
-
-impl Drop for SyncPool {
-    fn drop(&mut self) {
-        // Closing the channel ends the worker loops; join so no sync is
-        // silently abandoned mid-flight.
-        self.tx = None;
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
 }
 
 /// fsync a directory, making renames and new directory entries durable.
@@ -562,6 +381,9 @@ pub(crate) fn note_corruption(e: StoreError) -> StoreError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Catalog;
+    use std::collections::BTreeMap;
+    use tsfm_table::{Column, Table, Value};
 
     #[test]
     fn crc32c_known_vectors() {
@@ -621,45 +443,102 @@ mod tests {
         assert!(!dir.join("data.tmp").exists());
     }
 
-    #[test]
-    fn write_new_refuses_existing_path() {
-        let dir = tmp("new");
-        let target = dir.join("seg.bin");
-        let handle = write_new(&target, b"abc").unwrap();
-        assert!(handle.is_some());
-        assert!(write_new(&target, b"xyz").unwrap().is_none());
-        assert_eq!(fs::read(&target).unwrap(), b"abc");
-        sync_pending(&target, &handle.unwrap()).unwrap();
-        sync_dir(&dir).unwrap();
+    /// The fault plan is process-global: the tests that arm it take turns.
+    static FAULTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Add `n` one-column tables `{prefix}{i}`, content hash `salt + i`.
+    fn add_tables(cat: &mut Catalog, prefix: &str, n: i64, salt: u64) {
+        for i in 0..n {
+            let mut t = Table::new(format!("{prefix}{i}"), "t");
+            t.push_column(Column::new("v", vec![Value::Int(i), Value::Int(salt as i64 - i)]));
+            cat.add_table(&t, salt + i as u64).unwrap();
+        }
     }
 
+    /// Every file under `dir/segments`, name → bytes.
+    fn segments(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        fs::read_dir(dir.join("segments"))
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name().to_string_lossy().into_owned(), fs::read(e.path()).unwrap())
+            })
+            .collect()
+    }
+
+    /// A catalog whose first commit folded 80 tables into the shard layer
+    /// and whose second committed three more loose, as one run.
+    fn loose_catalog(tag: &str) -> (PathBuf, Catalog) {
+        let dir = tmp(tag);
+        let mut cat = Catalog::open(&dir).unwrap();
+        add_tables(&mut cat, "base", 80, 100);
+        cat.commit().unwrap();
+        add_tables(&mut cat, "r", 3, 500);
+        cat.commit().unwrap();
+        assert_eq!(segments(&dir).len(), 1, "one run per loose commit");
+        (dir, cat)
+    }
+
+    /// A run committed by one manifest is never rewritten: a loose commit
+    /// that crashes at any of its sites — the run's staging file, its
+    /// rename and directory sync, the manifest's own — leaves the
+    /// committed run's bytes as they were, and so does the retry, which
+    /// writes its run under a name no manifest on disk references.
+    #[test]
+    fn write_new_refuses_existing_path() {
+        let _faults = FAULTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (dir, mut cat) = loose_catalog("refuse");
+        let committed = segments(&dir);
+        add_tables(&mut cat, "s", 3, 700);
+        // Run: create, write, fsync, rename, dirsync; then the same five
+        // for the manifest.
+        for site in 0..10 {
+            fault::arm(&dir, site, fault::FaultMode::Torn);
+            let res = cat.commit();
+            assert!(fault::tripped() && res.is_err(), "site {site} fails the commit");
+            fault::disarm();
+            let now = segments(&dir);
+            for (name, bytes) in &committed {
+                assert_eq!(now.get(name), Some(bytes), "site {site} touched committed run {name}");
+            }
+        }
+        cat.commit().unwrap();
+        let after = segments(&dir);
+        assert_eq!(after.len(), 2, "the committed run and the retry's: {:?}", after.keys());
+        assert!(committed.iter().all(|(name, bytes)| after.get(name) == Some(bytes)));
+        drop(cat);
+        let cat = Catalog::open(&dir).unwrap();
+        assert_eq!(cat.len(), 86);
+        assert_eq!(cat.record("s2").unwrap().content_hash, 702);
+        assert_eq!(cat.record("r0").unwrap().content_hash, 500);
+    }
+
+    /// A run whose fsync fails fails its commit before the manifest moves,
+    /// and keeps every held record: reads still answer from memory and the
+    /// retry commits the whole batch.
     #[test]
     fn sync_pool_syncs_handles_and_reports_failures() {
-        let dir = tmp("pool");
-        let pool = SyncPool::new(2);
-        // More files than workers: enqueue must block and resume, never
-        // deadlock, while at most two handles are in flight.
-        for i in 0..8 {
-            let good = dir.join(format!("good{i}.bin"));
-            let handle = write_new(&good, b"payload").unwrap().unwrap();
-            pool.enqueue(good, handle);
+        let _faults = FAULTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (dir, mut cat) = loose_catalog("fsync");
+        let manifest = fs::read(dir.join("catalog.manifest")).unwrap();
+        add_tables(&mut cat, "s", 12, 700);
+        // The run's staging file: create, write, then fsync (site 2).
+        fault::arm(&dir, 2, fault::FaultMode::Fail);
+        let err = cat.commit().expect_err("a failed run fsync fails the commit");
+        fault::disarm();
+        assert!(err.to_string().contains("fsync"), "{err}");
+        assert_eq!(fs::read(dir.join("catalog.manifest")).unwrap(), manifest);
+        assert_eq!(cat.len(), 95, "the batch survives the failure");
+        for i in 0..12 {
+            assert_eq!(cat.record(&format!("s{i}")).unwrap().content_hash, 700 + i);
         }
-        assert!(pool.drain().is_empty(), "healthy sync must not fail");
-        // A descriptor that cannot be synced (a socket: EINVAL) surfaces
-        // as a failed entry at the next drain — exactly what a commit
-        // must see before acking.
-        let (sock, _peer) = std::os::unix::net::UnixStream::pair().unwrap();
-        let unsyncable = File::from(std::os::fd::OwnedFd::from(sock));
-        let bad = dir.join("socket");
-        pool.enqueue(bad.clone(), unsyncable);
-        let failed = pool.drain();
-        assert_eq!(failed.len(), 1);
-        assert_eq!(failed[0].0, bad);
-        // The pool stays usable after a failure.
-        let again = dir.join("again.bin");
-        let handle = write_new(&again, b"more").unwrap().unwrap();
-        pool.enqueue(again, handle);
-        assert!(pool.drain().is_empty());
+        cat.commit().unwrap();
+        let runs: Vec<String> = segments(&dir).into_keys().collect();
+        assert!(runs.len() == 2 && runs.iter().all(|n| n.ends_with(".arena")), "{runs:?}");
+        drop(cat);
+        let cat = Catalog::open(&dir).unwrap();
+        assert_eq!(cat.len(), 95);
+        assert_eq!(cat.record("s11").unwrap().content_hash, 711);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! `tsfm fsck` CLI verb.
 //!
 //! [`fsck`] walks a catalog directory and verifies everything the serving
-//! path trusts: the manifest frame, every segment's CRC32C and its
-//! agreement with the manifest entry (content hash *and* table id), every
+//! path trusts: the manifest frame, every loose record's CRC32C — a
+//! positioned read of its run slot, or its whole legacy segment file — and
+//! its agreement with the manifest entry (content hash *and* table id), every
 //! shard's manifest + arena (header, offset table, and a CRC-verified
 //! positioned read of each active slot), missing and orphaned files in
 //! both tiers, leftover `.tmp` staging files, and the index cache
@@ -12,9 +13,12 @@
 //! structured JSON object.
 //!
 //! With `repair = true` a damaged store degrades to a smaller-but-correct
-//! one instead of refusing to open: bad segments are quarantined (moved
-//! to `<dir>/quarantine/`, never deleted — an operator can recover bytes
-//! from them), their manifest entries dropped, a damaged *shard* is
+//! one instead of refusing to open: a bad loose record's manifest entry is
+//! dropped — a bad run slot drops only its own table, a missing run every
+//! table it held — and a damaged file no surviving entry references is
+//! quarantined (moved to `<dir>/quarantine/`, never deleted — an operator
+//! can recover bytes from it; a run that still backs other tables keeps
+//! its bytes in place), a damaged *shard* is
 //! quarantined as a unit (both its files; the other shards keep serving),
 //! `.tmp` garbage removed, the pruned manifest committed durably, and the
 //! HNSW index cache rebuilt. The one thing repair will not invent is the
@@ -53,13 +57,14 @@ pub enum ProblemKind {
     /// The manifest itself fails checksum or parse — nothing below it can
     /// be trusted, and repair cannot reconstruct it.
     CorruptManifest,
-    /// A segment fails its checksum, fails to parse, or disagrees with
-    /// its manifest entry.
+    /// A loose record — a run slot or a legacy segment file — fails its
+    /// checksum, fails to parse, or disagrees with its manifest entry; or
+    /// its run's header or offset table is damaged.
     CorruptSegment,
-    /// The manifest references a segment file that does not exist.
+    /// The manifest references a run or segment file that does not exist.
     MissingSegment,
-    /// A segment file no manifest entry references (e.g. written by a
-    /// loose commit that crashed before its manifest rename).
+    /// A file under `segments/` no manifest entry references (e.g. a run
+    /// written by a loose commit that crashed before its manifest rename).
     OrphanSegment,
     /// A shard manifest or arena fails its checksum, disagrees with the
     /// root manifest, or holds a slot whose payload disagrees with the
@@ -118,8 +123,8 @@ impl IndexCacheState {
 pub struct RepairSummary {
     /// Files moved into `quarantine/` (relative paths).
     pub quarantined: Vec<String>,
-    /// Table ids dropped from the manifest (their segments were corrupt
-    /// or missing).
+    /// Table ids dropped from the manifest (their records were corrupt or
+    /// missing).
     pub dropped_tables: Vec<String>,
     /// `.tmp` staging files removed.
     pub removed_tmp: Vec<String>,
@@ -144,7 +149,8 @@ pub struct FsckReport {
     pub catalog: String,
     /// Tables the manifest declares.
     pub tables: usize,
-    /// Segments that verified end to end.
+    /// Records that verified end to end: loose (run slots and legacy
+    /// segments) and shard-resident.
     pub segments_ok: usize,
     /// Surviving pre-checksum (v1) frames — readable, but unprotected
     /// until a rewrite migrates them.
@@ -270,55 +276,71 @@ pub fn fsck(dir: &Path, repair: bool) -> StoreResult<FsckReport> {
     report.tables = entries.len()
         + sharded_total.saturating_sub(tombstones.len() as u64) as usize;
 
-    // ---- segments: every checksum, every manifest agreement ----
+    // ---- loose tier: every record's checksum and manifest agreement ----
+    // A bad run slot drops only its own table; a missing or unreadable
+    // run drops every table it held.
     let seg_dir = dir.join(catalog::SEGMENT_DIR);
     let mut bad_tables: Vec<String> = Vec::new();
-    let mut quarantine: Vec<PathBuf> = Vec::new();
+    let mut runs: BTreeMap<&str, Result<ArenaIndex, (ProblemKind, String)>> = BTreeMap::new();
     for (id, entry) in &entries {
-        let rel = format!("{}/{}", catalog::SEGMENT_DIR, entry.segment);
         let path = seg_dir.join(&entry.segment);
-        if !path.exists() {
-            report.problems.push(Problem {
-                kind: ProblemKind::MissingSegment,
-                file: rel,
-                table: Some(id.clone()),
-                detail: "manifest references a segment that is not on disk".to_string(),
-            });
-            bad_tables.push(id.clone());
-            continue;
-        }
-        if frame_version(&path) == Some(ser::LEGACY_VERSION) {
-            report.v1_segments += 1;
-        }
-        let verified = durable::read_file_checked(&path, |r| {
-            let rec = ser::read_record(r)?;
-            if rec.content_hash != entry.content_hash || rec.table_id() != id {
-                return Err(StoreError::corrupt(
-                    "TSFMSEG1",
-                    format!(
-                        "segment holds table {:?} hash {:#x}, manifest expects {id:?} hash {:#x}",
-                        rec.table_id(),
-                        rec.content_hash,
-                        entry.content_hash
-                    ),
-                ));
+        let rec = match entry.slot {
+            Some(slot) => {
+                match runs.entry(&entry.segment).or_insert_with(|| {
+                    ArenaIndex::open_run(&path).map_err(segment_problem)
+                }) {
+                    Ok(run) => run.read_record(slot as usize).map_err(segment_problem),
+                    Err(problem) => Err(problem.clone()),
+                }
             }
-            Ok(())
+            None => {
+                if frame_version(&path) == Some(ser::LEGACY_VERSION) {
+                    report.v1_segments += 1;
+                }
+                durable::read_file_checked(&path, ser::read_record).map_err(segment_problem)
+            }
+        };
+        let (kind, detail) = match rec {
+            Ok(rec) if rec.content_hash == entry.content_hash && rec.table_id() == id => {
+                report.segments_ok += 1;
+                continue;
+            }
+            Ok(rec) => (
+                ProblemKind::CorruptSegment,
+                format!(
+                    "record holds table {:?} hash {:#x}, manifest expects {id:?} hash {:#x}",
+                    rec.table_id(),
+                    rec.content_hash,
+                    entry.content_hash
+                ),
+            ),
+            Err(problem) => problem,
+        };
+        report.problems.push(Problem {
+            kind,
+            file: format!("{}/{}", catalog::SEGMENT_DIR, entry.segment),
+            table: Some(id.clone()),
+            detail,
         });
-        match verified {
-            Ok(()) => report.segments_ok += 1,
-            Err(e) => {
-                report.problems.push(Problem {
-                    kind: ProblemKind::CorruptSegment,
-                    file: rel,
-                    table: Some(id.clone()),
-                    detail: e.to_string(),
-                });
-                bad_tables.push(id.clone());
-                quarantine.push(path);
-            }
-        }
+        bad_tables.push(id.clone());
     }
+    // A damaged file no surviving entry references is moved aside; one
+    // that still backs other tables stays where they read it.
+    let surviving: BTreeSet<&str> = entries
+        .iter()
+        .filter(|(id, _)| !bad_tables.contains(id))
+        .map(|(_, e)| e.segment.as_str())
+        .collect();
+    let mut quarantine: Vec<PathBuf> = bad_tables
+        .iter()
+        .filter_map(|id| entries.get(id))
+        .map(|e| e.segment.as_str())
+        .filter(|f| !surviving.contains(f))
+        .collect::<BTreeSet<&str>>()
+        .into_iter()
+        .map(|f| seg_dir.join(f))
+        .filter(|p| p.exists())
+        .collect();
 
     // ---- shard layer: manifests, arenas, every active slot ----
     let shard_dir = dir.join(shard::SHARD_DIR);
@@ -604,6 +626,17 @@ pub fn fsck(dir: &Path, repair: bool) -> StoreResult<FsckReport> {
     Ok(report)
 }
 
+/// What a failed read of a loose record's file reports.
+fn segment_problem(e: StoreError) -> (ProblemKind, String) {
+    match e {
+        StoreError::Io(io) if io.kind() == std::io::ErrorKind::NotFound => (
+            ProblemKind::MissingSegment,
+            "manifest references a segment that is not on disk".to_string(),
+        ),
+        e => (ProblemKind::CorruptSegment, e.to_string()),
+    }
+}
+
 /// Frame version of a file's leading container, `None` if unreadable.
 fn frame_version(path: &Path) -> Option<u32> {
     let mut r = BufReader::new(File::open(path).ok()?);
@@ -738,12 +771,12 @@ mod tests {
         cat
     }
 
-    /// [`seeded_catalog`] over a folded baseline of `4n + 1` filler
+    /// [`seeded_catalog`] over a folded baseline of `4n + 5` filler
     /// tables — a catalog's first commit always folds — so the `n` seeded
-    /// tables commit loose and their segment files exist. Returns the
-    /// catalog and the baseline's size.
+    /// tables commit loose, into one run, and one more table after them
+    /// would too. Returns the catalog and the baseline's size.
     fn loose_seeded_catalog(dir: &Path, n: i64) -> (Catalog, usize) {
-        let base = 4 * n + 1;
+        let base = 4 * n + 5;
         let mut cat = Catalog::open(dir).unwrap();
         for i in 0..base {
             cat.add_table(&table(&format!("base{i}"), &[-i, i]), i as u64 + 1).unwrap();
@@ -775,13 +808,13 @@ mod tests {
     fn corrupt_segment_detected_and_repaired() {
         let dir = tmp_dir("seg");
         let (cat, base) = loose_seeded_catalog(&dir, 4);
-        let victim = cat.entry("t2").unwrap().segment.clone();
+        let entry = cat.entry("t2").unwrap().clone();
         drop(cat);
-        // Flip one payload bit.
-        let path = dir.join(catalog::SEGMENT_DIR).join(&victim);
+        // Flip one bit inside t2's slot of the run.
+        let path = dir.join(catalog::SEGMENT_DIR).join(&entry.segment);
+        let slot = ArenaIndex::open_run(&path).unwrap().slots[entry.slot.unwrap() as usize];
         let mut bytes = fs::read(&path).unwrap();
-        let at = bytes.len() - 3;
-        bytes[at] ^= 0x10;
+        bytes[(slot.offset + slot.len / 2) as usize] ^= 0x10;
         fs::write(&path, &bytes).unwrap();
 
         let report = fsck(&dir, false).unwrap();
@@ -799,7 +832,9 @@ mod tests {
         let summary = repaired.repair.expect("repair acted");
         assert_eq!(summary.dropped_tables, vec!["t2".to_string()]);
         assert!(summary.index_rebuilt);
-        assert!(dir.join(QUARANTINE_DIR).join(&victim).exists(), "bad bytes preserved");
+        // The run still backs t0, t1 and t3, so its bad bytes stay in place.
+        assert!(summary.quarantined.is_empty(), "{summary:?}");
+        assert_eq!(fs::read(&path).unwrap(), bytes, "bad bytes preserved");
 
         // The store is now smaller but green: re-verifies clean and opens.
         let after = fsck(&dir, false).unwrap();
@@ -816,34 +851,48 @@ mod tests {
         let dir = tmp_dir("orphan");
         drop(seeded_catalog(&dir, 2));
         fs::write(dir.join(catalog::SEGMENT_DIR).join("ghost-0000-1.seg"), b"zzz").unwrap();
+        fs::write(dir.join(catalog::SEGMENT_DIR).join("run-00000001-00000001.arena"), b"zz")
+            .unwrap();
         fs::write(dir.join(catalog::SEGMENT_DIR).join("half.tmp"), b"partial").unwrap();
         fs::write(dir.join("catalog.tmp"), b"partial").unwrap();
 
         let report = fsck(&dir, false).unwrap();
         let kinds: Vec<ProblemKind> = report.problems.iter().map(|p| p.kind).collect();
-        assert!(kinds.contains(&ProblemKind::OrphanSegment));
+        assert_eq!(kinds.iter().filter(|k| **k == ProblemKind::OrphanSegment).count(), 2);
         assert_eq!(kinds.iter().filter(|k| **k == ProblemKind::TmpFile).count(), 2);
 
         let repaired = fsck(&dir, true).unwrap();
         let summary = repaired.repair.expect("repair acted");
-        assert_eq!(summary.quarantined, vec!["quarantine/ghost-0000-1.seg".to_string()]);
+        assert_eq!(
+            summary.quarantined,
+            ["quarantine/ghost-0000-1.seg", "quarantine/run-00000001-00000001.arena"]
+        );
         assert_eq!(summary.removed_tmp.len(), 2);
         assert!(summary.dropped_tables.is_empty(), "good tables untouched");
         assert!(fsck(&dir, false).unwrap().healthy());
     }
 
+    /// A missing run drops exactly the tables it held: the second loose
+    /// commit's run goes, the first one's tables stay.
     #[test]
     fn missing_segment_detected_and_dropped() {
         let dir = tmp_dir("missing");
-        let (cat, _) = loose_seeded_catalog(&dir, 3);
+        let (mut cat, base) = loose_seeded_catalog(&dir, 3);
+        cat.add_table(&table("late", &[7, 8]), 900).unwrap();
+        cat.commit().unwrap();
         let victim = cat.entry("t0").unwrap().segment.clone();
+        assert_ne!(cat.entry("late").unwrap().segment, victim, "one run per loose commit");
         drop(cat);
         fs::remove_file(dir.join(catalog::SEGMENT_DIR).join(victim)).unwrap();
         let report = fsck(&dir, false).unwrap();
-        assert!(report.problems.iter().any(|p| p.kind == ProblemKind::MissingSegment));
+        let missing = report.problems.iter().filter(|p| p.kind == ProblemKind::MissingSegment);
+        assert_eq!(missing.count(), 3, "{}", report.to_json());
         let repaired = fsck(&dir, true).unwrap();
-        assert_eq!(repaired.repair.unwrap().dropped_tables, vec!["t0".to_string()]);
-        assert!(fsck(&dir, false).unwrap().healthy());
+        assert_eq!(repaired.repair.unwrap().dropped_tables, ["t0", "t1", "t2"]);
+        let after = fsck(&dir, false).unwrap();
+        assert!(after.healthy(), "{}", after.to_json());
+        assert_eq!(after.tables, base + 1);
+        assert!(Catalog::open(&dir).unwrap().get("late").unwrap().is_some());
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   protocol, offset-attributed checked reads, and the fault-injection
 //!   hook the crash-point tests drive;
 //! * [`fsck`] — offline verification and repair behind `tsfm fsck`:
-//!   every checksum verified, orphaned/missing segments and stale index
-//!   caches detected, damage reported as structured JSON, `--repair`
-//!   quarantining bad segments and rebuilding derived state;
+//!   every checksum verified, orphaned/missing runs, segments and shards
+//!   and stale index caches detected, damage reported as structured JSON,
+//!   `--repair` dropping bad records, quarantining damaged files and
+//!   rebuilding derived state;
 //! * [`TableRecord`] — the unit of storage: one table's sketch bundle,
 //!   optional neural embeddings, and the content hash of its source;
 //! * [`Catalog`] — a directory-backed catalog with incremental ingest

@@ -30,7 +30,11 @@
 //! lazy sketch load can never return silently corrupt bytes. Slot `i` of
 //! the arena belongs to entry `i` of the shard manifest.
 //!
-//! Both files are written whole through [`crate::durable::commit_file`]
+//! A loose commit writes its records into an arena of the same layout,
+//! a *run* under `segments/`, named by the root manifest's loose entries
+//! rather than by a shard manifest ([`ArenaIndex::open_run`]).
+//!
+//! Both shard files are written whole through [`crate::durable::commit_file`]
 //! under a *new* generation number; the root manifest flips to the new
 //! generation in one atomic commit and only then are old-generation
 //! files unlinked — readers holding the old files' descriptors (a
@@ -285,11 +289,23 @@ pub struct ArenaIndex {
 }
 
 impl ArenaIndex {
-    /// Open and verify an arena against its root-manifest metadata.
+    /// Open and verify a shard's arena against its root-manifest metadata.
     /// Header-field disagreement, a bad offset-table checksum, or any
     /// out-of-bounds slot is a typed [`StoreError::Corrupt`] naming the
     /// shard and offset.
     pub fn open(path: &Path, meta: &ShardMeta) -> StoreResult<Self> {
+        Self::open_checked(path, Some(meta))
+    }
+
+    /// Open and verify a loose run under `segments/`: the same layout
+    /// checks as [`ArenaIndex::open`], with no root-manifest metadata to
+    /// hold the header against — each manifest entry naming a slot checks
+    /// the record it reads there.
+    pub fn open_run(path: &Path) -> StoreResult<Self> {
+        Self::open_checked(path, None)
+    }
+
+    fn open_checked(path: &Path, meta: Option<&ShardMeta>) -> StoreResult<Self> {
         use std::os::unix::fs::FileExt;
         let corrupt = |offset: u64, detail: String| {
             durable::note_corruption(
@@ -298,7 +314,7 @@ impl ArenaIndex {
         };
         let file = File::open(path)?;
         let file_len = file.metadata()?.len();
-        if file_len != meta.arena_bytes {
+        if let Some(meta) = meta.filter(|m| m.arena_bytes != file_len) {
             return Err(corrupt(
                 file_len.min(meta.arena_bytes),
                 format!(
@@ -324,7 +340,9 @@ impl ArenaIndex {
         let generation = ser::read_u64(&mut fields)?;
         let count = ser::read_u64(&mut fields)?;
         let index_crc = ser::read_u32(&mut fields)?;
-        if index != meta.index || generation != meta.generation || count != meta.entry_count {
+        if let Some(meta) = meta.filter(|m| {
+            index != m.index || generation != m.generation || count != m.entry_count
+        }) {
             return Err(corrupt(
                 12,
                 format!(

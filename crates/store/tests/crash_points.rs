@@ -11,7 +11,7 @@
 //! * once a commit has been acknowledged (`commit()` returned `Ok`), a
 //!   later crash never loses it; and
 //! * `tsfm fsck --repair` then clears any debris the crash left behind
-//!   (orphaned segments from an interrupted loose commit, torn `.tmp`
+//!   (an orphaned run from an interrupted loose commit, torn `.tmp`
 //!   staging files, unreferenced shard generations) and the store
 //!   verifies green.
 //!
@@ -19,7 +19,9 @@
 //! the new records land: over a small shard layer its churn reaches the
 //! compaction quarter and the commit *folds* the batch straight into new
 //! arenas (no segment file at all); over a larger one it stays *loose*
-//! and writes, fsyncs and directory-syncs segment files. Both are swept.
+//! and writes its records into one run under `segments/`. Both are swept.
+//! A loose commit writes one file whatever its size, so its site count is
+//! the same for a 2-record batch as for a 12-record one.
 //!
 //! The fault plan in `durable::fault` is process-global, so the whole
 //! sweep lives in ONE `#[test]` body — Rust's parallel test runner must
@@ -49,23 +51,34 @@ fn table(id: &str, rows: usize, salt: u64) -> Table {
 }
 
 /// How the faulted commit lands, set by how many shard residents the
-/// baseline holds besides `a` and `b`. The workload's churn is 2 loose
-/// entries + 2 tombstones: against 2 residents that reaches the quarter
-/// and the commit folds; against 17 it stays under it and commits loose.
+/// baseline holds besides `a` and `b`. The workload's churn is `adds`
+/// new tables and the rewrite of `b` as loose entries, plus 2
+/// tombstones: 2 + 2 against 2 residents reaches the quarter and the
+/// commit folds; 12 + 2 against 62 stays under it and commits loose.
 #[derive(Debug, Clone, Copy)]
 struct Shape {
     name: &'static str,
     extra: usize,
+    adds: usize,
     folds: bool,
 }
 
 const SHAPES: [Shape; 2] = [
-    Shape { name: "folding", extra: 0, folds: true },
-    Shape { name: "loose", extra: 15, folds: false },
+    Shape { name: "folding", extra: 0, adds: 1, folds: true },
+    Shape { name: "loose", extra: 60, adds: 11, folds: false },
 ];
+
+/// The loose shape with a 2-record batch, counted but not swept: its
+/// site inventory must equal the 12-record one's.
+const SMALL_LOOSE: Shape = Shape { name: "loose_small", extra: 15, adds: 1, folds: false };
 
 fn extra_ids(shape: Shape) -> Vec<String> {
     (0..shape.extra).map(|i| format!("p{i:02}")).collect()
+}
+
+/// The tables the workload adds: `c`, then `c01`, `c02`, ….
+fn added_ids(shape: Shape) -> Vec<String> {
+    (0..shape.adds).map(|i| if i == 0 { "c".to_string() } else { format!("c{i:02}") }).collect()
 }
 
 /// Committed, unfaulted baseline: tables `a`, `b` and the shape's extras
@@ -83,15 +96,18 @@ fn build_baseline(dir: &Path, shape: Shape) {
     cat.compact().expect("baseline compact");
 }
 
-/// The faulted workload: add `c`, rewrite `b`, drop `a`, commit, rebuild
-/// the index. Returns whether `commit()` was acknowledged before any
-/// fault fired. Every error is swallowed — after the injected fault trips
-/// the plan poisons all later durable ops, simulating a hard crash.
-fn mutate(dir: &Path) -> bool {
+/// The faulted workload: add the shape's new tables, rewrite `b`, drop
+/// `a`, commit, rebuild the index. Returns whether `commit()` was
+/// acknowledged before any fault fired. Every error is swallowed — after
+/// the injected fault trips the plan poisons all later durable ops,
+/// simulating a hard crash.
+fn mutate(dir: &Path, shape: Shape) -> bool {
     let mut acked = false;
     let _ = (|| -> StoreResult<()> {
         let mut cat = Catalog::open(dir)?;
-        cat.add_table(&table("c", 6, 3), 30)?;
+        for (i, id) in added_ids(shape).iter().enumerate() {
+            cat.add_table(&table(id, 6, 3 + i as u64), 30 + i as u64)?;
+        }
         cat.add_table(&table("b", 5, 9), 21)?; // changed content: update
         cat.remove("a")?;
         cat.commit()?;
@@ -104,10 +120,12 @@ fn mutate(dir: &Path) -> bool {
 
 /// The two legal table sets: before the workload's commit and after it.
 fn legal_states(shape: Shape) -> (BTreeSet<String>, BTreeSet<String>) {
-    let with_extras = |ids: &[&str]| -> BTreeSet<String> {
-        ids.iter().map(|s| (*s).to_string()).chain(extra_ids(shape)).collect()
+    let with_extras = |ids: Vec<String>| -> BTreeSet<String> {
+        ids.into_iter().chain(extra_ids(shape)).collect()
     };
-    (with_extras(&["a", "b"]), with_extras(&["b", "c"]))
+    let mut committed = added_ids(shape);
+    committed.push("b".to_string());
+    (with_extras(vec!["a".to_string(), "b".to_string()]), with_extras(committed))
 }
 
 /// Full consistency probe: open, list, load every record, rebuild a
@@ -145,13 +163,13 @@ fn count_sites(shape: Shape) -> u64 {
     let dir = tmp_dir(&format!("{}_count", shape.name));
     build_baseline(&dir, shape);
     fault::arm_counting(&dir);
-    let acked = mutate(&dir);
+    let acked = mutate(&dir, shape);
     let sites = fault::disarm();
     assert!(acked, "{}: unfaulted dry run must commit", shape.name);
     assert!(!fault::tripped(), "counting mode never trips");
     assert!(
         sites >= 10,
-        "{}: expected a rich site inventory (arena or segment writes, fsyncs, manifest \
+        "{}: expected a rich site inventory (arena or run writes, fsyncs, manifest \
          and index commits); counted only {sites}",
         shape.name
     );
@@ -159,7 +177,7 @@ fn count_sites(shape: Shape) -> u64 {
     if shape.folds {
         assert_eq!(segments, 0, "a folding commit must create nothing under segments/");
     } else {
-        assert_eq!(segments, 2, "a loose commit writes one segment per new record");
+        assert_eq!(segments, 1, "a loose commit adds exactly one file under segments/");
     }
     probe(&dir, shape, acked).expect("unfaulted workload must probe clean");
     let _ = std::fs::remove_dir_all(&dir);
@@ -172,8 +190,12 @@ fn every_crash_point_reopens_consistent() {
     let mut expected = 0u64;
     let mut repairs = 0u64;
     let mut inventory = Vec::new();
+    let small = count_sites(SMALL_LOOSE);
     for shape in SHAPES {
         let sites = count_sites(shape);
+        if !shape.folds {
+            assert_eq!(sites, small, "a loose commit's sites do not grow with its batch");
+        }
         inventory.push(format!("{} {sites}", shape.name));
         expected += 2 * sites;
         for mode in [FaultMode::Fail, FaultMode::Torn] {
@@ -182,7 +204,7 @@ fn every_crash_point_reopens_consistent() {
                 let dir = tmp_dir(&format!("{}_{mode:?}_{site}", shape.name));
                 build_baseline(&dir, shape);
                 fault::arm(&dir, site, mode);
-                let acked = mutate(&dir);
+                let acked = mutate(&dir, shape);
                 let was_tripped = fault::tripped(); // read before disarm clears the plan
                 let seen = fault::disarm();
                 assert!(
@@ -210,7 +232,7 @@ fn every_crash_point_reopens_consistent() {
                 }
 
                 // Then fsck must be able to sweep any crash debris
-                // (orphaned segments, torn .tmp files) and verify green.
+                // (an orphaned run, torn .tmp files) and verify green.
                 let report =
                     fsck(&dir, true).unwrap_or_else(|e| panic!("{ctx}: fsck errored: {e}"));
                 assert!(

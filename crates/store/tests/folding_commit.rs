@@ -1,7 +1,8 @@
 //! Where a commit puts a batch's bytes. `add_record` only serializes a
 //! record and holds the frame; the commit decides. A *folding* commit
 //! (compaction due, or `compact()`) copies the held frames straight into
-//! new shard arenas, a *loose* one writes them as segment files. The
+//! new shard arenas, a *loose* one writes them into one run under
+//! `segments/`. The
 //! choice must be invisible everywhere but the segment directory: the
 //! same shard files and manifest as a loose commit followed by a
 //! compaction, the same reads before a commit as after it, and a failed
@@ -130,14 +131,14 @@ fn folding_commit_writes_the_bytes_of_a_loose_commit_then_compact() {
     add_all(&mut loose, &recs);
     assert!(!loose.compaction_due());
     loose.commit().unwrap();
-    assert_eq!(files(&loose_dir, "segments").len(), recs.len());
+    assert_eq!(files(&loose_dir, "segments").len(), 1, "one run per loose commit");
     loose.compact().unwrap();
 
     let mixed_dir = tmp_dir("mixed");
     let mut mixed = baseline(&mixed_dir, recs.len());
     add_all(&mut mixed, &recs[..15]);
     mixed.commit().unwrap();
-    assert_eq!(files(&mixed_dir, "segments").len(), 15);
+    assert_eq!(files(&mixed_dir, "segments").len(), 1);
     add_all(&mut mixed, &recs[15..]);
     mixed.compact().unwrap();
 
@@ -208,9 +209,9 @@ fn uncommitted_reads_match_committed_reads() {
         }
         drop(cat);
 
-        // A cold reopen reads what the commit wrote — segments or arenas.
+        // A cold reopen reads what the commit wrote — a run or arenas.
         let mut cat = Catalog::open(&dir).unwrap();
-        let loose = if fold { 0 } else { recs.len() };
+        let loose = usize::from(!fold);
         assert_eq!(files(&dir, "segments").len(), loose);
         for (r, pre) in recs.iter().zip(&pre_records) {
             assert_eq!(&record_bytes(&cat, r.table_id()), pre, "{}", r.table_id());
@@ -251,21 +252,21 @@ fn failed_commit_keeps_the_batch_and_the_retry_writes_the_same_bytes() {
     assert!(files(&dir, "segments").is_empty());
     drop((cat, reference));
 
-    // Loose: the first segment write tears halfway (site 1); the retry
-    // replaces the torn file atomically and writes the rest.
+    // Loose: the run's write tears halfway (site 1); the retry stages the
+    // same run again and commits it.
     let ref_loose = tmp_dir("retry_ref_loose");
     let mut reference = baseline(&ref_loose, recs.len());
     add_all(&mut reference, &recs);
     reference.commit().unwrap();
-    assert_eq!(files(&ref_loose, "segments").len(), recs.len());
+    assert_eq!(files(&ref_loose, "segments").len(), 1);
 
     let loose_dir = tmp_dir("retry_loose");
     let mut cat = baseline(&loose_dir, recs.len());
     add_all(&mut cat, &recs);
     fault::arm(&loose_dir, 1, FaultMode::Torn);
-    assert!(cat.commit().is_err(), "the torn segment write fails the commit");
+    assert!(cat.commit().is_err(), "the torn run write fails the commit");
     fault::disarm();
-    assert_eq!(files(&loose_dir, "segments").len(), 1, "only the torn file exists");
+    assert_eq!(files(&loose_dir, "segments").len(), 1, "only the torn staging file exists");
     cat.commit().unwrap();
     assert_eq!(files(&loose_dir, "segments"), files(&ref_loose, "segments"), "retried commit");
     assert_eq!(sharded_state(&loose_dir), sharded_state(&ref_loose));

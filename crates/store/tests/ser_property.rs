@@ -69,13 +69,13 @@ fn manifest_bytes(tables: usize) -> Vec<u8> {
     bytes
 }
 
-/// A committed `TSFMSEG1` segment (with its nested `TSFMEMB1` frame) as
-/// written by the real ingest path.
+/// A committed `TSFMSEG1` frame (with its nested `TSFMEMB1` frame) as
+/// written by the real ingest path, read out of its loose run's slot.
 fn segment_bytes(rows: usize) -> Vec<u8> {
     let dir = tmp_dir("make_segment");
     let mut cat = Catalog::open(&dir).expect("open");
     // A first commit folds into a shard arena; over five shard residents
-    // a one-table commit stays loose and writes a segment file.
+    // a one-table commit stays loose and writes a run.
     for i in 0..5 {
         let id = format!("base{i}");
         let t = csv::table_from_csv(&id, &id, &format!("city,pop\nLinz{i},{i}\n"));
@@ -89,8 +89,9 @@ fn segment_bytes(rows: usize) -> Vec<u8> {
     let t = csv::table_from_csv("seg", "seg", &csv_text);
     cat.add_table(&t, 77).expect("add");
     cat.commit().expect("commit");
-    let seg = cat.entry("seg").expect("entry").segment.clone();
-    let bytes = std::fs::read(dir.join("segments").join(seg)).expect("read segment");
+    let entry = cat.entry("seg").expect("entry").clone();
+    let run = ArenaIndex::open_run(&dir.join("segments").join(&entry.segment)).expect("run");
+    let bytes = run.read_payload(entry.slot.expect("a run slot") as usize).expect("read slot");
     let _ = std::fs::remove_dir_all(&dir);
     bytes
 }

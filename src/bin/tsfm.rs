@@ -10,7 +10,7 @@
 //! tsfm stats  <catalog-dir>                               catalog summary
 //! tsfm stats  --addr HOST:PORT                            live-server stats + metrics
 //! tsfm fsck   <catalog-dir> [--repair]                    verify checksums, repair damage
-//! tsfm compact <catalog-dir>                              fold loose segments into shards
+//! tsfm compact <catalog-dir>                              fold the loose tier into shards
 //! ```
 //!
 //! Modes: `join` (default), `union`, `subset`. Re-running `ingest` on an
@@ -27,11 +27,12 @@
 //! started with. The wire protocol (one JSON request per line, one JSON
 //! response line back) is documented in `tsfm_store::wire`.
 //!
-//! `fsck` verifies every checksum in the store (manifest, segments,
-//! index cache), detects orphaned/missing segments and leftover staging
-//! files, and prints one structured JSON report. With `--repair` bad
-//! segments are quarantined under `<catalog>/quarantine/`, their manifest
-//! entries dropped, and the index cache rebuilt — a damaged store
+//! `fsck` verifies every checksum in the store (manifest, loose runs and
+//! legacy segments, shards, index cache), detects orphaned/missing files
+//! and leftover staging files, and prints one structured JSON report.
+//! With `--repair` bad records' manifest entries are dropped, damaged
+//! files no surviving entry references are quarantined under
+//! `<catalog>/quarantine/`, and the index cache rebuilt — a damaged store
 //! degrades to a smaller-but-correct one. Exit codes: 0 the store is (or
 //! was repaired to be) consistent, 1 unrepaired damage remains, 2 usage
 //! or environmental error.

@@ -307,9 +307,9 @@ fn error_taxonomy_round_trips_the_facade() {
     let t = csv::table_from_csv("q", "q", "a\n1\n");
     assert!(matches!(searcher.search_table(&t, &req), Err(StoreError::EmptyIndex)));
 
-    // Corrupt segment → Corrupt{format: TSFMSEG1}. A first commit folds
-    // into a shard arena; over five shard residents a one-table commit
-    // stays loose and writes a segment file.
+    // Truncated loose run → Corrupt{format: TSFMARN1}. A first commit
+    // folds into a shard arena; over five shard residents a one-table
+    // commit stays loose and writes a run.
     for i in 0..5u64 {
         let id = format!("f{i}");
         cat.add_table(&csv::table_from_csv(&id, &id, &format!("a\n{}\n", i + 2)), 100 + i).unwrap();
@@ -324,7 +324,7 @@ fn error_taxonomy_round_trips_the_facade() {
     bytes.truncate(mid);
     fs::write(&seg, bytes).unwrap();
     match cat.record("q") {
-        Err(StoreError::Corrupt { format, .. }) => assert_eq!(format, "TSFMSEG1"),
+        Err(StoreError::Corrupt { format, .. }) => assert_eq!(format, "TSFMARN1"),
         other => panic!("expected Corrupt, got {other:?}"),
     }
 

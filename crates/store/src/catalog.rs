@@ -90,8 +90,7 @@ use crate::shard::{self, ArenaIndex, ShardEntry, ShardManifest, ShardMeta};
 use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::{self, File};
-use std::io::BufReader;
+use std::fs;
 use std::path::{Path, PathBuf};
 use tsfm_search::Hnsw;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -394,6 +393,9 @@ impl Catalog {
         obs().counter("tsfm_store_compactions_total", "Shard compaction passes completed");
         obs().histogram("tsfm_store_arena_read_us", "Positioned arena payload read latency");
         index_build_histogram();
+        index_cache_load_histogram();
+        index_cache_write_histogram();
+        load_records_histogram();
         index_updates_counter();
         index_update_histogram();
         dead_columns_gauge();
@@ -1371,21 +1373,24 @@ impl Catalog {
     /// contents fingerprinted `fp`. The fingerprint is peeked first: a
     /// readable header naming other contents skips the full read and its
     /// checksum pass. Anything else — a match, a missing file, an
-    /// unreadable header — takes the verified read, which has already
-    /// counted a corrupt cache in `tsfm_store_corruptions_detected_total`
-    /// when it fails (the failure itself is swallowed: a rebuild answers
-    /// the query). A cache without the engine-meta section is a miss.
+    /// unreadable header — takes [`read_index_engine`], the check fsck
+    /// reports by, which has already counted a corrupt cache in
+    /// `tsfm_store_corruptions_detected_total` when it fails (the failure
+    /// itself is swallowed: a rebuild answers the query). A cache without
+    /// the engine-meta section is a miss.
     fn load_index_cache(&self, fp: u64) -> Option<QueryEngine> {
         let path = self.dir.join(INDEX_FILE);
         if peek_index_fingerprint(&path).is_some_and(|on_disk| on_disk != fp) {
             return None;
         }
         let _g = tsfm_obs::span!("catalog.index_cache.load");
-        let (cached_fp, join, union, meta) = read_index_cache(&path).ok()?;
-        if cached_fp != fp {
-            return None;
+        let t0 = std::time::Instant::now();
+        let loaded = read_index_engine(&path, self.sketch_cfg.minhash_k);
+        index_cache_load_histogram().record(t0.elapsed().as_micros() as u64);
+        match loaded {
+            Ok((cached_fp, engine)) if cached_fp == fp => engine,
+            _ => None,
         }
-        QueryEngine::from_meta(meta?, self.sketch_cfg.minhash_k, join, union).ok()
     }
 
     /// Choose how future snapshots materialize the corpus (see
@@ -1422,33 +1427,41 @@ impl Catalog {
     /// Load every active record (ascending id order), across both tiers.
     pub fn load_all_records(&self) -> StoreResult<Vec<TableRecord>> {
         let _g = tsfm_obs::span!("catalog.load_records");
+        let t0 = std::time::Instant::now();
         let mut out = self.load_loose_records()?;
         out.reserve(self.len().saturating_sub(out.len()));
         for slot in self.shards.iter().flatten() {
             let m = self.slot_manifest(slot)?;
             let arena = self.slot_arena(slot)?;
-            for (i, e) in m.entries.iter().enumerate() {
-                if self.tombstones.contains(&e.id) || self.entries.contains_key(&e.id) {
-                    continue;
+            // Slot `i` pairs with entry `i`; both counts were checked
+            // against the root manifest when the two were opened.
+            let live = |i: usize| {
+                m.entries.get(i).is_some_and(|e| {
+                    !self.tombstones.contains(&e.id) && !self.entries.contains_key(&e.id)
+                })
+            };
+            arena.read_records(live, |i, rec| {
+                let entry = m.entries.get(i).map(|e| (e.id.as_str(), e.content_hash));
+                if entry == Some((rec.table_id(), rec.content_hash)) {
+                    out.push(rec);
+                    return Ok(());
                 }
-                let rec = arena.read_record(i)?;
-                if rec.content_hash != e.content_hash || rec.table_id() != e.id {
-                    return Err(durable::note_corruption(
-                        StoreError::corrupt(
-                            "TSFMARN1",
-                            format!(
-                                "arena slot {i} of shard {} does not match its manifest \
-                                 entry for {:?}",
-                                slot.meta.index, e.id
-                            ),
-                        )
-                        .with_file(arena.path(), arena.slots.get(i).map_or(0, |s| s.offset)),
-                    ));
-                }
-                out.push(rec);
-            }
+                Err(durable::note_corruption(
+                    StoreError::corrupt(
+                        "TSFMARN1",
+                        format!(
+                            "arena slot {i} of shard {} does not match its manifest \
+                             entry for {:?}",
+                            slot.meta.index,
+                            entry.map_or(rec.table_id(), |(id, _)| id)
+                        ),
+                    )
+                    .with_file(arena.path(), arena.slots[i].offset),
+                ))
+            })?;
         }
         out.sort_by(|a, b| a.table_id().cmp(b.table_id()));
+        load_records_histogram().record(t0.elapsed().as_micros() as u64);
         Ok(out)
     }
 
@@ -1522,14 +1535,17 @@ impl Catalog {
 
     fn write_index_cache(&self, engine: &QueryEngine, fp: u64) -> StoreResult<()> {
         let _g = tsfm_obs::span!("catalog.index_cache.write");
-        let mut body = Vec::new();
-        ser::write_u64(&mut body, fp)?;
-        ser::write_hnsw(&mut body, engine.join_index())?;
-        ser::write_hnsw(&mut body, engine.union_index())?;
-        write_engine_meta(&mut body, engine)?;
-        let mut file = Vec::with_capacity(body.len() + 24);
-        ser::write_frame(&mut file, INDEX_MAGIC, &body)?;
-        durable::commit_file(&self.dir.join(INDEX_FILE), &file)
+        let t0 = std::time::Instant::now();
+        let mut file = Vec::new();
+        ser::write_framed(&mut file, INDEX_MAGIC, |w| {
+            ser::write_u64(w, fp)?;
+            ser::write_hnsw(w, engine.join_index())?;
+            ser::write_hnsw(w, engine.union_index())?;
+            write_engine_meta(w, engine)
+        })?;
+        let res = durable::commit_file(&self.dir.join(INDEX_FILE), &file);
+        index_cache_write_histogram().record(t0.elapsed().as_micros() as u64);
+        res
     }
 
     fn write_manifest(&self) -> StoreResult<()> {
@@ -1553,6 +1569,32 @@ fn index_build_histogram() -> Arc<tsfm_obs::Histogram> {
     obs().histogram(
         "tsfm_catalog_index_build_us",
         "QueryEngine::build latency (join and union HNSW lanes) on an index rebuild",
+    )
+}
+
+/// The verified read of `index.cache` and the engine's reassembly from it,
+/// run when its peeked fingerprint matches (hit or not).
+fn index_cache_load_histogram() -> Arc<tsfm_obs::Histogram> {
+    obs().histogram(
+        "tsfm_catalog_index_cache_load_us",
+        "index.cache read, checksum and decode latency, engine reassembly included",
+    )
+}
+
+/// Encoding and durably committing `index.cache`.
+fn index_cache_write_histogram() -> Arc<tsfm_obs::Histogram> {
+    obs().histogram(
+        "tsfm_catalog_index_cache_write_us",
+        "index.cache encode and commit latency (fsync and rename included)",
+    )
+}
+
+/// Reading and decoding every active record for an eager snapshot or a
+/// rebuild.
+fn load_records_histogram() -> Arc<tsfm_obs::Histogram> {
+    obs().histogram(
+        "tsfm_catalog_load_records_us",
+        "Latency of loading every active record, both tiers, for a snapshot or rebuild",
     )
 }
 
@@ -1623,30 +1665,33 @@ pub(crate) fn fingerprint_pairs<'a>(
 /// reading whole graphs to answer a validity bit would defeat the
 /// cache). `None` for a missing, unreadable, or visibly corrupt header.
 pub(crate) fn peek_index_fingerprint(path: &Path) -> Option<u64> {
-    let mut r = BufReader::new(File::open(path).ok()?);
-    ser::read_frame_header(&mut r, INDEX_MAGIC, "TSFM index cache").ok()?;
-    ser::read_u64(&mut r).ok()
+    let head = durable::read_prefix(path, ser::FRAME_HEADER_LEN as u64 + 8).ok()?;
+    let mut s = head.as_slice();
+    ser::read_frame_header(&mut s, INDEX_MAGIC, "TSFM index cache").ok()?;
+    ser::read_u64(&mut s).ok()
 }
+
+/// What an index cache file holds: fingerprint, join and union graphs,
+/// and the engine-meta section when present.
+type IndexCacheParts = (u64, Hnsw, Hnsw, Option<Vec<SpanMeta>>);
 
 /// Read and fully verify an index cache file: fingerprint, the join and
 /// union HNSW graphs, and — when present — the trailing engine-meta
 /// section (`None` for caches written before it existed, which the
 /// catalog treats as a miss). Corruption comes back as a typed
-/// [`StoreError::Corrupt`] naming the file and offset. Public so `fsck`
-/// and the corruption tests can drive verification directly (the catalog
-/// itself swallows cache errors and rebuilds).
-#[allow(clippy::type_complexity)]
-pub fn read_index_cache(path: &Path) -> StoreResult<(u64, Hnsw, Hnsw, Option<Vec<SpanMeta>>)> {
-    durable::read_file_checked(path, |r| {
-        let res = match ser::read_frame(r, INDEX_MAGIC, "TSFM index cache") {
-            Ok(ser::Payload::Legacy) => {
+/// [`StoreError::Corrupt`] naming the file and offset. Public so the
+/// corruption tests can drive verification directly.
+pub fn read_index_cache(path: &Path) -> StoreResult<IndexCacheParts> {
+    durable::read_file_checked(path, |s| {
+        let res = match ser::read_frame(s, INDEX_MAGIC, "TSFM index cache") {
+            Ok(ser::Frame::Legacy) => {
                 // v1 caches predate the meta section.
-                let fp = ser::read_u64(r)?;
-                let join = ser::read_hnsw(r)?;
-                let union = ser::read_hnsw(r)?;
+                let fp = ser::read_u64(s)?;
+                let join = ser::read_hnsw(s)?;
+                let union = ser::read_hnsw(s)?;
                 Ok((fp, join, union, None))
             }
-            Ok(ser::Payload::Framed(body)) => ser::parse_framed(&body, |s| {
+            Ok(ser::Frame::Payload(body)) => ser::parse_framed(body, |s| {
                 let fp = ser::read_u64(s)?;
                 let join = ser::read_hnsw(s)?;
                 let union = ser::read_hnsw(s)?;
@@ -1657,6 +1702,29 @@ pub fn read_index_cache(path: &Path) -> StoreResult<(u64, Hnsw, Hnsw, Option<Vec
         };
         res.map_err(|e| e.into_format("TSFMIDX1"))
     })
+}
+
+/// The one definition of a valid index cache, which the catalog serves
+/// from and `fsck` reports by: the file reads and verifies
+/// ([`read_index_cache`]) and [`QueryEngine::from_meta`] accepts its
+/// engine-meta section. Returns the fingerprint the cache was written for
+/// and the reassembled engine (`None` for a cache without the section).
+/// A section `from_meta` rejects is a typed [`StoreError::Corrupt`] like a
+/// bad checksum: stamped with the file (at its end: every byte was
+/// decoded), counted in `tsfm_store_corruptions_detected_total`. The
+/// engine is assembled after the file's bytes are released, so the two
+/// never peak together.
+pub(crate) fn read_index_engine(
+    path: &Path,
+    minhash_k: usize,
+) -> StoreResult<(u64, Option<QueryEngine>)> {
+    let (fp, join, union, meta) = read_index_cache(path)?;
+    let Some(meta) = meta else { return Ok((fp, None)) };
+    let engine = QueryEngine::from_meta(meta, minhash_k, join, union).map_err(|e| {
+        let end = fs::metadata(path).map_or(0, |m| m.len());
+        durable::note_corruption(e.into_format("TSFMIDX1").with_file(path, end))
+    })?;
+    Ok((fp, Some(engine)))
 }
 
 /// Tags opening the index cache's trailing engine-meta section. Tag 1: a
@@ -1739,40 +1807,41 @@ pub(crate) fn write_manifest_file(
     shards: &[Option<ShardMeta>],
     tombstones: &BTreeSet<String>,
 ) -> StoreResult<()> {
-    let mut body = Vec::new();
-    ser::write_u32(&mut body, cfg.minhash_k as u32)?;
-    ser::write_u64(&mut body, cfg.max_rows as u64)?;
-    ser::write_u64(&mut body, cfg.seed)?;
-    ser::write_u32(&mut body, entries.len() as u32)?;
-    for (id, e) in entries {
-        ser::write_str(&mut body, id)?;
-        match e.slot {
-            Some(slot) => ser::write_str(&mut body, &format!("{}#{slot}", e.segment))?,
-            None => ser::write_str(&mut body, &e.segment)?,
+    let mut file = Vec::new();
+    ser::write_framed(&mut file, MANIFEST_MAGIC, |w| {
+        ser::write_u32(w, cfg.minhash_k as u32)?;
+        ser::write_u64(w, cfg.max_rows as u64)?;
+        ser::write_u64(w, cfg.seed)?;
+        ser::write_u32(w, entries.len() as u32)?;
+        for (id, e) in entries {
+            ser::write_str(w, id)?;
+            match e.slot {
+                Some(slot) => ser::write_str(w, &format!("{}#{slot}", e.segment))?,
+                None => ser::write_str(w, &e.segment)?,
+            }
+            ser::write_u64(w, e.content_hash)?;
+            ser::write_u64(w, e.num_rows)?;
+            ser::write_u32(w, e.num_cols)?;
         }
-        ser::write_u64(&mut body, e.content_hash)?;
-        ser::write_u64(&mut body, e.num_rows)?;
-        ser::write_u32(&mut body, e.num_cols)?;
-    }
-    if !shards.is_empty() {
-        ser::write_u32(&mut body, shards.len() as u32)?;
-        let present: Vec<&ShardMeta> = shards.iter().flatten().collect();
-        ser::write_u32(&mut body, present.len() as u32)?;
-        for m in present {
-            ser::write_u32(&mut body, m.index)?;
-            ser::write_u64(&mut body, m.generation)?;
-            ser::write_u64(&mut body, m.entry_count)?;
-            ser::write_u64(&mut body, m.total_rows)?;
-            ser::write_u64(&mut body, m.total_cols)?;
-            ser::write_u64(&mut body, m.arena_bytes)?;
+        if !shards.is_empty() {
+            ser::write_u32(w, shards.len() as u32)?;
+            let present: Vec<&ShardMeta> = shards.iter().flatten().collect();
+            ser::write_u32(w, present.len() as u32)?;
+            for m in present {
+                ser::write_u32(w, m.index)?;
+                ser::write_u64(w, m.generation)?;
+                ser::write_u64(w, m.entry_count)?;
+                ser::write_u64(w, m.total_rows)?;
+                ser::write_u64(w, m.total_cols)?;
+                ser::write_u64(w, m.arena_bytes)?;
+            }
+            ser::write_u32(w, tombstones.len() as u32)?;
+            for id in tombstones {
+                ser::write_str(w, id)?;
+            }
         }
-        ser::write_u32(&mut body, tombstones.len() as u32)?;
-        for id in tombstones {
-            ser::write_str(&mut body, id)?;
-        }
-    }
-    let mut file = Vec::with_capacity(body.len() + 24);
-    ser::write_frame(&mut file, MANIFEST_MAGIC, &body)?;
+        Ok(())
+    })?;
     durable::commit_file(path, &file)
 }
 
@@ -1790,11 +1859,11 @@ pub(crate) fn read_manifest(path: &Path) -> StoreResult<ManifestContents> {
     durable::read_file_checked(path, |r| {
         let res = match ser::read_frame(r, MANIFEST_MAGIC, "TSFM catalog manifest") {
             // v1 manifests predate the shard layer.
-            Ok(ser::Payload::Legacy) => {
+            Ok(ser::Frame::Legacy) => {
                 let (cfg, entries) = read_manifest_body(r)?;
                 Ok((cfg, entries, Vec::new(), BTreeSet::new()))
             }
-            Ok(ser::Payload::Framed(body)) => ser::parse_framed(&body, |s| {
+            Ok(ser::Frame::Payload(body)) => ser::parse_framed(body, |s| {
                 let (cfg, entries) = read_manifest_body(s)?;
                 // The shard section is optional: absent means loose-only
                 // (and `parse_framed` still rejects trailing garbage).
@@ -1854,8 +1923,8 @@ fn read_shard_section(
     Ok((metas, tombstones))
 }
 
-fn read_manifest_body<R: std::io::Read>(
-    r: &mut R,
+fn read_manifest_body(
+    r: &mut &[u8],
 ) -> StoreResult<(SketchConfig, BTreeMap<String, ManifestEntry>)> {
     let cfg = SketchConfig {
         minhash_k: ser::read_u32(r)? as usize,
@@ -1992,6 +2061,37 @@ mod tests {
         cat.commit().unwrap();
         cat.searcher().unwrap();
         assert!(index_build_histogram().count() > before, "a rebuild records its build time");
+    }
+
+    /// The three histograms that say where a restart's time goes are
+    /// exported from open on, and a build (cache write, record load) and a
+    /// cold reopen (cache load) each record into theirs.
+    #[test]
+    fn restart_histograms_register_at_open_and_record() {
+        let dir = tmp_dir("restart_us");
+        let mut cat = Catalog::open(&dir).unwrap();
+        let names = obs().names();
+        for name in [
+            "tsfm_catalog_index_cache_load_us",
+            "tsfm_catalog_index_cache_write_us",
+            "tsfm_catalog_load_records_us",
+        ] {
+            assert!(names.iter().any(|n| n == name), "{name} exported at open");
+        }
+        let counts = || {
+            [index_cache_load_histogram(), index_cache_write_histogram(), load_records_histogram()]
+                .map(|h| h.count())
+        };
+        let [load0, write0, records0] = counts();
+        cat.add_table(&table("t", &[1, 2, 3]), 1).unwrap();
+        cat.commit().unwrap();
+        cat.searcher().unwrap();
+        let [_, write1, records1] = counts();
+        assert!(write1 > write0 && records1 > records0, "a build writes the cache, loads records");
+        drop(cat);
+        let mut cat = Catalog::open(&dir).unwrap();
+        cat.searcher().unwrap();
+        assert!(counts()[0] > load0, "a cold reopen loads the cache");
     }
 
     /// Fold `n` filler tables into the shard layer — a catalog's first

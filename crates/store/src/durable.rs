@@ -5,8 +5,11 @@
 //! Everything in `tsfm_store` that touches the filesystem funnels through
 //! this module (the `durable-write-required` lint enforces it):
 //!
-//! * [`crc32c`] — a std-only slicing-by-8 CRC32C (Castagnoli), the
-//!   checksum every v2 `TSFM*` frame carries over its payload;
+//! * [`crc32c`] — a std-only CRC32C (Castagnoli), the checksum every v2
+//!   `TSFM*` frame carries over its payload: four interleaved
+//!   slicing-by-8 lanes joined by [`crc32c_combine`] (zlib's
+//!   `crc32_combine`: multiply by `x^(8n) mod P`), bit-identical to the
+//!   bytewise definition;
 //! * [`commit_file`] — the one write path: write a temp file, fsync it,
 //!   rename it over the target, fsync the parent directory. A crash at
 //!   any instant leaves either the old file or the new one, never a torn
@@ -14,10 +17,12 @@
 //!   root manifest, the index cache, shard manifests and arenas, and the
 //!   one run a loose commit writes under `segments/` — so a commit costs
 //!   one fsync per file it writes, however many tables it carries;
-//! * [`read_file_checked`] — opens a file and runs a parser over a
-//!   byte-counting reader, stamping any [`StoreError::Corrupt`] with the
-//!   file name and the offset where decoding stopped, and counting it in
-//!   `tsfm_store_corruptions_detected_total`;
+//! * [`read_file_checked`] — reads a file once, into a buffer of exactly
+//!   its size, and runs a parser over the borrowed bytes, stamping any
+//!   [`StoreError::Corrupt`] with the file name and the offset where
+//!   decoding stopped, and counting it in
+//!   `tsfm_store_corruptions_detected_total`; [`read_at_checked`] is its
+//!   positioned twin for one arena slot;
 //! * [`fault`] — the test-only injection layer. It is compiled
 //!   unconditionally (integration tests cannot see a dependency's
 //!   `cfg(test)`) but costs one relaxed atomic load per I/O primitive
@@ -25,7 +30,7 @@
 
 use crate::error::{StoreError, StoreResult};
 use std::fs::{self, File};
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 // ---- CRC32C ---------------------------------------------------------------
@@ -56,26 +61,105 @@ fn crc_tables() -> &'static [[u32; 256]; 8] {
     })
 }
 
-/// CRC32C of `bytes` (slicing-by-8; ~8 bytes per table-lookup round).
-pub fn crc32c(bytes: &[u8]) -> u32 {
-    let t = crc_tables();
-    let mut crc = !0u32;
+/// One slicing-by-8 round: fold the next eight bytes into the raw
+/// (pre-inversion) register `crc`.
+#[inline(always)]
+fn slice8(t: &[[u32; 256]; 8], crc: u32, c: &[u8]) -> u32 {
+    let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    t[7][(lo & 0xff) as usize]
+        ^ t[6][((lo >> 8) & 0xff) as usize]
+        ^ t[5][((lo >> 16) & 0xff) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][c[4] as usize]
+        ^ t[2][c[5] as usize]
+        ^ t[1][c[6] as usize]
+        ^ t[0][c[7] as usize]
+}
+
+/// Raw-register CRC32C update over `bytes`: slicing-by-8, then bytewise.
+fn update(t: &[[u32; 256]; 8], mut crc: u32, bytes: &[u8]) -> u32 {
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        crc = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][c[4] as usize]
-            ^ t[2][c[5] as usize]
-            ^ t[1][c[6] as usize]
-            ^ t[0][c[7] as usize];
+        crc = slice8(t, crc, c);
     }
     for &b in chunks.remainder() {
         crc = t[0][((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
+}
+
+/// Inputs shorter than this take one lane: below it, the joins cost more
+/// than the lanes save.
+const LANE_MIN: usize = 1024;
+
+/// CRC32C of `bytes`. A long input is cut into four equal lanes whose
+/// slicing-by-8 rounds interleave in one loop — four independent
+/// dependency chains the CPU overlaps — and the four lane CRCs are joined
+/// by [`crc32c_combine`]; the few bytes past the fourth lane follow on
+/// one lane. Bit-identical to a bytewise CRC32C at every length.
+pub fn crc32c(bytes: &[u8]) -> u32 {
+    let t = crc_tables();
+    if bytes.len() < LANE_MIN {
+        return !update(t, !0, bytes);
+    }
+    let lane = bytes.len() / 32 * 8;
+    let (a, rest) = bytes.split_at(lane);
+    let (b, rest) = rest.split_at(lane);
+    let (c, rest) = rest.split_at(lane);
+    let (d, tail) = rest.split_at(lane);
+    let (mut ra, mut rb, mut rc, mut rd) = (!0u32, !0u32, !0u32, !0u32);
+    let lanes = a.chunks_exact(8).zip(b.chunks_exact(8)).zip(c.chunks_exact(8));
+    for (((wa, wb), wc), wd) in lanes.zip(d.chunks_exact(8)) {
+        ra = slice8(t, ra, wa);
+        rb = slice8(t, rb, wb);
+        rc = slice8(t, rc, wc);
+        rd = slice8(t, rd, wd);
+    }
+    let len = lane as u64;
+    let abcd = [rb, rc, rd].into_iter().fold(!ra, |acc, r| crc32c_combine(acc, !r, len));
+    !update(t, !abcd, tail)
+}
+
+/// The CRC32C of `a ‖ b` from `crc32c(a)`, `crc32c(b)` and `b`'s length,
+/// as zlib's `crc32_combine`: multiply `crc_a` by `x^(8·len_b) mod P`.
+pub fn crc32c_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    gf2_mul(x8n_mod_p(len_b), crc_a) ^ crc_b
+}
+
+/// `a · b mod P` over GF(2), both in the reflected bit order the CRC
+/// uses (bit 31 is the coefficient of `x^0`).
+fn gf2_mul(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    for i in (0..32).rev() {
+        p ^= b & 0u32.wrapping_sub((a >> i) & 1);
+        b = (b >> 1) ^ (POLY & 0u32.wrapping_sub(b & 1));
+    }
+    p
+}
+
+/// `x^(8n) mod P`: the product of one tabulated power per byte of `n`,
+/// `powers[i][v] = x^(8·v·256^i) mod P`.
+fn x8n_mod_p(n: u64) -> u32 {
+    static POWERS: std::sync::OnceLock<Box<[[u32; 256]; 8]>> = std::sync::OnceLock::new();
+    let powers = POWERS.get_or_init(|| {
+        let mut t = Box::new([[0u32; 256]; 8]);
+        // x^8: one byte of zeros through the register.
+        let mut unit = 1u32 << 23;
+        for row in t.iter_mut() {
+            row[0] = 1 << 31;
+            for v in 1..256 {
+                row[v] = gf2_mul(row[v - 1], unit);
+            }
+            // x^(8·256^(i+1)) = (x^(8·255·256^i)) · x^(8·256^i).
+            unit = gf2_mul(row[255], unit);
+        }
+        t
+    });
+    n.to_le_bytes()
+        .iter()
+        .zip(powers.iter())
+        .filter(|(&v, _)| v != 0)
+        .fold(1 << 31, |acc, (&v, row)| gf2_mul(acc, row[v as usize]))
 }
 
 // ---- fault injection ------------------------------------------------------
@@ -277,54 +361,33 @@ pub fn sync_dir(dir: &Path) -> StoreResult<()> {
 
 // ---- checked reads --------------------------------------------------------
 
-/// A reader that counts consumed bytes so corruption errors can name the
-/// stream offset where decoding stopped.
-pub struct CountingReader<R> {
-    inner: R,
-    offset: u64,
-}
-
-impl<R: Read> CountingReader<R> {
-    pub fn new(inner: R) -> Self {
-        Self { inner, offset: 0 }
-    }
-
-    /// Bytes consumed so far.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-}
-
-impl<R: Read> Read for CountingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.offset += n as u64;
-        Ok(n)
-    }
-}
-
-/// Open `path` and run `parse` over a buffered, byte-counting reader.
-/// A [`StoreError::Corrupt`] coming back is stamped with the file name
-/// and the offset reached, and counted in
-/// `tsfm_store_corruptions_detected_total`.
+/// Read `path` whole — one read into a buffer of exactly its size — and
+/// run `parse` over the bytes. A [`StoreError::Corrupt`] coming back is
+/// stamped with the file name and the offset reached (the bytes `parse`
+/// consumed), and counted in `tsfm_store_corruptions_detected_total`.
 pub fn read_file_checked<T>(
     path: &Path,
-    parse: impl FnOnce(&mut CountingReader<BufReader<File>>) -> StoreResult<T>,
+    parse: impl FnOnce(&mut &[u8]) -> StoreResult<T>,
 ) -> StoreResult<T> {
-    let mut r = CountingReader::new(BufReader::new(File::open(path)?));
-    match parse(&mut r) {
-        Ok(v) => Ok(v),
-        Err(e) => Err(note_corruption(e.with_file(path, r.offset()))),
-    }
+    let bytes = fs::read(path)?;
+    let mut rest = bytes.as_slice();
+    parse(&mut rest).map_err(|e| {
+        note_corruption(e.with_file(path, (bytes.len() - rest.len()) as u64))
+    })
+}
+
+/// The first `n` bytes of `path` (fewer if the file is shorter): what a
+/// header peek needs, without reading the rest of the file.
+pub(crate) fn read_prefix(path: &Path, n: u64) -> StoreResult<Vec<u8>> {
+    let mut head = Vec::with_capacity(n as usize);
+    File::open(path)?.take(n).read_to_end(&mut head)?;
+    Ok(head)
 }
 
 /// Positioned, checksum-verified read: `len` bytes at `offset` of an
-/// already-open arena `file`, verified against `crc` (CRC32C) before a
-/// byte is interpreted. This is the lazy sketch-load path — no seek, no
-/// shared cursor, so any number of snapshot readers can share one handle.
-/// A short read or checksum mismatch is a typed [`StoreError::Corrupt`]
-/// naming the file and offset (counted like every other corruption), and
-/// every read's latency lands in `tsfm_store_arena_read_us`.
+/// already-open arena `file` ([`read_at`]), verified against `crc`
+/// (CRC32C) before a byte is interpreted ([`check_at`]). This is the lazy
+/// sketch-load path.
 pub fn read_at_checked(
     file: &File,
     path: &Path,
@@ -333,36 +396,64 @@ pub fn read_at_checked(
     crc: u32,
     format: &'static str,
 ) -> StoreResult<Vec<u8>> {
+    let mut buf = vec![0u8; len as usize];
+    read_at(file, path, offset, &mut buf, format)?;
+    check_at(&buf, path, offset, crc, format)?;
+    Ok(buf)
+}
+
+/// Positioned read of `buf.len()` bytes at `offset` of an already-open
+/// arena `file` — no seek, no shared cursor, so any number of snapshot
+/// readers can share one handle. A short read is a typed
+/// [`StoreError::Corrupt`] naming the file and offset (counted like every
+/// other corruption), and every read's latency lands in
+/// `tsfm_store_arena_read_us`.
+pub(crate) fn read_at(
+    file: &File,
+    path: &Path,
+    offset: u64,
+    buf: &mut [u8],
+    format: &'static str,
+) -> StoreResult<()> {
     use std::os::unix::fs::FileExt;
     let t0 = std::time::Instant::now();
-    let mut buf = vec![0u8; len as usize];
-    let res = (|| -> StoreResult<Vec<u8>> {
-        file.read_exact_at(&mut buf, offset).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                StoreError::corrupt(
-                    format,
-                    format!("truncated arena: {len} bytes at offset {offset} past end of file"),
-                )
-            } else {
-                e.into()
-            }
-        })?;
-        let actual = crc32c(&buf);
-        if actual != crc {
-            return Err(StoreError::corrupt(
-                format,
-                format!(
-                    "arena payload checksum mismatch at offset {offset}: \
-                     stored {crc:#010x}, computed {actual:#010x} over {len} bytes"
-                ),
-            ));
-        }
-        Ok(std::mem::take(&mut buf))
-    })();
+    let res = file.read_exact_at(buf, offset);
     tsfm_obs::metrics::global()
         .histogram("tsfm_store_arena_read_us", "Positioned arena payload read latency")
         .record(t0.elapsed().as_micros() as u64);
-    res.map_err(|e| note_corruption(e.with_file(path, offset)))
+    res.map_err(|e| {
+        let e = if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            StoreError::corrupt(
+                format,
+                format!("truncated arena: {} bytes at offset {offset} past end of file", buf.len()),
+            )
+        } else {
+            e.into()
+        };
+        note_corruption(e.with_file(path, offset))
+    })
+}
+
+/// Verify `payload`, read at `offset` of `path`, against its stored CRC32C
+/// before a byte of it is interpreted: a mismatch is a typed
+/// [`StoreError::Corrupt`] naming the file and offset, counted.
+pub(crate) fn check_at(
+    payload: &[u8],
+    path: &Path,
+    offset: u64,
+    crc: u32,
+    format: &'static str,
+) -> StoreResult<()> {
+    let actual = crc32c(payload);
+    if actual == crc {
+        return Ok(());
+    }
+    let detail = format!(
+        "arena payload checksum mismatch at offset {offset}: \
+         stored {crc:#010x}, computed {actual:#010x} over {} bytes",
+        payload.len()
+    );
+    Err(note_corruption(StoreError::corrupt(format, detail).with_file(path, offset)))
 }
 
 /// Count a corruption sighting (no-op for other error kinds).
@@ -542,14 +633,64 @@ mod tests {
     }
 
     #[test]
-    fn counting_reader_tracks_offset() {
-        let data = [1u8, 2, 3, 4, 5];
-        let mut r = CountingReader::new(BufReader::new(std::io::Cursor::new(data)));
-        let mut buf = [0u8; 2];
-        std::io::Read::read_exact(&mut r, &mut buf).unwrap();
-        assert_eq!(r.offset(), 2);
-        let mut rest = Vec::new();
-        std::io::Read::read_to_end(&mut r, &mut rest).unwrap();
-        assert_eq!(r.offset(), 5);
+    fn read_file_checked_reports_consumed_offset() {
+        let dir = tmp("checked");
+        let path = dir.join("data.bin");
+        commit_file(&path, &[1, 2, 3, 4, 5]).unwrap();
+        let sum = read_file_checked(&path, |s| Ok(std::mem::take(s).iter().sum::<u8>())).unwrap();
+        assert_eq!(sum, 15);
+        let err = read_file_checked(&path, |s| -> StoreResult<()> {
+            *s = &s[2..];
+            Err(StoreError::corrupt("TEST", "stop"))
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt { file: Some(f), offset: Some(2), .. }
+                if f.ends_with("data.bin")),
+            "{err}"
+        );
+    }
+
+    /// The one-byte-at-a-time CRC32C every table-driven path must equal.
+    fn bytewise(t: &[[u32; 256]; 8], crc: u32, b: u8) -> u32 {
+        t[0][((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 2, ..Default::default() })]
+
+        /// The laned kernel equals the bytewise CRC at every length from 0
+        /// to 9 000 and every start offset from 0 to 7 — the lane split,
+        /// the slicing remainders and the combine all move with both.
+        #[test]
+        fn laned_crc32c_matches_bytewise(seed in 0u64..u64::MAX) {
+            let data: Vec<u8> = (0..9_008u64)
+                .map(|i| (tsfm_table::hash::splitmix64(seed ^ i) >> 56) as u8)
+                .collect();
+            let t = crc_tables();
+            for start in 0..8 {
+                let mut reference = !0u32;
+                for len in 0..=9_000 {
+                    let laned = crc32c(&data[start..start + len]);
+                    proptest::prop_assert_eq!(laned, !reference, "start {} len {}", start, len);
+                    reference = bytewise(t, reference, data[start + len]);
+                }
+            }
+        }
+
+        /// `crc32c_combine` joins two CRCs into the CRC of the
+        /// concatenation, at every split point.
+        #[test]
+        fn crc32c_combine_joins_concatenations(seed in 0u64..u64::MAX, len in 0usize..3_000) {
+            let data: Vec<u8> = (0..len as u64)
+                .map(|i| (tsfm_table::hash::splitmix64(seed ^ i) >> 56) as u8)
+                .collect();
+            let whole = crc32c(&data);
+            for cut in (0..=len).step_by(7).chain([len]) {
+                let (a, b) = data.split_at(cut);
+                let joined = crc32c_combine(crc32c(a), crc32c(b), b.len() as u64);
+                proptest::prop_assert_eq!(joined, whole);
+            }
+        }
     }
 }

@@ -8,7 +8,8 @@
 //! shard's manifest + arena (header, offset table, and a CRC-verified
 //! positioned read of each active slot), missing and orphaned files in
 //! both tiers, leftover `.tmp` staging files, and the index cache
-//! (checksum + fingerprint over the merged loose+sharded contents).
+//! (checksum, the engine reassembly the catalog itself serves from, and
+//! fingerprint over the merged loose+sharded contents).
 //! Damage is reported as typed [`Problem`]s and rendered as one
 //! structured JSON object.
 //!
@@ -26,15 +27,16 @@
 //! segments alone, so a corrupt manifest is reported and left for
 //! restore-from-backup.
 
-use crate::catalog::{self, fingerprint_pairs, read_index_cache, Catalog, ManifestEntry};
+use crate::catalog::{
+    self, fingerprint_pairs, read_index_cache, read_index_engine, Catalog, ManifestEntry,
+};
 use crate::durable;
 use crate::error::{StoreError, StoreResult};
 use crate::ser;
 use crate::shard::{self, ArenaIndex, ShardManifest, ShardMeta};
 use crate::wire::escape_json;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::{self, File};
-use std::io::BufReader;
+use std::fs;
 use std::path::{Path, PathBuf};
 use tsfm_sketch::SketchConfig;
 
@@ -293,12 +295,15 @@ pub fn fsck(dir: &Path, repair: bool) -> StoreResult<FsckReport> {
                     Err(problem) => Err(problem.clone()),
                 }
             }
-            None => {
-                if frame_version(&path) == Some(ser::LEGACY_VERSION) {
+            None => durable::read_file_checked(&path, |s| {
+                let mut header = *s;
+                let version = ser::read_frame_header(&mut header, ser::SEGMENT_MAGIC, "segment");
+                if version.ok() == Some(ser::LEGACY_VERSION) {
                     report.v1_segments += 1;
                 }
-                durable::read_file_checked(&path, ser::read_record).map_err(segment_problem)
-            }
+                ser::read_record(s)
+            })
+            .map_err(segment_problem),
         };
         let (kind, detail) = match rec {
             Ok(rec) if rec.content_hash == entry.content_hash && rec.table_id() == id => {
@@ -590,7 +595,7 @@ pub fn fsck(dir: &Path, repair: bool) -> StoreResult<FsckReport> {
     };
     let index_path = dir.join(catalog::INDEX_FILE);
     report.index_cache = if index_path.exists() {
-        match read_index_cache(&index_path) {
+        match read_index_engine(&index_path, cfg.minhash_k) {
             Ok((fp, ..)) if merged_fp == Some(fp) => IndexCacheState::Valid,
             Ok(_) => IndexCacheState::Stale,
             Err(e) => IndexCacheState::Corrupt(e.to_string()),
@@ -635,12 +640,6 @@ fn segment_problem(e: StoreError) -> (ProblemKind, String) {
         ),
         e => (ProblemKind::CorruptSegment, e.to_string()),
     }
-}
-
-/// Frame version of a file's leading container, `None` if unreadable.
-fn frame_version(path: &Path) -> Option<u32> {
-    let mut r = BufReader::new(File::open(path).ok()?);
-    ser::read_frame_header(&mut r, ser::SEGMENT_MAGIC, "TSFM segment").ok()
 }
 
 /// The shard-layer inputs to [`run_repair`], bundled.

@@ -33,10 +33,27 @@
 //! streamed payload`, no length, no checksum) are still **read** for
 //! migration: the first commit after opening a v1 store rewrites its
 //! files as v2. Writers only emit v2.
+//!
+//! ## One decoder, over borrowed bytes
+//!
+//! Every reader decodes from a `&mut &[u8]` cursor over bytes already in
+//! memory — a whole file read once by
+//! [`crate::durable::read_file_checked`], or one arena slot read by
+//! [`crate::durable::read_at_checked`]. A v2 frame's CRC is checked over
+//! its payload where it lies, and the payload is then parsed in place as a
+//! borrowed sub-slice: no frame body, nested or not, is copied into a
+//! buffer of its own. Every count is checked against the bytes left in its
+//! frame before anything is allocated for it, and vectors, neighbour
+//! lists and signatures decode in bulk.
+//!
+//! Writers work the same way round: a frame is written in place — the
+//! 24-byte header with its length and CRC zeroed, the payload encoded
+//! behind it, then both patched in — so a nested frame never passes
+//! through a buffer of its own either.
 
+use crate::durable::crc32c;
 use crate::error::{StoreError, StoreResult, FRAME};
 use crate::record::TableRecord;
-use std::io::{Read, Write};
 use tsfm_search::{Hnsw, HnswConfig, HnswSnapshot, Metric};
 use tsfm_sketch::{ColumnSketch, MinHash, NumericalSketch, TableSketch};
 use tsfm_table::ColType;
@@ -54,10 +71,18 @@ pub const FORMAT_VERSION: u32 = 2;
 /// The pre-checksum streaming format, still readable for migration.
 pub const LEGACY_VERSION: u32 = 1;
 
+/// Bytes of a v2 frame header: magic, version, payload length, CRC32C.
+pub(crate) const FRAME_HEADER_LEN: usize = 24;
+
 const MAX_STR: usize = 1 << 20;
 const MAX_SIG: usize = 1 << 16;
 const MAX_COLS: usize = 1 << 20;
 const MAX_ELEMS: usize = 1 << 28;
+/// The fewest bytes one column sketch encodes to: an empty name, its type
+/// tag, an empty signature, the word-minhash flag and the numeric sketch.
+const MIN_COLUMN_BYTES: usize = 4 + 1 + 4 + 1 + NUMERIC_BYTES;
+/// A numeric sketch: 16 `f64`s.
+const NUMERIC_BYTES: usize = 16 * 8;
 
 /// Frame-level corruption, attributed to a concrete container format by
 /// the caller via [`StoreError::into_format`].
@@ -65,173 +90,218 @@ pub(crate) fn bad(msg: impl Into<String>) -> StoreError {
     StoreError::corrupt(FRAME, msg)
 }
 
-// ---- primitives -----------------------------------------------------------
+// ---- writing ---------------------------------------------------------------
 
-pub(crate) fn write_u8<W: Write>(w: &mut W, v: u8) -> StoreResult<()> {
-    Ok(w.write_all(&[v])?)
-}
-
-pub(crate) fn write_u32<W: Write>(w: &mut W, v: u32) -> StoreResult<()> {
-    Ok(w.write_all(&v.to_le_bytes())?)
-}
-
-pub(crate) fn write_u64<W: Write>(w: &mut W, v: u64) -> StoreResult<()> {
-    Ok(w.write_all(&v.to_le_bytes())?)
-}
-
-pub(crate) fn write_f64<W: Write>(w: &mut W, v: f64) -> StoreResult<()> {
-    Ok(w.write_all(&v.to_le_bytes())?)
-}
-
-pub(crate) fn write_str<W: Write>(w: &mut W, s: &str) -> StoreResult<()> {
-    write_u32(w, s.len() as u32)?;
-    Ok(w.write_all(s.as_bytes())?)
-}
-
-pub(crate) fn write_f32s<W: Write>(w: &mut W, vs: &[f32]) -> StoreResult<()> {
-    write_u64(w, vs.len() as u64)?;
-    for &v in vs {
-        w.write_all(&v.to_le_bytes())?;
-    }
+pub(crate) fn write_u8(w: &mut Vec<u8>, v: u8) -> StoreResult<()> {
+    w.push(v);
     Ok(())
 }
 
-pub(crate) fn read_u8<R: Read>(r: &mut R) -> StoreResult<u8> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
+pub(crate) fn write_u32(w: &mut Vec<u8>, v: u32) -> StoreResult<()> {
+    w.extend_from_slice(&v.to_le_bytes());
+    Ok(())
 }
 
-pub(crate) fn read_u32<R: Read>(r: &mut R) -> StoreResult<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
+pub(crate) fn write_u64(w: &mut Vec<u8>, v: u64) -> StoreResult<()> {
+    w.extend_from_slice(&v.to_le_bytes());
+    Ok(())
 }
 
-pub(crate) fn read_u64<R: Read>(r: &mut R) -> StoreResult<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
+pub(crate) fn write_f64(w: &mut Vec<u8>, v: f64) -> StoreResult<()> {
+    w.extend_from_slice(&v.to_le_bytes());
+    Ok(())
 }
 
-pub(crate) fn read_f64<R: Read>(r: &mut R) -> StoreResult<f64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(f64::from_le_bytes(b))
+pub(crate) fn write_str(w: &mut Vec<u8>, s: &str) -> StoreResult<()> {
+    write_u32(w, s.len() as u32)?;
+    w.extend_from_slice(s.as_bytes());
+    Ok(())
 }
 
-pub(crate) fn read_str<R: Read>(r: &mut R) -> StoreResult<String> {
-    let len = read_u32(r)? as usize;
+pub(crate) fn write_f32s(w: &mut Vec<u8>, vs: &[f32]) -> StoreResult<()> {
+    write_u64(w, vs.len() as u64)?;
+    put_f32s(w, vs);
+    Ok(())
+}
+
+fn put_f32s(w: &mut Vec<u8>, vs: &[f32]) {
+    w.reserve(vs.len() * 4);
+    for &v in vs {
+        w.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Append a v2 frame to `w`, written in place: the header with its length
+/// and CRC zeroed, `body` encoding the payload behind it, then the two
+/// patched in. A failed `body` leaves `w` as it was.
+pub(crate) fn write_framed(
+    w: &mut Vec<u8>,
+    magic: &[u8; 8],
+    body: impl FnOnce(&mut Vec<u8>) -> StoreResult<()>,
+) -> StoreResult<()> {
+    let start = w.len();
+    w.extend_from_slice(magic);
+    w.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    w.extend_from_slice(&[0; 12]);
+    if let Err(e) = body(w) {
+        w.truncate(start);
+        return Err(e);
+    }
+    let payload = start + FRAME_HEADER_LEN;
+    let len = (w.len() - payload) as u64;
+    let crc = crc32c(&w[payload..]);
+    w[start + 12..start + 20].copy_from_slice(&len.to_le_bytes());
+    w[start + 20..payload].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// Write a v2 frame around an already-encoded payload.
+#[cfg(test)]
+pub(crate) fn write_frame(w: &mut Vec<u8>, magic: &[u8; 8], body: &[u8]) -> StoreResult<()> {
+    write_framed(w, magic, |w| {
+        w.extend_from_slice(body);
+        Ok(())
+    })
+}
+
+// ---- reading ---------------------------------------------------------------
+
+/// Split the next `n` bytes off the cursor. Short input is truncation: it
+/// consumes what is left, so the error's offset is the end of the input.
+fn take<'a>(s: &mut &'a [u8], n: usize) -> StoreResult<&'a [u8]> {
+    if n > s.len() {
+        *s = &s[s.len()..];
+        return Err(bad("truncated input"));
+    }
+    let (head, rest) = s.split_at(n);
+    *s = rest;
+    Ok(head)
+}
+
+/// Split off `count` elements of `width` bytes each. A count whose bytes
+/// exceed what is left is rejected before anything is allocated for it.
+fn take_elems<'a>(s: &mut &'a [u8], count: u64, width: usize, what: &str) -> StoreResult<&'a [u8]> {
+    let bytes = usize::try_from(count).ok().and_then(|c| c.checked_mul(width));
+    match bytes.filter(|&b| b <= s.len()) {
+        Some(b) => take(s, b),
+        None => Err(bad(format!("{what} of {count} elements overruns the {} bytes left", s.len()))),
+    }
+}
+
+fn array<const N: usize>(s: &mut &[u8]) -> StoreResult<[u8; N]> {
+    let mut a = [0u8; N];
+    a.copy_from_slice(take(s, N)?);
+    Ok(a)
+}
+
+fn u64_at(c: &[u8]) -> u64 {
+    u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])
+}
+
+fn f32s_from(bytes: &[u8]) -> Vec<f32> {
+    bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect()
+}
+
+pub(crate) fn read_u8(s: &mut &[u8]) -> StoreResult<u8> {
+    Ok(take(s, 1)?[0])
+}
+
+pub(crate) fn read_u32(s: &mut &[u8]) -> StoreResult<u32> {
+    Ok(u32::from_le_bytes(array(s)?))
+}
+
+pub(crate) fn read_u64(s: &mut &[u8]) -> StoreResult<u64> {
+    Ok(u64::from_le_bytes(array(s)?))
+}
+
+pub(crate) fn read_str(s: &mut &[u8]) -> StoreResult<String> {
+    let len = read_u32(s)? as usize;
     if len > MAX_STR {
         return Err(bad(format!("unreasonable string length {len}")));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| bad("string not utf-8"))
+    std::str::from_utf8(take(s, len)?).map(str::to_owned).map_err(|_| bad("string not utf-8"))
 }
 
-pub(crate) fn read_f32s<R: Read>(r: &mut R) -> StoreResult<Vec<f32>> {
-    let len = read_u64(r)? as usize;
-    if len > MAX_ELEMS {
+pub(crate) fn read_f32s(s: &mut &[u8]) -> StoreResult<Vec<f32>> {
+    let len = read_u64(s)?;
+    if len > MAX_ELEMS as u64 {
         return Err(bad(format!("unreasonable vector length {len}")));
     }
-    let mut out = vec![0f32; len];
-    let mut b = [0u8; 4];
-    for v in &mut out {
-        r.read_exact(&mut b)?;
-        *v = f32::from_le_bytes(b);
-    }
-    Ok(out)
+    Ok(f32s_from(take_elems(s, len, 4, "vector")?))
 }
 
 // ---- checksummed frames ---------------------------------------------------
 
 /// A decoded frame header: either a v1 stream (the payload follows,
-/// unframed — keep reading from the same reader) or a verified v2 payload.
-pub(crate) enum Payload {
+/// unframed — keep reading from the same cursor) or a verified v2
+/// payload, borrowed in place.
+pub(crate) enum Frame<'a> {
     Legacy,
-    Framed(Vec<u8>),
+    Payload(&'a [u8]),
 }
 
-/// Write a v2 frame: magic, version, payload length, CRC32C, payload.
-pub(crate) fn write_frame<W: Write>(w: &mut W, magic: &[u8; 8], body: &[u8]) -> StoreResult<()> {
-    w.write_all(magic)?;
-    write_u32(w, FORMAT_VERSION)?;
-    write_u64(w, body.len() as u64)?;
-    write_u32(w, crate::durable::crc32c(body))?;
-    Ok(w.write_all(body)?)
-}
-
-/// Read one frame of the given container type. For v2 the payload is
-/// length-checked and CRC-verified before a byte of it is interpreted;
-/// `Read::take` bounds the read so a garbled length can never
-/// over-allocate. Errors are frame-level ([`bad`]) — the container reader
-/// attributes them via [`StoreError::into_format`].
-pub(crate) fn read_frame<R: Read>(r: &mut R, magic: &[u8; 8], what: &str) -> StoreResult<Payload> {
-    let mut got = [0u8; 8];
-    r.read_exact(&mut got)?;
-    if &got != magic {
+/// Consume a frame's magic and version, and for v2 its length and CRC
+/// words (returned; `None` for v1).
+fn frame_header(s: &mut &[u8], magic: &[u8; 8], what: &str) -> StoreResult<Option<(u64, u32)>> {
+    if take(s, 8)? != magic {
         return Err(bad(format!("not a {what} (bad magic)")));
     }
-    match read_u32(r)? {
-        LEGACY_VERSION => Ok(Payload::Legacy),
-        FORMAT_VERSION => {
-            let len = read_u64(r)?;
-            let crc = read_u32(r)?;
-            let mut body = Vec::new();
-            r.take(len).read_to_end(&mut body)?;
-            if body.len() as u64 != len {
-                return Err(bad(format!(
-                    "truncated {what}: frame claims {len} payload bytes, found {}",
-                    body.len()
-                )));
-            }
-            let actual = crate::durable::crc32c(&body);
-            if actual != crc {
-                return Err(bad(format!(
-                    "{what} checksum mismatch: stored {crc:#010x}, computed {actual:#010x} \
-                     over {len} bytes"
-                )));
-            }
-            Ok(Payload::Framed(body))
-        }
+    match read_u32(s)? {
+        LEGACY_VERSION => Ok(None),
+        FORMAT_VERSION => Ok(Some((read_u64(s)?, read_u32(s)?))),
         v => Err(bad(format!("unsupported {what} version {v}"))),
     }
 }
 
-/// Consume only a frame's header (magic, version, and for v2 the length
-/// and CRC words), leaving the reader at the first payload byte,
-/// **without** verifying the checksum. For cheap peeks like the index
-/// cache fingerprint in `stats` — anything that acts on the payload must
-/// go through [`read_frame`].
-pub(crate) fn read_frame_header<R: Read>(
-    r: &mut R,
+/// Read one frame of the given container type off the cursor. A v2
+/// payload is length-checked against the bytes left and CRC-verified
+/// before a byte of it is interpreted, then handed back borrowed; the
+/// cursor moves past it either way. Errors are frame-level ([`bad`]) —
+/// the container reader attributes them via [`StoreError::into_format`].
+pub(crate) fn read_frame<'a>(
+    s: &mut &'a [u8],
     magic: &[u8; 8],
     what: &str,
-) -> StoreResult<u32> {
-    let mut got = [0u8; 8];
-    r.read_exact(&mut got)?;
-    if &got != magic {
-        return Err(bad(format!("not a {what} (bad magic)")));
+) -> StoreResult<Frame<'a>> {
+    let Some((len, crc)) = frame_header(s, magic, what)? else {
+        return Ok(Frame::Legacy);
+    };
+    let found = s.len();
+    let Some(body) = usize::try_from(len).ok().filter(|&l| l <= found) else {
+        *s = &s[found..];
+        return Err(bad(format!(
+            "truncated {what}: frame claims {len} payload bytes, found {found}"
+        )));
+    };
+    let body = take(s, body)?;
+    let actual = crc32c(body);
+    if actual != crc {
+        return Err(bad(format!(
+            "{what} checksum mismatch: stored {crc:#010x}, computed {actual:#010x} \
+             over {len} bytes"
+        )));
     }
-    let version = read_u32(r)?;
-    match version {
-        LEGACY_VERSION => {}
-        FORMAT_VERSION => {
-            read_u64(r)?;
-            read_u32(r)?;
-        }
-        v => return Err(bad(format!("unsupported {what} version {v}"))),
-    }
-    Ok(version)
+    Ok(Frame::Payload(body))
 }
 
-/// Parse a verified v2 payload from its in-memory slice, rejecting
-/// trailing bytes (a v2 frame states its exact length, so leftovers mean
-/// the payload and header disagree).
-pub(crate) fn parse_framed<T>(
-    body: &[u8],
-    parse: impl FnOnce(&mut &[u8]) -> StoreResult<T>,
+/// Consume only a frame's header (magic, version, and for v2 the length
+/// and CRC words), leaving the cursor at the first payload byte,
+/// **without** verifying the checksum; returns the version. For cheap
+/// peeks like the index cache fingerprint in `stats` — anything that acts
+/// on the payload must go through [`read_frame`].
+pub(crate) fn read_frame_header(s: &mut &[u8], magic: &[u8; 8], what: &str) -> StoreResult<u32> {
+    Ok(match frame_header(s, magic, what)? {
+        None => LEGACY_VERSION,
+        Some(_) => FORMAT_VERSION,
+    })
+}
+
+/// Parse a verified v2 payload in place, rejecting trailing bytes (a v2
+/// frame states its exact length, so leftovers mean the payload and
+/// header disagree).
+pub(crate) fn parse_framed<'a, T>(
+    body: &'a [u8],
+    parse: impl FnOnce(&mut &'a [u8]) -> StoreResult<T>,
 ) -> StoreResult<T> {
     let mut s = body;
     let v = parse(&mut s)?;
@@ -241,29 +311,45 @@ pub(crate) fn parse_framed<T>(
     Ok(v)
 }
 
+/// Read one container whose v1 and v2 payloads share a layout: `body`
+/// parses the v2 payload in place or the v1 stream off the cursor, and
+/// errors are attributed to `format`.
+fn read_container<'a, T>(
+    s: &mut &'a [u8],
+    magic: &[u8; 8],
+    what: &str,
+    format: &str,
+    body: impl FnOnce(&mut &'a [u8]) -> StoreResult<T>,
+) -> StoreResult<T> {
+    let res = match read_frame(s, magic, what) {
+        Ok(Frame::Legacy) => body(s),
+        Ok(Frame::Payload(payload)) => parse_framed(payload, body),
+        Err(e) => Err(e),
+    };
+    res.map_err(|e| e.into_format(format))
+}
+
 // ---- sketches -------------------------------------------------------------
 
-pub fn write_minhash<W: Write>(w: &mut W, mh: &MinHash) -> StoreResult<()> {
+pub fn write_minhash(w: &mut Vec<u8>, mh: &MinHash) -> StoreResult<()> {
     write_u32(w, mh.k() as u32)?;
+    w.reserve(mh.sig.len() * 8);
     for &s in &mh.sig {
-        write_u64(w, s)?;
+        w.extend_from_slice(&s.to_le_bytes());
     }
     Ok(())
 }
 
-pub fn read_minhash<R: Read>(r: &mut R) -> StoreResult<MinHash> {
-    let k = read_u32(r)? as usize;
+pub fn read_minhash(s: &mut &[u8]) -> StoreResult<MinHash> {
+    let k = read_u32(s)? as usize;
     if k > MAX_SIG {
         return Err(bad(format!("unreasonable signature width {k}")));
     }
-    let mut sig = Vec::with_capacity(k);
-    for _ in 0..k {
-        sig.push(read_u64(r)?);
-    }
+    let sig = take_elems(s, k as u64, 8, "signature")?.chunks_exact(8).map(u64_at).collect();
     Ok(MinHash { sig })
 }
 
-pub fn write_numeric<W: Write>(w: &mut W, s: &NumericalSketch) -> StoreResult<()> {
+pub fn write_numeric(w: &mut Vec<u8>, s: &NumericalSketch) -> StoreResult<()> {
     write_f64(w, s.unique_frac)?;
     write_f64(w, s.nan_frac)?;
     write_f64(w, s.cell_width)?;
@@ -276,23 +362,23 @@ pub fn write_numeric<W: Write>(w: &mut W, s: &NumericalSketch) -> StoreResult<()
     write_f64(w, s.max)
 }
 
-pub fn read_numeric<R: Read>(r: &mut R) -> StoreResult<NumericalSketch> {
-    let unique_frac = read_f64(r)?;
-    let nan_frac = read_f64(r)?;
-    let cell_width = read_f64(r)?;
-    let mut percentiles = [0.0; 9];
-    for p in &mut percentiles {
-        *p = read_f64(r)?;
+pub fn read_numeric(s: &mut &[u8]) -> StoreResult<NumericalSketch> {
+    // unique_frac, nan_frac, cell_width, 9 percentiles, mean, std, min, max.
+    let mut v = [0f64; NUMERIC_BYTES / 8];
+    for (x, c) in v.iter_mut().zip(take(s, NUMERIC_BYTES)?.chunks_exact(8)) {
+        *x = f64::from_bits(u64_at(c));
     }
+    let mut percentiles = [0.0; 9];
+    percentiles.copy_from_slice(&v[3..12]);
     Ok(NumericalSketch {
-        unique_frac,
-        nan_frac,
-        cell_width,
+        unique_frac: v[0],
+        nan_frac: v[1],
+        cell_width: v[2],
         percentiles,
-        mean: read_f64(r)?,
-        std: read_f64(r)?,
-        min: read_f64(r)?,
-        max: read_f64(r)?,
+        mean: v[12],
+        std: v[13],
+        min: v[14],
+        max: v[15],
     })
 }
 
@@ -311,7 +397,7 @@ fn coltype_from_tag(tag: u8) -> StoreResult<ColType> {
     }
 }
 
-fn write_column_sketch<W: Write>(w: &mut W, c: &ColumnSketch) -> StoreResult<()> {
+fn write_column_sketch(w: &mut Vec<u8>, c: &ColumnSketch) -> StoreResult<()> {
     write_str(w, &c.name)?;
     write_u8(w, coltype_tag(c.ty))?;
     write_minhash(w, &c.cell_minhash)?;
@@ -325,19 +411,19 @@ fn write_column_sketch<W: Write>(w: &mut W, c: &ColumnSketch) -> StoreResult<()>
     write_numeric(w, &c.numeric)
 }
 
-fn read_column_sketch<R: Read>(r: &mut R) -> StoreResult<ColumnSketch> {
-    let name = read_str(r)?;
-    let ty = coltype_from_tag(read_u8(r)?)?;
-    let cell_minhash = read_minhash(r)?;
-    let word_minhash = match read_u8(r)? {
+fn read_column_sketch(s: &mut &[u8]) -> StoreResult<ColumnSketch> {
+    let name = read_str(s)?;
+    let ty = coltype_from_tag(read_u8(s)?)?;
+    let cell_minhash = read_minhash(s)?;
+    let word_minhash = match read_u8(s)? {
         0 => None,
-        1 => Some(read_minhash(r)?),
+        1 => Some(read_minhash(s)?),
         t => return Err(bad(format!("bad word-minhash flag {t}"))),
     };
-    Ok(ColumnSketch { name, ty, cell_minhash, word_minhash, numeric: read_numeric(r)? })
+    Ok(ColumnSketch { name, ty, cell_minhash, word_minhash, numeric: read_numeric(s)? })
 }
 
-pub fn write_table_sketch<W: Write>(w: &mut W, s: &TableSketch) -> StoreResult<()> {
+pub fn write_table_sketch(w: &mut Vec<u8>, s: &TableSketch) -> StoreResult<()> {
     write_str(w, &s.table_id)?;
     write_str(w, &s.table_name)?;
     write_str(w, &s.description)?;
@@ -350,19 +436,22 @@ pub fn write_table_sketch<W: Write>(w: &mut W, s: &TableSketch) -> StoreResult<(
     Ok(())
 }
 
-pub fn read_table_sketch<R: Read>(r: &mut R) -> StoreResult<TableSketch> {
-    let table_id = read_str(r)?;
-    let table_name = read_str(r)?;
-    let description = read_str(r)?;
-    let num_rows = read_u64(r)? as usize;
-    let content_snapshot = read_minhash(r)?;
-    let ncols = read_u32(r)? as usize;
+pub fn read_table_sketch(s: &mut &[u8]) -> StoreResult<TableSketch> {
+    let table_id = read_str(s)?;
+    let table_name = read_str(s)?;
+    let description = read_str(s)?;
+    let num_rows = read_u64(s)? as usize;
+    let content_snapshot = read_minhash(s)?;
+    let ncols = read_u32(s)? as usize;
     if ncols > MAX_COLS {
         return Err(bad(format!("unreasonable column count {ncols}")));
     }
+    if ncols * MIN_COLUMN_BYTES > s.len() {
+        return Err(bad(format!("{ncols} columns overrun the {} bytes left", s.len())));
+    }
     let mut columns = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        columns.push(read_column_sketch(r)?);
+        columns.push(read_column_sketch(s)?);
     }
     Ok(TableSketch { table_id, table_name, description, content_snapshot, columns, num_rows })
 }
@@ -371,88 +460,76 @@ pub fn read_table_sketch<R: Read>(r: &mut R) -> StoreResult<TableSketch> {
 
 /// Write a dense `rows.len() × dim` matrix as a v2 frame. Every row must
 /// have `dim` elements.
-pub fn write_embedding_matrix<W: Write>(w: &mut W, rows: &[Vec<f32>], dim: usize) -> StoreResult<()> {
-    let mut body = Vec::new();
-    write_u32(&mut body, rows.len() as u32)?;
-    write_u32(&mut body, dim as u32)?;
-    for row in rows {
-        if row.len() != dim {
-            return Err(bad(format!("embedding row of {} elements, expected {dim}", row.len())));
-        }
-        for &v in row {
-            body.extend_from_slice(&v.to_le_bytes());
-        }
+pub fn write_embedding_matrix(w: &mut Vec<u8>, rows: &[Vec<f32>], dim: usize) -> StoreResult<()> {
+    if let Some(row) = rows.iter().find(|r| r.len() != dim) {
+        return Err(bad(format!("embedding row of {} elements, expected {dim}", row.len())));
     }
-    write_frame(w, EMBEDDING_MAGIC, &body)
+    write_framed(w, EMBEDDING_MAGIC, |w| {
+        write_u32(w, rows.len() as u32)?;
+        write_u32(w, dim as u32)?;
+        for row in rows {
+            put_f32s(w, row);
+        }
+        Ok(())
+    })
 }
 
-pub fn read_embedding_matrix<R: Read>(r: &mut R) -> StoreResult<Vec<Vec<f32>>> {
-    let res = match read_frame(r, EMBEDDING_MAGIC, "TSFM embedding matrix") {
-        Ok(Payload::Legacy) => read_embedding_matrix_body(r),
-        Ok(Payload::Framed(body)) => parse_framed(&body, |s| read_embedding_matrix_body(s)),
-        Err(e) => Err(e),
-    };
-    res.map_err(|e| e.into_format("TSFMEMB1"))
+pub fn read_embedding_matrix(s: &mut &[u8]) -> StoreResult<Vec<Vec<f32>>> {
+    let what = "TSFM embedding matrix";
+    read_container(s, EMBEDDING_MAGIC, what, "TSFMEMB1", read_embedding_matrix_body)
 }
 
-fn read_embedding_matrix_body<R: Read>(r: &mut R) -> StoreResult<Vec<Vec<f32>>> {
-    let nrows = read_u32(r)? as usize;
-    let dim = read_u32(r)? as usize;
+fn read_embedding_matrix_body(s: &mut &[u8]) -> StoreResult<Vec<Vec<f32>>> {
+    let nrows = read_u32(s)? as usize;
+    let dim = read_u32(s)? as usize;
     if nrows.saturating_mul(dim) > MAX_ELEMS {
         return Err(bad(format!("unreasonable embedding matrix {nrows}×{dim}")));
     }
-    let mut rows = Vec::with_capacity(nrows);
-    let mut b = [0u8; 4];
-    for _ in 0..nrows {
-        let mut row = vec![0f32; dim];
-        for v in &mut row {
-            r.read_exact(&mut b)?;
-            *v = f32::from_le_bytes(b);
+    if dim == 0 {
+        // Rows without bytes: bounded by the column limit instead.
+        if nrows > MAX_COLS {
+            return Err(bad(format!("unreasonable embedding matrix {nrows}×0")));
         }
-        rows.push(row);
+        return Ok(vec![Vec::new(); nrows]);
     }
-    Ok(rows)
+    let bytes = take_elems(s, (nrows * dim) as u64, 4, "embedding matrix")?;
+    Ok(bytes.chunks_exact(dim * 4).map(f32s_from).collect())
 }
 
 // ---- table records (segment payload) -------------------------------------
 
-pub fn write_record<W: Write>(w: &mut W, rec: &TableRecord) -> StoreResult<()> {
-    let mut body = Vec::new();
-    write_u64(&mut body, rec.content_hash)?;
-    write_table_sketch(&mut body, &rec.sketch)?;
-    match &rec.table_embedding {
-        Some(e) => {
-            write_u8(&mut body, 1)?;
-            write_f32s(&mut body, e)?;
+pub fn write_record(w: &mut Vec<u8>, rec: &TableRecord) -> StoreResult<()> {
+    write_framed(w, SEGMENT_MAGIC, |w| {
+        write_u64(w, rec.content_hash)?;
+        write_table_sketch(w, &rec.sketch)?;
+        match &rec.table_embedding {
+            Some(e) => {
+                write_u8(w, 1)?;
+                write_f32s(w, e)?;
+            }
+            None => write_u8(w, 0)?,
         }
-        None => write_u8(&mut body, 0)?,
-    }
-    // Column embeddings: an embedded TSFMEMB1 frame (0 rows = none) — its
-    // own CRC is redundant under the segment's but keeps the matrix
-    // readable as a standalone container.
-    let dim = rec.column_embeddings.first().map_or(0, Vec::len);
-    write_embedding_matrix(&mut body, &rec.column_embeddings, dim)?;
-    write_frame(w, SEGMENT_MAGIC, &body)
+        // Column embeddings: an embedded TSFMEMB1 frame (0 rows = none) —
+        // its own CRC is redundant under the segment's but keeps the
+        // matrix readable as a standalone container.
+        let dim = rec.column_embeddings.first().map_or(0, Vec::len);
+        write_embedding_matrix(w, &rec.column_embeddings, dim)
+    })
 }
 
-pub fn read_record<R: Read>(r: &mut R) -> StoreResult<TableRecord> {
-    let res = match read_frame(r, SEGMENT_MAGIC, "TSFM segment") {
-        Ok(Payload::Legacy) => read_record_body(r),
-        Ok(Payload::Framed(body)) => parse_framed(&body, |s| read_record_body(s)),
-        Err(e) => Err(e),
-    };
-    res.map_err(|e| e.into_format("TSFMSEG1"))
+pub fn read_record(s: &mut &[u8]) -> StoreResult<TableRecord> {
+    read_container(s, SEGMENT_MAGIC, "TSFM segment", "TSFMSEG1", read_record_body)
 }
 
-fn read_record_body<R: Read>(r: &mut R) -> StoreResult<TableRecord> {
-    let content_hash = read_u64(r)?;
-    let sketch = read_table_sketch(r)?;
-    let table_embedding = match read_u8(r)? {
+fn read_record_body(s: &mut &[u8]) -> StoreResult<TableRecord> {
+    let content_hash = read_u64(s)?;
+    let sketch = read_table_sketch(s)?;
+    let table_embedding = match read_u8(s)? {
         0 => None,
-        1 => Some(read_f32s(r)?),
+        1 => Some(read_f32s(s)?),
         t => return Err(bad(format!("bad table-embedding flag {t}"))),
     };
-    let column_embeddings = read_embedding_matrix(r)?;
+    let column_embeddings = read_embedding_matrix(s)?;
     if !column_embeddings.is_empty() && column_embeddings.len() != sketch.columns.len() {
         return Err(bad(format!(
             "{} column embeddings for {} columns",
@@ -468,66 +545,63 @@ fn read_record_body<R: Read>(r: &mut R) -> StoreResult<TableRecord> {
 /// Walks the graph through [`Hnsw`]'s borrowing accessors:
 /// [`Hnsw::snapshot`] would copy the arena and allocate a list per node
 /// per layer only to be read once here.
-pub fn write_hnsw<W: Write>(w: &mut W, index: &Hnsw) -> StoreResult<()> {
+pub fn write_hnsw(w: &mut Vec<u8>, index: &Hnsw) -> StoreResult<()> {
     let cfg = index.config();
-    let mut body = Vec::new();
-    write_u32(&mut body, index.dim() as u32)?;
-    write_u8(&mut body, index.metric().tag())?;
-    write_u32(&mut body, cfg.m as u32)?;
-    write_u32(&mut body, cfg.ef_construction as u32)?;
-    write_u32(&mut body, cfg.ef_search as u32)?;
-    write_u64(&mut body, cfg.seed)?;
-    write_u64(&mut body, index.rng_state())?;
-    write_u64(&mut body, index.max_level() as u64)?;
-    match index.entry() {
-        Some(e) => {
-            write_u8(&mut body, 1)?;
-            write_u64(&mut body, e as u64)?;
+    write_framed(w, HNSW_MAGIC, |w| {
+        write_u32(w, index.dim() as u32)?;
+        write_u8(w, index.metric().tag())?;
+        write_u32(w, cfg.m as u32)?;
+        write_u32(w, cfg.ef_construction as u32)?;
+        write_u32(w, cfg.ef_search as u32)?;
+        write_u64(w, cfg.seed)?;
+        write_u64(w, index.rng_state())?;
+        write_u64(w, index.max_level() as u64)?;
+        match index.entry() {
+            Some(e) => {
+                write_u8(w, 1)?;
+                write_u64(w, e as u64)?;
+            }
+            None => write_u8(w, 0)?,
         }
-        None => write_u8(&mut body, 0)?,
-    }
-    write_f32s(&mut body, index.vectors())?;
-    write_u32(&mut body, index.len() as u32)?;
-    for layers in index.layers() {
-        write_u32(&mut body, layers.len() as u32)?;
-        for layer in layers {
-            write_u32(&mut body, layer.len() as u32)?;
-            for &n in layer {
-                write_u64(&mut body, n as u64)?;
+        write_f32s(w, index.vectors())?;
+        write_u32(w, index.len() as u32)?;
+        for layers in index.layers() {
+            write_u32(w, layers.len() as u32)?;
+            for layer in layers {
+                write_u32(w, layer.len() as u32)?;
+                w.reserve(layer.len() * 8);
+                for &n in layer {
+                    w.extend_from_slice(&(n as u64).to_le_bytes());
+                }
             }
         }
-    }
-    write_frame(w, HNSW_MAGIC, &body)
+        Ok(())
+    })
 }
 
-pub fn read_hnsw<R: Read>(r: &mut R) -> StoreResult<Hnsw> {
-    let res = match read_frame(r, HNSW_MAGIC, "TSFM HNSW graph") {
-        Ok(Payload::Legacy) => read_hnsw_body(r),
-        Ok(Payload::Framed(body)) => parse_framed(&body, |s| read_hnsw_body(s)),
-        Err(e) => Err(e),
-    };
-    res.map_err(|e| e.into_format("TSFMHNS1"))
+pub fn read_hnsw(s: &mut &[u8]) -> StoreResult<Hnsw> {
+    read_container(s, HNSW_MAGIC, "TSFM HNSW graph", "TSFMHNS1", read_hnsw_body)
 }
 
-fn read_hnsw_body<R: Read>(r: &mut R) -> StoreResult<Hnsw> {
-    let dim = read_u32(r)? as usize;
-    let metric = Metric::from_tag(read_u8(r)?)
+fn read_hnsw_body(s: &mut &[u8]) -> StoreResult<Hnsw> {
+    let dim = read_u32(s)? as usize;
+    let metric = Metric::from_tag(read_u8(s)?)
         .ok_or_else(|| bad("unknown distance metric tag"))?;
     let cfg = HnswConfig {
-        m: read_u32(r)? as usize,
-        ef_construction: read_u32(r)? as usize,
-        ef_search: read_u32(r)? as usize,
-        seed: read_u64(r)?,
+        m: read_u32(s)? as usize,
+        ef_construction: read_u32(s)? as usize,
+        ef_search: read_u32(s)? as usize,
+        seed: read_u64(s)?,
     };
-    let rng_state = read_u64(r)?;
-    let max_level = read_u64(r)? as usize;
-    let entry = match read_u8(r)? {
+    let rng_state = read_u64(s)?;
+    let max_level = read_u64(s)? as usize;
+    let entry = match read_u8(s)? {
         0 => None,
-        1 => Some(read_u64(r)? as usize),
+        1 => Some(read_u64(s)? as usize),
         t => return Err(bad(format!("bad entry flag {t}"))),
     };
-    let data = read_f32s(r)?;
-    let n = read_u32(r)? as usize;
+    let data = read_f32s(s)?;
+    let n = read_u32(s)? as usize;
     // `data` holds real file content, so bounding counts by it keeps a
     // garbled header from over-allocating before validation catches it.
     if dim == 0 || n != data.len() / dim {
@@ -535,21 +609,18 @@ fn read_hnsw_body<R: Read>(r: &mut R) -> StoreResult<Hnsw> {
     }
     let mut neighbors = Vec::with_capacity(n);
     for _ in 0..n {
-        let nlayers = read_u32(r)? as usize;
+        let nlayers = read_u32(s)? as usize;
         if nlayers > 64 {
             return Err(bad(format!("unreasonable layer count {nlayers}")));
         }
         let mut layers = Vec::with_capacity(nlayers);
         for _ in 0..nlayers {
-            let len = read_u32(r)? as usize;
-            if len > n {
+            let len = read_u32(s)?;
+            if len as usize > n {
                 return Err(bad(format!("unreasonable neighbour count {len}")));
             }
-            let mut layer = Vec::with_capacity(len);
-            for _ in 0..len {
-                layer.push(read_u64(r)? as usize);
-            }
-            layers.push(layer);
+            let ids = take_elems(s, u64::from(len), 8, "neighbour list")?;
+            layers.push(ids.chunks_exact(8).map(|c| u64_at(c) as usize).collect());
         }
         neighbors.push(layers);
     }

@@ -70,6 +70,11 @@ pub(crate) const SKETCH_CACHE_CAP: usize = 4096;
 const ARENA_HEADER_LEN: u64 = 36;
 const ARENA_SLOT_LEN: u64 = 20;
 
+/// The most bytes one read of [`ArenaIndex::read_records`] covers: whole
+/// slots, a larger slot alone. Small enough that the buffer never shows
+/// beside the records it decodes.
+const READ_WINDOW: u64 = 256 << 10;
+
 /// Shard count for a catalog of `tables` active tables.
 pub(crate) fn shard_count_for(tables: u64) -> u32 {
     tables
@@ -153,19 +158,20 @@ impl ShardManifest {
 
 /// Serialize and durably commit a shard manifest.
 pub(crate) fn write_shard_manifest(path: &Path, m: &ShardManifest) -> StoreResult<()> {
-    let mut body = Vec::new();
-    ser::write_u32(&mut body, m.index)?;
-    ser::write_u32(&mut body, m.shard_count)?;
-    ser::write_u64(&mut body, m.generation)?;
-    ser::write_u64(&mut body, m.entries.len() as u64)?;
-    for e in &m.entries {
-        ser::write_str(&mut body, &e.id)?;
-        ser::write_u64(&mut body, e.content_hash)?;
-        ser::write_u64(&mut body, e.num_rows)?;
-        ser::write_u32(&mut body, e.num_cols)?;
-    }
-    let mut file = Vec::with_capacity(body.len() + 24);
-    ser::write_frame(&mut file, SHARD_MAGIC, &body)?;
+    let mut file = Vec::new();
+    ser::write_framed(&mut file, SHARD_MAGIC, |w| {
+        ser::write_u32(w, m.index)?;
+        ser::write_u32(w, m.shard_count)?;
+        ser::write_u64(w, m.generation)?;
+        ser::write_u64(w, m.entries.len() as u64)?;
+        for e in &m.entries {
+            ser::write_str(w, &e.id)?;
+            ser::write_u64(w, e.content_hash)?;
+            ser::write_u64(w, e.num_rows)?;
+            ser::write_u32(w, e.num_cols)?;
+        }
+        Ok(())
+    })?;
     durable::commit_file(path, &file)
 }
 
@@ -175,10 +181,10 @@ pub fn read_shard_manifest(path: &Path) -> StoreResult<ShardManifest> {
         let res = match ser::read_frame(r, SHARD_MAGIC, "TSFM shard manifest") {
             // The shard layer postdates checksummed frames; a v1 shard
             // cannot have been written by any release.
-            Ok(ser::Payload::Legacy) => {
+            Ok(ser::Frame::Legacy) => {
                 Err(StoreError::corrupt(SHARD_MAGIC_STR, "v1 shard manifests do not exist"))
             }
-            Ok(ser::Payload::Framed(body)) => ser::parse_framed(&body, read_shard_manifest_body),
+            Ok(ser::Frame::Payload(body)) => ser::parse_framed(body, read_shard_manifest_body),
             Err(e) => Err(e),
         };
         res.map_err(|e| e.into_format(SHARD_MAGIC_STR))
@@ -248,25 +254,28 @@ pub struct ArenaSlot {
 }
 
 /// Build the full byte image of an arena file for `payloads` (each one a
-/// complete `TSFMSEG1` frame), in slot order.
+/// complete `TSFMSEG1` frame), in slot order: written in place, the
+/// offset-table checksum patched into the header once the table is.
 pub(crate) fn build_arena(index: u32, generation: u64, payloads: &[impl AsRef<[u8]>]) -> Vec<u8> {
-    let table_len = ARENA_SLOT_LEN * payloads.len() as u64;
-    let mut data_offset = ARENA_HEADER_LEN + table_len;
-    let mut table = Vec::with_capacity(table_len as usize);
-    for p in payloads.iter().map(AsRef::as_ref) {
-        table.extend_from_slice(&data_offset.to_le_bytes());
-        table.extend_from_slice(&(p.len() as u64).to_le_bytes());
-        table.extend_from_slice(&durable::crc32c(p).to_le_bytes());
-        data_offset += p.len() as u64;
-    }
-    let mut out = Vec::with_capacity(data_offset as usize);
+    let table_end = (ARENA_HEADER_LEN + ARENA_SLOT_LEN * payloads.len() as u64) as usize;
+    let total = table_end + payloads.iter().map(|p| p.as_ref().len()).sum::<usize>();
+    let mut out = Vec::with_capacity(total);
     out.extend_from_slice(ARENA_MAGIC);
     out.extend_from_slice(&ser::FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&index.to_le_bytes());
     out.extend_from_slice(&generation.to_le_bytes());
     out.extend_from_slice(&(payloads.len() as u64).to_le_bytes());
-    out.extend_from_slice(&durable::crc32c(&table).to_le_bytes());
-    out.extend_from_slice(&table);
+    out.extend_from_slice(&[0; 4]);
+    let mut data_offset = table_end as u64;
+    for p in payloads.iter().map(AsRef::as_ref) {
+        out.extend_from_slice(&data_offset.to_le_bytes());
+        out.extend_from_slice(&(p.len() as u64).to_le_bytes());
+        out.extend_from_slice(&durable::crc32c(p).to_le_bytes());
+        data_offset += p.len() as u64;
+    }
+    let table_crc = durable::crc32c(&out[ARENA_HEADER_LEN as usize..]);
+    out[ARENA_HEADER_LEN as usize - 4..ARENA_HEADER_LEN as usize]
+        .copy_from_slice(&table_crc.to_le_bytes());
     for p in payloads {
         out.extend_from_slice(p.as_ref());
     }
@@ -424,7 +433,46 @@ impl ArenaIndex {
     pub fn read_record(&self, slot: usize) -> StoreResult<TableRecord> {
         let offset = self.slots.get(slot).map_or(0, |s| s.offset);
         let bytes = self.read_payload(slot)?;
-        ser::read_record(&mut bytes.as_slice())
+        self.decode(&bytes, offset)
+    }
+
+    /// Decode every slot `wanted` accepts, in slot order, handing `f` the
+    /// slot number and its record: what [`ArenaIndex::read_record`] does
+    /// slot by slot, but consecutive slots come in one positioned read per
+    /// window of up to [`READ_WINDOW`] bytes, into one reused buffer. Each
+    /// slot is CRC-verified before it is decoded.
+    pub(crate) fn read_records(
+        &self,
+        wanted: impl Fn(usize) -> bool,
+        mut f: impl FnMut(usize, TableRecord) -> StoreResult<()>,
+    ) -> StoreResult<()> {
+        let mut buf = Vec::new();
+        let mut next = 0;
+        while next < self.slots.len() {
+            let start = self.slots[next].offset;
+            let fits = |s: &&ArenaSlot| s.offset + s.len - start <= READ_WINDOW;
+            let window = next..next + 1 + self.slots[next + 1..].iter().take_while(fits).count();
+            next = window.end;
+            if !window.clone().any(&wanted) {
+                continue;
+            }
+            let last = self.slots[window.end - 1];
+            buf.resize((last.offset + last.len - start) as usize, 0);
+            durable::read_at(&self.file, &self.path, start, &mut buf, ARENA_MAGIC_STR)?;
+            for i in window.filter(|&i| wanted(i)) {
+                let ArenaSlot { offset, len, crc } = self.slots[i];
+                let at = (offset - start) as usize;
+                let payload = &buf[at..at + len as usize];
+                durable::check_at(payload, &self.path, offset, crc, ARENA_MAGIC_STR)?;
+                f(i, self.decode(payload, offset)?)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Decode a verified slot payload read at `offset`.
+    fn decode(&self, mut payload: &[u8], offset: u64) -> StoreResult<TableRecord> {
+        ser::read_record(&mut payload)
             .map_err(|e| durable::note_corruption(e.with_file(&self.path, offset)))
     }
 }
@@ -732,6 +780,57 @@ mod tests {
         assert_corrupt(ArenaIndex::open(&path, &meta).unwrap_err());
         let short = ShardMeta { arena_bytes: meta.arena_bytes - 4, ..meta };
         assert_corrupt(ArenaIndex::open(&path, &short).unwrap_err());
+    }
+
+    /// Batched reads hand back exactly what slot-by-slot reads do, across
+    /// several windows and past a slot larger than one, skip what is not
+    /// wanted, and still fail a flipped payload bit at that slot's offset.
+    #[test]
+    fn read_records_matches_slot_reads_across_windows() {
+        let dir = tmp("windows");
+        let mut recs: Vec<TableRecord> =
+            (0..1500).map(|i| record(&format!("t{i:04}"), &[i, i + 1, i * 7])).collect();
+        recs[250].table_embedding = Some(vec![0.5; READ_WINDOW as usize / 4 + 100]);
+        let payloads: Vec<Vec<u8>> = recs.iter().map(payload).collect();
+        let mut bytes = build_arena(0, 1, &payloads);
+        assert!(bytes.len() as u64 > 3 * READ_WINDOW, "several windows: {}", bytes.len());
+        let meta = ShardMeta {
+            index: 0,
+            generation: 1,
+            entry_count: 1500,
+            total_rows: 0,
+            total_cols: 0,
+            arena_bytes: bytes.len() as u64,
+        };
+        let path = dir.join(arena_file_name(0, 1));
+        durable::commit_file(&path, &bytes).unwrap();
+        let arena = ArenaIndex::open(&path, &meta).unwrap();
+        let wanted = |i: usize| i % 7 != 3;
+        let mut got = Vec::new();
+        arena
+            .read_records(wanted, |i, rec| {
+                got.push((i, rec.table_id().to_string(), rec.table_embedding.map(|e| e.len())));
+                Ok(())
+            })
+            .unwrap();
+        let want: Vec<_> = (0..1500)
+            .filter(|&i| wanted(i))
+            .map(|i| {
+                let rec = arena.read_record(i).unwrap();
+                (i, rec.table_id().to_string(), rec.table_embedding.map(|e| e.len()))
+            })
+            .collect();
+        assert_eq!(got, want);
+
+        let bad = arena.slots[1200];
+        bytes[(bad.offset + bad.len / 2) as usize] ^= 1;
+        durable::commit_file(&path, &bytes).unwrap();
+        let arena = ArenaIndex::open(&path, &meta).unwrap();
+        let err = arena.read_records(|_| true, |_, _| Ok(())).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt { offset: Some(at), .. } if *at == bad.offset),
+            "{err}"
+        );
     }
 
     #[test]

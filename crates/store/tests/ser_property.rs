@@ -581,3 +581,84 @@ fn fsck_reports_a_tag2_cache_valid() {
     assert_eq!(report.index_cache, IndexCacheState::Valid);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The detail of the `Corrupt` error attributed to `want` that `res`
+/// must be.
+fn corrupt_detail<T>(res: Result<T, StoreError>, want: &str) -> String {
+    match res {
+        Err(StoreError::Corrupt { format, detail, .. }) => {
+            assert_eq!(format, want, "{detail}");
+            detail
+        }
+        Err(other) => panic!("want a Corrupt {want} error, got {other:?}"),
+        Ok(_) => panic!("want a Corrupt {want} error, the frame parsed"),
+    }
+}
+
+/// A resealed `TSFMHNS1` frame whose vector buffer claims 2²⁸ floats —
+/// the most the element bound allows, 1 GiB — in a body of a few hundred
+/// bytes is rejected against the bytes left before anything is allocated.
+#[test]
+fn hnsw_claiming_2_28_floats_in_a_short_body_is_corrupt() {
+    let mut buf = hnsw_bytes(8, 5);
+    // dim, metric, m, ef_construction, ef_search, seed, rng state,
+    // max level: 41 payload bytes, then the entry flag (and entry).
+    let flag = 24 + 41;
+    let count_at = if buf[flag] == 1 { flag + 9 } else { flag + 1 };
+    buf[count_at..count_at + 8].copy_from_slice(&(1u64 << 28).to_le_bytes());
+    reseal(&mut buf);
+    let detail = corrupt_detail(read_hnsw(&mut buf.as_slice()), "TSFMHNS1");
+    assert!(detail.contains("overruns"), "{detail}");
+}
+
+/// The same for a resealed `TSFMEMB1` frame claiming one row of 2²⁸
+/// floats.
+#[test]
+fn embeddings_claiming_2_28_floats_in_a_short_body_is_corrupt() {
+    let mut buf = embedding_bytes(3, 4, 1);
+    buf[24..28].copy_from_slice(&1u32.to_le_bytes());
+    buf[28..32].copy_from_slice(&(1u32 << 28).to_le_bytes());
+    reseal(&mut buf);
+    let detail = corrupt_detail(read_embedding_matrix(&mut buf.as_slice()), "TSFMEMB1");
+    assert!(detail.contains("overruns"), "{detail}");
+}
+
+/// A resealed tag-2 cache that lists a table twice passes every checksum
+/// but not `QueryEngine::from_meta`. fsck and the catalog agree that it is
+/// corrupt: fsck says so, the catalog counts it as a corruption and
+/// rebuilds, and the rewritten cache is valid again.
+#[test]
+fn a_tag2_cache_listing_a_table_twice_is_corrupt_for_fsck_and_catalog() {
+    let dir = tag2_catalog(6);
+    let path = dir.join("index.cache");
+    let mut bytes = std::fs::read(&path).expect("read index cache");
+    let meta = meta_offset(&bytes);
+    assert_eq!(bytes[meta], 2);
+    // The live span of `t1` — live byte, length 2, "t1" — renamed `t2`.
+    let span = [1, 2, 0, 0, 0, b't', b'1'];
+    let at = meta + bytes[meta..].windows(span.len()).position(|w| w == span).expect("t1's span");
+    bytes[at + span.len() - 1] = b'2';
+    reseal(&mut bytes);
+    std::fs::write(&path, &bytes).unwrap();
+    let report = fsck(&dir, false).expect("fsck");
+    assert!(
+        matches!(&report.index_cache, IndexCacheState::Corrupt(why) if why.contains("twice")),
+        "{}",
+        report.to_json()
+    );
+    assert!(!report.healthy());
+
+    let corruptions = || {
+        tsfm_obs::metrics::global().counter("tsfm_store_corruptions_detected_total", "").get()
+    };
+    let before = corruptions();
+    let mut cat = Catalog::open(&dir).expect("open");
+    assert_eq!(cat.searcher().expect("rebuilt snapshot").len(), 7);
+    assert!(corruptions() > before, "the rejected cache is counted");
+    drop(cat);
+    assert_ne!(std::fs::read(&path).unwrap(), bytes, "the cache is rewritten");
+    let report = fsck(&dir, false).expect("fsck");
+    assert!(report.healthy(), "{}", report.to_json());
+    assert_eq!(report.index_cache, IndexCacheState::Valid);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -9,11 +9,37 @@
 //!
 //! ## Hot-path layout
 //!
-//! Node vectors live in one contiguous row-major `f32` arena with a cached
-//! squared norm per row, so a cosine distance is a single fused dot
-//! product over adjacent memory ([`Metric::distance_prenorm`]). Queries
-//! track visited nodes with an epoch-stamped list and reuse their
-//! candidate/result heaps via [`SearchScratch`]; [`Hnsw::search`] hands
+//! Node vectors live in one contiguous row-major `f32` arena with the
+//! root of each row's squared norm cached beside it, and a query computes
+//! its own root once, so a cosine distance is one dot product and one
+//! division (`Metric::distance_rooted`).
+//!
+//! Links are flat `u32` rows, one layout for building, searching, cloning
+//! and loading:
+//!
+//! * layer 0: one `Vec<u32>` with a fixed stride of `2·m` per node, and a
+//!   one-byte length per node;
+//! * layers ≥ 1: one pool of `m`-slot lists with a one-byte length each.
+//!   A node's level is fixed when it is inserted, so its lists are
+//!   appended once, in id order; the nodes that have any (one in `m`) are
+//!   found by binary search over their sorted ids.
+//!
+//! Per node that is `8·m` bytes of layer-0 row, one length byte and, on
+//! average, `1/(m−1)` upper lists plus their index — about five bytes at
+//! `m` = 12. Nothing is allocated per node or per list, so a fork
+//! ([`Clone`], which `QueryEngine::update` uses) is a few `memcpy`s and a
+//! load fills rows sized once.
+//!
+//! Expanding a node marks every unvisited neighbour first and then scores
+//! the batch four rows at a time with [`knn::dot4`](crate::knn::dot4);
+//! the heaps then see the neighbours in the original list order. Both
+//! keep every bit: a `dot4` lane is `dot`'s own single-accumulator sum in
+//! ascending index, and a node's visit mark depends only on the list, not
+//! on the heap decisions taken between neighbours. Greedy descent scores
+//! its current node's list the same way.
+//!
+//! Queries track visited nodes with an epoch-stamped list and reuse their
+//! heaps and batch buffers via [`SearchScratch`]; [`Hnsw::search`] hands
 //! scratch out from a per-thread pool, so batched fan-outs (e.g.
 //! `tsfm_store`'s `search_batch`) allocate nothing per query after warmup.
 //!
@@ -22,36 +48,40 @@
 //! Connecting a new node pushes it onto each chosen neighbour's list and
 //! trims that list back to the `m_max` closest. The distance of every
 //! link on the list was already computed when the link was made — by the
-//! beam search that found it — so [`Hnsw::add`] keeps it beside the link
-//! (`link_dists[node][layer][i]` parallels `neighbors[layer][i]`) and
-//! trims by sorting the cached pairs instead of re-deriving `m_max + 1`
-//! distances per neighbour per insert. A cached value is the distance the
-//! trim used to recompute, to the bit: `dist(query = v_id, n)` and
-//! `dist_nodes(n, id)` are the same IEEE expression over the same rows
-//! with commutative operands swapped.
+//! beam search that found it — so [`Hnsw::add`] keeps it in flat `f32`
+//! rows parallel to the link rows, with a "filled" flag per node, and a
+//! full list takes its new link by sorting the `m_max + 1` cached
+//! `(id, distance)` pairs through one reused buffer and writing back the
+//! `m_max` closest — the order the list keeps, which decides exploration
+//! order later. A cached value is the distance the trim would otherwise
+//! recompute, to the bit: `dist(query = v_id, n)` and `dist_nodes(n, id)`
+//! are the same IEEE expression over the same rows with commutative
+//! operands swapped.
 //!
-//! The cache is *build-side* state, kept apart from the nodes that
-//! queries read, with this lifetime:
+//! The cache is *build-side* state, kept apart from the rows that queries
+//! read, with this lifetime:
 //!
 //! * it is not part of [`HnswSnapshot`] / `TSFMHNS1`;
-//! * [`Hnsw::from_snapshot`] leaves it empty and allocates nothing for
-//!   it; the first insert that links to an imported node fills that
-//!   node's row (`dist_nodes` over its current lists), so a restart pays
-//!   nothing and insert-after-import continues the identical graph;
+//! * a loaded graph ([`Hnsw::from_snapshot`], [`HnswLoader`]) and a fork
+//!   start without it; the first insert sizes the rows, and each node's
+//!   row is filled on first touch (`dist_nodes` over its current lists),
+//!   so a restart pays nothing and insert-after-import continues the
+//!   identical graph;
 //! * [`Hnsw::release_link_cache`] drops it (and the insert scratch) once
 //!   a build is done — `QueryEngine::build` calls it before returning, so
 //!   a serving process does not hold ~100 B per column it never reads.
 //!   Inserting afterwards is still correct: rows refill on first touch.
 //!
-//! An insert also allocates nothing per layer or per neighbour: the beam
-//! result, the trim buffer and (through the thread's [`SearchScratch`])
-//! the heaps are reused, the query is the caller's slice, and lists are
-//! trimmed in place.
+//! An insert also allocates nothing per layer or per neighbour beyond
+//! amortized row growth: the beam result, the trim buffer and (through
+//! the thread's [`SearchScratch`]) the heaps are reused, the query is the
+//! caller's slice, and lists are trimmed in place.
 //!
 //! All of this is bit-for-bit behavior-preserving — graphs and query
-//! results are pinned by `tests/determinism.rs`, and the `TSFMHNS1`
-//! serialization (which never stored norms or link distances) is
-//! unchanged.
+//! results are pinned by `tests/determinism.rs` and, at the served shape
+//! (8 192 nodes, d = 32 and 80, duplicate groups), by
+//! `tests/served_shape_pins.rs`; the `TSFMHNS1` serialization (u64 ids,
+//! no norms, no link distances) is unchanged byte for byte.
 //!
 //! ## Dead nodes
 //!
@@ -69,11 +99,11 @@
 //! results. Each dead node costs routing work and a slot that a live
 //! neighbour could hold, so a caller rebuilds once dead nodes reach
 //! [`DEAD_REBUILD_DIVISOR`]⁻¹ of the graph. A clone ([`Clone`]) carries
-//! the nodes and RNG state but no build-side state, so forking a serving
+//! the rows and RNG state but no build-side state, so forking a serving
 //! graph and inserting into the fork continues exactly as inserting into
 //! the original would.
 
-use crate::knn::Metric;
+use crate::knn::{cosine_from_dot, dot4, sq_euclidean, Metric};
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
@@ -113,10 +143,7 @@ impl PartialOrd for HeapItem {
 
 impl Ord for HeapItem {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(self.1.cmp(&other.1))
+        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
     }
 }
 
@@ -139,18 +166,15 @@ impl PartialOrd for MinItem {
 
 impl Ord for MinItem {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .0
-            .partial_cmp(&self.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(other.1.cmp(&self.1))
+        other.0.total_cmp(&self.0).then(other.1.cmp(&self.1))
     }
 }
 
 /// HNSW construction/search parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HnswConfig {
-    /// Max neighbours per node on layers ≥ 1 (layer 0 keeps `2·m`).
+    /// Max neighbours per node on layers ≥ 1 (layer 0 keeps `2·m`); at
+    /// most [`MAX_M`].
     pub m: usize,
     pub ef_construction: usize,
     pub ef_search: usize,
@@ -162,6 +186,18 @@ impl Default for HnswConfig {
         Self { m: 12, ef_construction: 64, ef_search: 48, seed: 0x45f7 }
     }
 }
+
+/// The largest `m` a graph may have. A list's length is one byte and
+/// layer 0 keeps `2·m` links, so 127 would fit; 64 also bounds what a
+/// loaded graph allocates per node before its lists are read (`8·m`
+/// bytes of layer-0 row). Every graph this workspace builds uses the
+/// default, 12.
+pub const MAX_M: usize = 64;
+
+/// The most layers a node may have. [`Hnsw::add`] draws levels of at most
+/// 25 (the geometric draw's floor over a 24-bit uniform, at `m` = 2), so
+/// only a corrupt snapshot reaches this.
+const MAX_LAYERS: usize = 64;
 
 /// A graph whose dead nodes (module docs, "Dead nodes") reach
 /// `1 / DEAD_REBUILD_DIVISOR` of all its nodes is rebuilt from its live
@@ -177,10 +213,132 @@ impl Default for HnswConfig {
 /// live vectors.
 pub const DEAD_REBUILD_DIVISOR: usize = 4;
 
+/// Where one node's list on one layer lives: slots `start..start + cap`
+/// of `Links::row0` (layer 0) or `Links::up_row`, with its length at
+/// `len_at` of `len0` / `up_len`. The link-distance rows are parallel, so
+/// the same place addresses a list's distances.
+#[derive(Clone, Copy)]
+struct Place {
+    upper: bool,
+    start: usize,
+    cap: usize,
+    len_at: usize,
+}
+
+impl Place {
+    /// This list's slots in `row0` or `up`, whichever holds its layer:
+    /// the link rows or the distance rows parallel to them.
+    fn slots<'a, T>(self, row0: &'a mut [T], up: &'a mut [T]) -> &'a mut [T] {
+        let row = if self.upper { up } else { row0 };
+        &mut row[self.start..self.start + self.cap]
+    }
+}
+
+/// Every node's links in flat rows (module docs, "Hot-path layout").
 #[derive(Clone)]
-struct Node {
-    /// Neighbour lists per layer, `neighbors[l]` for layer `l`.
-    neighbors: Vec<Vec<usize>>,
+struct Links {
+    /// Slots per list on layers ≥ 1; layer 0 has `2·m`.
+    m: usize,
+    /// Layer 0: node `i`'s links are `row0[i·2m..][..len0[i]]`.
+    row0: Vec<u32>,
+    len0: Vec<u8>,
+    /// Ids of the nodes with a layer above 0, ascending.
+    up_nodes: Vec<u32>,
+    /// `up_first[k]` is the first upper list of `up_nodes[k]`, whose
+    /// level is `up_first[k + 1] − up_first[k]`; one entry more than
+    /// `up_nodes`.
+    up_first: Vec<u32>,
+    /// Upper list `j` (a node's layers 1, 2, … in order) is
+    /// `up_row[j·m..][..up_len[j]]`.
+    up_row: Vec<u32>,
+    up_len: Vec<u8>,
+}
+
+impl Links {
+    fn new(m: usize) -> Self {
+        Self {
+            m,
+            row0: Vec::new(),
+            len0: Vec::new(),
+            up_nodes: Vec::new(),
+            up_first: vec![0],
+            up_row: Vec::new(),
+            up_len: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len0.len()
+    }
+
+    /// Append node `len()` with layers `0..=level`, all lists empty.
+    fn push_node(&mut self, level: usize) {
+        let id = self.len() as u32;
+        self.row0.resize(self.row0.len() + 2 * self.m, 0);
+        self.len0.push(0);
+        if level > 0 {
+            let lists = self.up_len.len() + level;
+            self.up_nodes.push(id);
+            self.up_first.push(lists as u32);
+            self.up_row.resize(lists * self.m, 0);
+            self.up_len.resize(lists, 0);
+        }
+    }
+
+    /// Index of `id` in `up_nodes`, if it has a layer above 0.
+    fn upper_index(&self, id: usize) -> Option<usize> {
+        let k = self.up_nodes.partition_point(|&x| (x as usize) < id);
+        (self.up_nodes.get(k).copied() == Some(id as u32)).then_some(k)
+    }
+
+    /// The top layer of node `id`.
+    fn level(&self, id: usize) -> usize {
+        self.upper_index(id).map_or(0, |k| (self.up_first[k + 1] - self.up_first[k]) as usize)
+    }
+
+    /// The list of `id` on `layer`, which the node must have.
+    #[inline]
+    fn place(&self, id: usize, layer: usize) -> Place {
+        if layer == 0 {
+            let cap = 2 * self.m;
+            Place { upper: false, start: id * cap, cap, len_at: id }
+        } else {
+            // Only nodes with `layer` are ever asked for it: validated on
+            // load, and links on a layer only point at nodes that have it.
+            let k = self.up_nodes.partition_point(|&x| (x as usize) < id);
+            let j = self.up_first[k] as usize + layer - 1;
+            Place { upper: true, start: j * self.m, cap: self.m, len_at: j }
+        }
+    }
+
+    #[inline]
+    fn len_of(&self, p: Place) -> usize {
+        usize::from(if p.upper { self.up_len[p.len_at] } else { self.len0[p.len_at] })
+    }
+
+    #[inline]
+    fn get(&self, p: Place) -> &[u32] {
+        let row = if p.upper { &self.up_row } else { &self.row0 };
+        &row[p.start..p.start + self.len_of(p)]
+    }
+
+    #[inline]
+    fn links(&self, id: usize, layer: usize) -> &[u32] {
+        self.get(self.place(id, layer))
+    }
+
+    /// The whole slot range of a list and its length cell.
+    fn slots_mut(&mut self, p: Place) -> (&mut [u32], &mut u8) {
+        let len = if p.upper { &mut self.up_len[p.len_at] } else { &mut self.len0[p.len_at] };
+        (p.slots(&mut self.row0, &mut self.up_row), len)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.row0.capacity() + self.up_nodes.capacity() + self.up_first.capacity() + self.up_row.capacity())
+            * std::mem::size_of::<u32>()
+            + self.len0.capacity()
+            + self.up_len.capacity()
+    }
 }
 
 /// What only [`Hnsw::add`] uses (module docs, "Build-side state"): the
@@ -188,18 +346,32 @@ struct Node {
 /// the released state and owns no heap memory.
 #[derive(Default)]
 struct BuildState {
-    /// `link_dists[n][l][i]` = distance from `n` to `neighbors[l][i]` of
-    /// node `n`. An empty row means "not filled yet" (every node has at
-    /// least layer 0, so a filled row is never empty).
-    link_dists: Vec<Vec<Vec<f32>>>,
+    /// `filled[n]`: node `n`'s distance rows hold the distance of each of
+    /// its links. Shorter than the graph after a load or a release.
+    filled: Vec<bool>,
+    /// Parallel to `Links::row0` and `Links::up_row`: the distance
+    /// from the list's node to each link.
+    dist0: Vec<f32>,
+    dist_up: Vec<f32>,
     /// Beam result of the layer being connected, ascending by distance.
     found: Vec<(usize, f32)>,
     /// `(neighbour, distance)` pairs of the list being trimmed.
     trim: Vec<(usize, f32)>,
 }
 
+impl BuildState {
+    /// Size the distance rows and flags to the graph's, new rows unfilled.
+    fn fit(&mut self, links: &Links) {
+        self.dist0.resize(links.row0.len(), 0.0);
+        self.dist_up.resize(links.up_row.len(), 0.0);
+        self.filled.resize(links.len(), false);
+    }
+}
+
 /// A complete, serializable copy of an [`Hnsw`]'s state (`tsfm_store`
-/// persists it as the `TSFMHNS1` section of the index cache).
+/// persists the same content as the `TSFMHNS1` section of the index
+/// cache). A transfer shape only: [`Hnsw::from_snapshot`] loads it into
+/// the flat rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HnswSnapshot {
     pub cfg: HnswConfig,
@@ -214,10 +386,11 @@ pub struct HnswSnapshot {
     pub rng_state: u64,
 }
 
-/// Reusable per-query search state: the epoch-stamped visited list and
-/// the candidate/result heaps. One `begin` bumps the epoch, which marks
-/// every previous query's stamps stale in O(1) — no clearing, no
-/// rehashing, no allocation once the list has grown to the index size.
+/// Reusable per-query search state: the epoch-stamped visited list, the
+/// candidate/result heaps and the batch of neighbours being scored. One
+/// `begin` bumps the epoch, which marks every previous query's stamps
+/// stale in O(1) — no clearing, no rehashing, no allocation once the
+/// list has grown to the index size.
 ///
 /// [`Hnsw::search`] takes scratch from a per-thread pool automatically;
 /// callers that manage their own threads can hold a `SearchScratch` and
@@ -230,6 +403,10 @@ pub struct SearchScratch {
     epoch: u32,
     candidates: BinaryHeap<MinItem>,
     results: BinaryHeap<HeapItem>,
+    /// The neighbours of the expanded node that get scored, in list
+    /// order, and their distances.
+    batch: Vec<u32>,
+    scores: Vec<f32>,
 }
 
 impl SearchScratch {
@@ -279,10 +456,10 @@ pub struct Hnsw {
     metric: Metric,
     /// Row-major vector arena, `dim` floats per node.
     data: Vec<f32>,
-    /// Cached squared norm per node (see [`Metric::norm_cache`]); not
-    /// serialized — recomputed on snapshot import.
-    norms: Vec<f32>,
-    nodes: Vec<Node>,
+    /// Cached norm root per node (`Metric::root_cache`); not serialized
+    /// — recomputed on load.
+    roots: Vec<f32>,
+    links: Links,
     entry: Option<usize>,
     max_level: usize,
     rng_state: u64,
@@ -290,9 +467,9 @@ pub struct Hnsw {
     build: BuildState,
 }
 
-/// A fork of the graph: nodes, vectors, norms and RNG state, but not the
-/// build-side state (module docs) — like [`Hnsw::from_snapshot`], the
-/// clone refills link-distance rows on first touch, so inserting into it
+/// A fork of the graph: rows, vectors, roots and RNG state, but not the
+/// build-side state (module docs) — like a loaded graph, the clone
+/// refills link-distance rows on first touch, so inserting into it
 /// continues the identical graph.
 impl Clone for Hnsw {
     fn clone(&self) -> Self {
@@ -301,8 +478,8 @@ impl Clone for Hnsw {
             dim: self.dim,
             metric: self.metric,
             data: self.data.clone(),
-            norms: self.norms.clone(),
-            nodes: self.nodes.clone(),
+            roots: self.roots.clone(),
+            links: self.links.clone(),
             entry: self.entry,
             max_level: self.max_level,
             rng_state: self.rng_state,
@@ -314,19 +491,34 @@ impl Clone for Hnsw {
 /// Ascending by distance, ties by ascending id — the one order beam
 /// results and trimmed neighbour lists are kept in.
 fn by_distance_then_id(a: &(usize, f32), b: &(usize, f32)) -> std::cmp::Ordering {
-    a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+    a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
+}
+
+/// Why `m` or a node count cannot be a graph's: `m` above [`MAX_M`], or
+/// more nodes than `u32` ids can name. Checked before anything is sized
+/// by either.
+fn check_shape(m: usize, nodes: usize) -> Result<(), String> {
+    if m > MAX_M {
+        return Err(format!("m {m} is above the cap of {MAX_M}"));
+    }
+    if nodes > u32::MAX as usize {
+        return Err(format!("{nodes} nodes do not fit u32 ids"));
+    }
+    Ok(())
 }
 
 impl Hnsw {
+    /// An empty index. Panics if `cfg.m` is above [`MAX_M`].
     pub fn new(dim: usize, metric: Metric, cfg: HnswConfig) -> Self {
+        assert!(cfg.m <= MAX_M, "HNSW m {} is above the cap of {MAX_M}", cfg.m);
         let rng_state = cfg.seed | 1;
         Self {
+            links: Links::new(cfg.m),
             cfg,
             dim,
             metric,
             data: Vec::new(),
-            norms: Vec::new(),
-            nodes: Vec::new(),
+            roots: Vec::new(),
             entry: None,
             max_level: 0,
             rng_state,
@@ -335,29 +527,51 @@ impl Hnsw {
     }
 
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.links.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.links.len() == 0
     }
 
+    #[inline]
     fn vector(&self, id: usize) -> &[f32] {
         &self.data[id * self.dim..(id + 1) * self.dim]
     }
 
-    /// Distance from a query (with its precomputed squared norm) to a
-    /// stored node: one dot product over the arena row plus the cached
-    /// node norm.
+    /// Distance from a query (with its norm root) to a stored node.
     #[inline]
-    fn dist(&self, q: &[f32], q_norm: f32, id: usize) -> f32 {
-        self.metric.distance_prenorm(q, q_norm, self.vector(id), self.norms[id])
+    fn dist(&self, q: &[f32], q_root: f32, id: usize) -> f32 {
+        self.metric.distance_rooted(q, q_root, self.vector(id), self.roots[id])
     }
 
-    /// Distance between two stored nodes, both norms cached.
+    /// Distance between two stored nodes, both roots cached.
     #[inline]
     fn dist_nodes(&self, a: usize, b: usize) -> f32 {
-        self.metric.distance_prenorm(self.vector(a), self.norms[a], self.vector(b), self.norms[b])
+        self.metric.distance_rooted(self.vector(a), self.roots[a], self.vector(b), self.roots[b])
+    }
+
+    /// `out[i]` = distance from the query to node `ids[i]`, each to the
+    /// bit what [`Hnsw::dist`] gives. Cosine rows go through
+    /// [`dot4`] four at a time (module docs, "Hot-path layout").
+    fn score(&self, q: &[f32], q_root: f32, ids: &[u32], out: &mut Vec<f32>) {
+        out.clear();
+        match self.metric {
+            Metric::Cosine => {
+                for quad in ids.chunks(4) {
+                    // A short last batch repeats its first row in the
+                    // spare lanes, whose products are dropped.
+                    let row = |i: usize| self.vector(quad.get(i).map_or(quad[0], |&id| id) as usize);
+                    let dots = dot4(q, [row(0), row(1), row(2), row(3)]);
+                    for (&id, d) in quad.iter().zip(dots) {
+                        out.push(cosine_from_dot(d, q_root, self.roots[id as usize]));
+                    }
+                }
+            }
+            Metric::Euclidean => {
+                out.extend(ids.iter().map(|&id| sq_euclidean(q, self.vector(id as usize))));
+            }
+        }
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -377,15 +591,24 @@ impl Hnsw {
     }
 
     /// Greedy descent on one layer: move to the closest neighbour until no
-    /// improvement.
-    fn greedy(&self, q: &[f32], q_norm: f32, mut cur: usize, layer: usize) -> usize {
-        let mut cur_d = self.dist(q, q_norm, cur);
+    /// improvement. Each step scores the current node's whole list, then
+    /// walks it in order — the comparisons of the one-at-a-time loop.
+    fn greedy(
+        &self,
+        q: &[f32],
+        q_root: f32,
+        mut cur: usize,
+        layer: usize,
+        scratch: &mut SearchScratch,
+    ) -> usize {
+        let mut cur_d = self.dist(q, q_root, cur);
         loop {
+            let links = self.links.links(cur, layer);
+            self.score(q, q_root, links, &mut scratch.scores);
             let mut improved = false;
-            for &n in &self.nodes[cur].neighbors[layer] {
-                let d = self.dist(q, q_norm, n);
+            for (&n, &d) in links.iter().zip(&scratch.scores) {
                 if d < cur_d {
-                    cur = n;
+                    cur = n as usize;
                     cur_d = d;
                     improved = true;
                 }
@@ -407,7 +630,7 @@ impl Hnsw {
     fn search_layer(
         &self,
         q: &[f32],
-        q_norm: f32,
+        q_root: f32,
         entry: usize,
         ef: usize,
         layer: usize,
@@ -415,8 +638,8 @@ impl Hnsw {
         scratch: &mut SearchScratch,
         out: &mut Vec<(usize, f32)>,
     ) {
-        let entry_d = self.dist(q, q_norm, entry);
-        scratch.begin(self.nodes.len());
+        let entry_d = self.dist(q, q_root, entry);
+        scratch.begin(self.len());
         scratch.visit(entry);
         // candidates: min-heap by (distance, id); results: max-heap.
         scratch.candidates.push(MinItem(entry_d, entry));
@@ -430,23 +653,18 @@ impl Hnsw {
             if cd > worst && scratch.results.len() >= ef {
                 break;
             }
-            let neighbors = &self.nodes[c].neighbors[layer];
-            // Touch the first cache line of every unvisited neighbour's
-            // arena row before the distance loop: the loads overlap
-            // instead of serializing on one miss per distance call. Pure
-            // reads — results are unchanged. (dim 0 has no rows to touch.)
-            if self.dim > 0 {
-                for &n in neighbors {
-                    if scratch.stamps[n] != scratch.epoch {
-                        std::hint::black_box(self.data[n * self.dim]);
-                    }
+            // Mark first, score the batch, then run the heap logic in
+            // list order: a mark depends only on the list, so this visits
+            // and pushes exactly what the one-at-a-time loop did.
+            scratch.batch.clear();
+            for &n in self.links.links(c, layer) {
+                if scratch.visit(n as usize) {
+                    scratch.batch.push(n);
                 }
             }
-            for &n in neighbors {
-                if !scratch.visit(n) {
-                    continue;
-                }
-                let d = self.dist(q, q_norm, n);
+            self.score(q, q_root, &scratch.batch, &mut scratch.scores);
+            for (&n, &d) in scratch.batch.iter().zip(&scratch.scores) {
+                let n = n as usize;
                 let worst = scratch.results.peek().map_or(f32::INFINITY, |h| h.0);
                 if scratch.results.len() < ef || d < worst {
                     scratch.candidates.push(MinItem(d, n));
@@ -473,24 +691,18 @@ impl Hnsw {
         }
     }
 
-    /// One empty list per layer `0..=level`. A list holds at most
-    /// `m_max + 1` entries (one push, then the trim), so sizing it once
-    /// means it never reallocates.
-    fn empty_lists<T>(&self, level: usize) -> Vec<Vec<T>> {
-        (0..=level).map(|l| Vec::with_capacity(self.m_max(l) + 1)).collect()
-    }
-
     /// Insert a vector, returning its id.
     pub fn add(&mut self, v: &[f32]) -> usize {
         assert_eq!(v.len(), self.dim, "vector dim");
+        let id = self.len();
+        assert!(id < u32::MAX as usize, "HNSW node ids are u32");
         let _g = tsfm_obs::span!("hnsw.insert");
         hnsw_counters().inserts.inc();
-        let id = self.nodes.len();
         let level = self.random_level();
-        let q_norm = self.metric.norm_cache(v);
+        let q_root = self.metric.root_cache(v);
         self.data.extend_from_slice(v);
-        self.norms.push(q_norm);
-        self.nodes.push(Node { neighbors: self.empty_lists(level) });
+        self.roots.push(q_root);
+        self.links.push_node(level);
 
         let Some(mut cur) = self.entry else {
             self.entry = Some(id);
@@ -499,48 +711,38 @@ impl Hnsw {
         };
 
         // Descend layers above the new node's level greedily.
-        for l in ((level + 1)..=self.max_level).rev() {
-            cur = self.greedy(v, q_norm, cur, l);
-        }
+        SCRATCH.with(|s| {
+            let s = &mut s.borrow_mut();
+            for l in ((level + 1)..=self.max_level).rev() {
+                cur = self.greedy(v, q_root, cur, l, s);
+            }
+        });
         // Taken out so its buffers can be borrowed beside `&mut self`;
         // put back below.
         let mut build = std::mem::take(&mut self.build);
-        let BuildState { link_dists, found, trim } = &mut build;
-        // Rows of nodes that arrived without distances (imported, or
-        // inserted before a release) start empty and fill on first touch.
-        link_dists.resize_with(id, Vec::new);
-        link_dists.push(self.empty_lists(level));
+        // Rows of nodes that arrived without distances (loaded, forked,
+        // or inserted before a release) start unfilled and fill on first
+        // touch; the new node's rows fill as its links are made.
+        build.fit(&self.links);
+        build.filled[id] = true;
         // Connect on each layer from min(level, max_level) down to 0.
         for l in (0..=level.min(self.max_level)).rev() {
             SCRATCH.with(|s| {
                 let ef = self.cfg.ef_construction;
-                self.search_layer(v, q_norm, cur, ef, l, |_| true, &mut s.borrow_mut(), found);
+                self.search_layer(v, q_root, cur, ef, l, |_| true, &mut s.borrow_mut(), &mut build.found);
             });
             let m_max = self.m_max(l);
-            for &(n, d) in found.iter().take(m_max) {
-                self.nodes[id].neighbors[l].push(n);
-                link_dists[id][l].push(d);
-                if link_dists[n].is_empty() {
-                    link_dists[n] = self.link_distances(n);
+            for i in 0..build.found.len().min(m_max) {
+                let (n, d) = build.found[i];
+                // At most `m_max` links: the new node's list never trims.
+                self.link(&mut build, id, l, n, d);
+                if !build.filled[n] {
+                    self.fill_distances(&mut build, n);
                 }
                 // `d` is dist(v, n), bit-equal to dist_nodes(n, id).
-                let links = &mut self.nodes[n].neighbors[l];
-                let dists = &mut link_dists[n][l];
-                links.push(id);
-                dists.push(d);
-                // Trim the neighbour's list if it overflowed.
-                if links.len() > m_max {
-                    trim.clear();
-                    trim.extend(links.iter().copied().zip(dists.iter().copied()));
-                    trim.sort_by(by_distance_then_id);
-                    trim.truncate(m_max);
-                    links.clear();
-                    links.extend(trim.iter().map(|&(x, _)| x));
-                    dists.clear();
-                    dists.extend(trim.iter().map(|&(_, dx)| dx));
-                }
+                self.link(&mut build, n, l, id, d);
             }
-            if let Some(&(best, _)) = found.first() {
+            if let Some(&(best, _)) = build.found.first() {
                 cur = best;
             }
         }
@@ -552,11 +754,43 @@ impl Hnsw {
         id
     }
 
-    /// The link-distance row of a node that has none yet: the distance of
-    /// every link on every layer, exactly as the trim would derive it.
-    fn link_distances(&self, n: usize) -> Vec<Vec<f32>> {
-        let layers = &self.nodes[n].neighbors;
-        layers.iter().map(|links| links.iter().map(|&x| self.dist_nodes(n, x)).collect()).collect()
+    /// Add `to` at distance `d` to the list of `from` on `layer`. A full
+    /// list sorts its `m_max + 1` cached pairs and keeps the closest
+    /// `m_max`, in that order.
+    fn link(&mut self, build: &mut BuildState, from: usize, layer: usize, to: usize, d: f32) {
+        let p = self.links.place(from, layer);
+        let (row, len) = self.links.slots_mut(p);
+        let dists = p.slots(&mut build.dist0, &mut build.dist_up);
+        let n = usize::from(*len);
+        if n < p.cap {
+            row[n] = to as u32;
+            dists[n] = d;
+            *len += 1;
+            return;
+        }
+        let trim = &mut build.trim;
+        trim.clear();
+        trim.extend(row.iter().map(|&x| x as usize).zip(dists.iter().copied()));
+        trim.push((to, d));
+        trim.sort_by(by_distance_then_id);
+        for ((slot, dist), &(x, dx)) in row.iter_mut().zip(dists.iter_mut()).zip(trim.iter()) {
+            *slot = x as u32;
+            *dist = dx;
+        }
+    }
+
+    /// Fill the link-distance rows of a node that has none yet: the
+    /// distance of every link on every layer, exactly as the trim would
+    /// derive it.
+    fn fill_distances(&self, build: &mut BuildState, n: usize) {
+        for l in 0..=self.links.level(n) {
+            let p = self.links.place(n, l);
+            let dists = p.slots(&mut build.dist0, &mut build.dist_up);
+            for (slot, &x) in dists.iter_mut().zip(self.links.get(p)) {
+                *slot = self.dist_nodes(n, x as usize);
+            }
+        }
+        build.filled[n] = true;
     }
 
     /// Drop the build-side state (module docs, "Build-side state"). Call
@@ -566,23 +800,22 @@ impl Hnsw {
         self.build = BuildState::default();
     }
 
-    /// Heap bytes the build-side state holds: 0 for a graph that came
-    /// from [`Hnsw::from_snapshot`] or was released and not inserted into
-    /// since.
+    /// Heap bytes the build-side state holds: 0 for a graph that was
+    /// loaded, forked or released and not inserted into since.
     pub fn link_cache_bytes(&self) -> usize {
         use std::mem::size_of;
         let b = &self.build;
-        let rows: usize = b
-            .link_dists
-            .iter()
-            .map(|row| {
-                row.capacity() * size_of::<Vec<f32>>()
-                    + row.iter().map(|d| d.capacity() * size_of::<f32>()).sum::<usize>()
-            })
-            .sum();
-        b.link_dists.capacity() * size_of::<Vec<Vec<f32>>>()
-            + rows
+        b.filled.capacity()
+            + (b.dist0.capacity() + b.dist_up.capacity()) * size_of::<f32>()
             + (b.found.capacity() + b.trim.capacity()) * size_of::<(usize, f32)>()
+    }
+
+    /// Heap bytes of the whole index: vectors, norm roots, link rows and
+    /// the build-side state ([`Hnsw::link_cache_bytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        (self.data.capacity() + self.roots.capacity()) * std::mem::size_of::<f32>()
+            + self.links.heap_bytes()
+            + self.link_cache_bytes()
     }
 
     pub fn dim(&self) -> usize {
@@ -602,10 +835,13 @@ impl Hnsw {
         &self.data
     }
 
-    /// Per node in id order, its neighbour lists by layer — borrowed, for
-    /// serializers that walk the graph once ([`Hnsw::snapshot`] clones).
-    pub fn layers(&self) -> impl ExactSizeIterator<Item = &[Vec<usize>]> {
-        self.nodes.iter().map(|n| n.neighbors.as_slice())
+    /// Per node in id order, its link rows by layer, `0..=level` —
+    /// borrowed, for serializers that walk the graph once
+    /// ([`Hnsw::snapshot`] copies).
+    pub fn layers(
+        &self,
+    ) -> impl ExactSizeIterator<Item = impl ExactSizeIterator<Item = &[u32]> + '_> + '_ {
+        (0..self.len()).map(move |id| (0..self.links.level(id) + 1).map(move |l| self.links.links(id, l)))
     }
 
     pub fn entry(&self) -> Option<usize> {
@@ -631,79 +867,33 @@ impl Hnsw {
             dim: self.dim,
             metric: self.metric,
             data: self.data.clone(),
-            neighbors: self.nodes.iter().map(|n| n.neighbors.clone()).collect(),
+            neighbors: self
+                .layers()
+                .map(|layers| layers.map(|row| row.iter().map(|&x| x as usize).collect()).collect())
+                .collect(),
             entry: self.entry,
             max_level: self.max_level,
             rng_state: self.rng_state,
         }
     }
 
-    /// Rebuild an index from an exported snapshot, validating internal
-    /// consistency (vector buffer size, neighbour ids, entry point) so a
-    /// corrupt snapshot is rejected instead of panicking later.
+    /// Rebuild an index from an exported snapshot through [`HnswLoader`],
+    /// which validates it (vector buffer size, list lengths, neighbour
+    /// ids, entry point) so a corrupt snapshot is rejected instead of
+    /// panicking later.
     pub fn from_snapshot(s: HnswSnapshot) -> Result<Self, String> {
-        if s.dim == 0 {
-            return Err("snapshot dim must be positive".into());
+        let nodes = s.neighbors.len();
+        let mut loader = HnswLoader::new(s.cfg, s.dim, s.metric, s.data)?;
+        if nodes != loader.nodes() {
+            return Err(format!("{} nodes but {nodes} neighbour lists", loader.nodes()));
         }
-        if s.data.len() % s.dim != 0 {
-            return Err(format!(
-                "vector buffer length {} is not a multiple of dim {}",
-                s.data.len(),
-                s.dim
-            ));
-        }
-        let n = s.data.len() / s.dim;
-        if s.neighbors.len() != n {
-            return Err(format!("{} nodes but {} neighbour lists", n, s.neighbors.len()));
-        }
-        for (id, layers) in s.neighbors.iter().enumerate() {
-            if layers.is_empty() {
-                return Err(format!("node {id} has no layers"));
-            }
-            for (l, layer) in layers.iter().enumerate() {
-                if let Some(&bad) = layer.iter().find(|&&x| x >= n) {
-                    return Err(format!("node {id} links to out-of-range node {bad}"));
-                }
-                // Search follows layer-l links assuming the target also has
-                // a layer l; a link to a shorter node would panic later.
-                if let Some(&bad) =
-                    layer.iter().find(|&&x| s.neighbors[x].len() <= l)
-                {
-                    return Err(format!(
-                        "node {id} links to node {bad} on layer {l}, which it lacks"
-                    ));
-                }
+        for layers in &s.neighbors {
+            loader.node(layers.len())?;
+            for layer in layers {
+                loader.list(layer.iter().map(|&x| x as u64))?;
             }
         }
-        match (s.entry, n) {
-            (None, 0) => {}
-            (Some(e), n) if n > 0 && e < n => {
-                // Greedy descent starts at `entry` on layer `max_level`.
-                if s.neighbors[e].len() <= s.max_level {
-                    return Err(format!(
-                        "entry node {e} has {} layers but max_level is {}",
-                        s.neighbors[e].len(),
-                        s.max_level
-                    ));
-                }
-            }
-            (entry, n) => return Err(format!("entry {entry:?} invalid for {n} nodes")),
-        }
-        // Norms are an in-memory cache only — `TSFMHNS1` never stores
-        // them — so recompute from the arena.
-        let norms = (0..n).map(|i| s.metric.norm_cache(&s.data[i * s.dim..(i + 1) * s.dim])).collect();
-        Ok(Self {
-            cfg: s.cfg,
-            dim: s.dim,
-            metric: s.metric,
-            data: s.data,
-            norms,
-            nodes: s.neighbors.into_iter().map(|neighbors| Node { neighbors }).collect(),
-            entry: s.entry,
-            max_level: s.max_level,
-            rng_state: s.rng_state,
-            build: BuildState::default(),
-        })
+        loader.finish(s.entry, s.max_level, s.rng_state)
     }
 
     /// Approximate top-k by ascending distance, using the calling
@@ -755,18 +945,175 @@ impl Hnsw {
         let Some(mut cur) = self.entry else {
             return Vec::new();
         };
-        let q_norm = self.metric.norm_cache(q);
+        let q_root = self.metric.root_cache(q);
         for l in (1..=self.max_level).rev() {
-            cur = self.greedy(q, q_norm, cur, l);
+            cur = self.greedy(q, q_root, cur, l, scratch);
         }
         let ef = self.cfg.ef_search.max(k);
         let mut out = Vec::new();
-        self.search_layer(q, q_norm, cur, ef, 0, keep, scratch, &mut out);
+        self.search_layer(q, q_root, cur, ef, 0, keep, scratch, &mut out);
         out.truncate(k);
         out
     }
 }
 
+/// Loads a graph node by node straight into the flat rows — the one
+/// path by which [`Hnsw::from_snapshot`] and `tsfm_store`'s `TSFMHNS1`
+/// decoder build an index — and validates it on the way, so corrupt input
+/// is an `Err`, never a panic later:
+///
+/// * [`HnswLoader::new`] rejects `m` above [`MAX_M`], a node count above
+///   `u32::MAX`, a zero `dim` and a ragged vector buffer before it sizes
+///   any row (the rows it sizes are bounded by the vectors it was given);
+/// * [`HnswLoader::node`] rejects zero or more than 64 layers and more
+///   nodes than vectors;
+/// * [`HnswLoader::list`] rejects a list longer than its layer's
+///   `m_max`, a link to a node that does not exist, and more lists than
+///   the node declared;
+/// * [`HnswLoader::finish`] rejects missing nodes or lists, a layer-`l`
+///   link to a node without layer `l` (greedy descent would index past
+///   its lists), and an entry point that is out of range or lower than
+///   `max_level`.
+pub struct HnswLoader {
+    graph: Hnsw,
+    /// Nodes the vector buffer holds.
+    nodes: usize,
+    /// Node being loaded (`graph.len() − 1`) and its next layer.
+    layer: usize,
+}
+
+impl HnswLoader {
+    /// Start loading the `data.len() / dim` nodes whose vectors `data`
+    /// holds.
+    pub fn new(cfg: HnswConfig, dim: usize, metric: Metric, data: Vec<f32>) -> Result<Self, String> {
+        if dim == 0 {
+            return Err("snapshot dim must be positive".into());
+        }
+        if data.len() % dim != 0 {
+            return Err(format!(
+                "vector buffer length {} is not a multiple of dim {dim}",
+                data.len()
+            ));
+        }
+        let nodes = data.len() / dim;
+        check_shape(cfg.m, nodes)?;
+        let mut graph = Hnsw::new(dim, metric, cfg);
+        // Norms are an in-memory cache only — `TSFMHNS1` never stores
+        // them — so recompute from the arena.
+        graph.roots = data.chunks_exact(dim).map(|v| metric.root_cache(v)).collect();
+        graph.data = data;
+        let links = &mut graph.links;
+        links.row0.reserve_exact(nodes * 2 * links.m);
+        links.len0.reserve_exact(nodes);
+        Ok(Self { graph, nodes, layer: 0 })
+    }
+
+    /// Nodes the vector buffer holds: how many [`HnswLoader::node`]
+    /// calls [`HnswLoader::finish`] expects.
+    pub fn nodes(&self) -> usize {
+        self.nodes
+    }
+
+    /// Start the next node, which has `layers` layers (`0..layers`); its
+    /// lists follow, layer 0 first.
+    pub fn node(&mut self, layers: usize) -> Result<(), String> {
+        let id = self.graph.len();
+        if id == self.nodes {
+            return Err(format!("more neighbour lists than the {} nodes", self.nodes));
+        }
+        self.check_complete()?;
+        if layers == 0 {
+            return Err(format!("node {id} has no layers"));
+        }
+        if layers > MAX_LAYERS {
+            return Err(format!("unreasonable layer count {layers}"));
+        }
+        self.graph.links.push_node(layers - 1);
+        self.layer = 0;
+        Ok(())
+    }
+
+    /// The current node's list on its next layer.
+    pub fn list(&mut self, ids: impl ExactSizeIterator<Item = u64>) -> Result<(), String> {
+        let g = &mut self.graph;
+        let Some(id) = g.len().checked_sub(1) else {
+            return Err("a neighbour list before any node".into());
+        };
+        let l = self.layer;
+        if l > g.links.level(id) {
+            return Err(format!("node {id} has more lists than layers"));
+        }
+        let m_max = g.m_max(l);
+        if ids.len() > m_max {
+            return Err(format!("node {id} lists {} links on layer {l}, above m_max {m_max}", ids.len()));
+        }
+        let p = g.links.place(id, l);
+        let (row, len) = g.links.slots_mut(p);
+        *len = ids.len() as u8;
+        for (slot, x) in row.iter_mut().zip(ids) {
+            if x >= self.nodes as u64 {
+                return Err(format!("node {id} links to out-of-range node {x}"));
+            }
+            *slot = x as u32;
+        }
+        self.layer += 1;
+        Ok(())
+    }
+
+    /// The last node started got all its lists.
+    fn check_complete(&self) -> Result<(), String> {
+        match self.graph.len().checked_sub(1) {
+            Some(id) if self.layer <= self.graph.links.level(id) => {
+                Err(format!("node {id} is missing the list of layer {}", self.layer))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Check the whole graph and hand it over.
+    pub fn finish(self, entry: Option<usize>, max_level: usize, rng_state: u64) -> Result<Hnsw, String> {
+        if self.graph.len() != self.nodes {
+            return Err(format!("{} nodes but {} neighbour lists", self.nodes, self.graph.len()));
+        }
+        self.check_complete()?;
+        let mut g = self.graph;
+        // Search follows layer-l links assuming the target also has a
+        // layer l; a link to a shorter node would panic later. Layer 0 is
+        // every node's.
+        let links = &g.links;
+        for (k, &id) in links.up_nodes.iter().enumerate() {
+            let levels = (links.up_first[k + 1] - links.up_first[k]) as usize;
+            for l in 1..=levels {
+                if let Some(&bad) = links.links(id as usize, l).iter().find(|&&x| links.level(x as usize) < l) {
+                    return Err(format!("node {id} links to node {bad} on layer {l}, which it lacks"));
+                }
+            }
+        }
+        match (entry, g.len()) {
+            (None, 0) => {}
+            (Some(e), n) if n > 0 && e < n => {
+                // Greedy descent starts at `entry` on layer `max_level`.
+                let levels = links.level(e) + 1;
+                if levels <= max_level {
+                    return Err(format!(
+                        "entry node {e} has {levels} layers but max_level is {max_level}"
+                    ));
+                }
+            }
+            (entry, n) => return Err(format!("entry {entry:?} invalid for {n} nodes")),
+        }
+        // The upper pool grew list by list; layer 0 was sized up front.
+        let links = &mut g.links;
+        for v in [&mut links.up_nodes, &mut links.up_first, &mut links.up_row] {
+            v.shrink_to_fit();
+        }
+        links.up_len.shrink_to_fit();
+        g.entry = entry;
+        g.max_level = max_level;
+        g.rng_state = rng_state;
+        Ok(g)
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -927,6 +1274,56 @@ mod tests {
             (grown_hits as f64 / total as f64, fresh_hits as f64 / total as f64);
         eprintln!("recall@10: quarter dead {grown_recall:.3}, fresh build {fresh_recall:.3}");
         assert!(grown_recall >= fresh_recall - 0.05, "{grown_recall} vs {fresh_recall}");
+    }
+
+    /// Flat rows, not nested lists: at 8 192 nodes a fork (exact
+    /// capacities, as a restart's load has) holds at most a layer-0 row
+    /// of `2·m` u32s plus 8 bytes per node for everything else — lengths,
+    /// the upper-layer pool and its index. Nested per-layer `Vec`s, kept
+    /// or mirrored, cost 24 bytes per list header alone.
+    #[test]
+    fn adjacency_bytes_per_node_stay_flat() {
+        let (n, dim) = (8192, 4);
+        let mut h = Hnsw::new(dim, Metric::Cosine, HnswConfig::default());
+        for v in random_vecs(n, dim, 12) {
+            h.add(&v);
+        }
+        let fork = h.clone();
+        assert_eq!(fork.link_cache_bytes(), 0);
+        let vectors_and_roots = (n * dim + n) * std::mem::size_of::<f32>();
+        let per_node = (fork.heap_bytes() - vectors_and_roots) as f64 / n as f64;
+        let m = h.config().m;
+        assert!(per_node <= (4 * 2 * m + 8) as f64, "{per_node:.1} B of links per node");
+        let loaded = Hnsw::from_snapshot(h.snapshot()).expect("valid snapshot");
+        assert_eq!(loaded.heap_bytes(), fork.heap_bytes(), "a load allocates what a fork does");
+    }
+
+    /// Input the flat rows cannot hold is an `Err` before anything is
+    /// sized by it.
+    #[test]
+    fn loader_rejects_long_lists_large_m_and_too_many_nodes() {
+        let mut h = Hnsw::new(2, Metric::Cosine, HnswConfig::default());
+        for v in random_vecs(30, 2, 13) {
+            h.add(&v);
+        }
+        let mut s = h.snapshot();
+        s.neighbors[0][0] = (0..25).map(|i| i % 30).collect();
+        let err = Hnsw::from_snapshot(s).map(|_| ()).unwrap_err();
+        assert!(err.contains("above m_max 24"), "{err}");
+
+        let mut s = h.snapshot();
+        s.cfg.m = MAX_M + 1;
+        let err = Hnsw::from_snapshot(s).map(|_| ()).unwrap_err();
+        assert!(err.contains("cap"), "{err}");
+
+        assert!(check_shape(12, u32::MAX as usize).is_ok());
+        let err = check_shape(12, u32::MAX as usize + 1).unwrap_err();
+        assert!(err.contains("u32"), "{err}");
+
+        let mut s = h.snapshot();
+        s.neighbors[3].truncate(1);
+        s.neighbors[3].extend(std::iter::repeat(Vec::new()).take(MAX_LAYERS));
+        assert!(Hnsw::from_snapshot(s).is_err(), "too many layers");
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! scan is both fastest to build and a correctness oracle for the
 //! approximate indexes ([`crate::hnsw`], [`crate::simhash`]).
 
-/// Inner product, unrolled four lanes per iteration with a **single**
+/// Inner product, unrolled four elements per iteration with a **single**
 /// accumulator so the addition sequence — and therefore every bit of the
-/// `f32` result — matches the naive element-by-element loop. (Multiple
-/// partial accumulators would be faster still but change float rounding,
-/// which would silently invalidate every persisted HNSW graph.)
+/// `f32` result — matches the naive element-by-element loop. Splitting
+/// one product across several partial accumulators would be faster but
+/// changes float rounding, which would silently invalidate every
+/// persisted HNSW graph. [`dot4`] gets the overlap another way: four
+/// products, one chain each.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -24,6 +26,28 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     }
     for (&x, &y) in ra.iter().zip(rb) {
         acc += x * y;
+    }
+    acc
+}
+
+/// Four inner products of `q`, one against each of `rows`, in one pass
+/// over `q`. Lane `j` is `dot(q, rows[j])` to the bit: it has its own
+/// single accumulator and adds `q[i]·rows[j][i]` in ascending `i`, the
+/// exact sequence of [`dot`]. What changes is only that the four
+/// dependency chains are independent, so their adds overlap in the
+/// pipeline instead of each waiting on the one before.
+#[inline]
+pub fn dot4(q: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+    let n = q.len();
+    let [r0, r1, r2, r3] = rows;
+    debug_assert!(r0.len() == n && r1.len() == n && r2.len() == n && r3.len() == n);
+    let (r0, r1, r2, r3) = (&r0[..n], &r1[..n], &r2[..n], &r3[..n]);
+    let mut acc = [0.0f32; 4];
+    for (i, &x) in q.iter().enumerate() {
+        acc[0] += x * r0[i];
+        acc[1] += x * r1[i];
+        acc[2] += x * r2[i];
+        acc[3] += x * r3[i];
     }
     acc
 }
@@ -59,6 +83,17 @@ pub fn sq_euclidean(a: &[f32], b: &[f32]) -> f32 {
         acc += d * d;
     }
     acc
+}
+
+/// Cosine distance `1 − dot / (√a·√b)` from an inner product and the two
+/// vectors' norm roots; exactly 1 when either vector is all zeros.
+#[inline]
+pub(crate) fn cosine_from_dot(dot: f32, a_root: f32, b_root: f32) -> f32 {
+    if a_root == 0.0 || b_root == 0.0 {
+        1.0
+    } else {
+        1.0 - dot / (a_root * b_root)
+    }
 }
 
 /// Distance metric for dense indexes.
@@ -98,22 +133,24 @@ impl Metric {
     }
 
     /// [`Metric::distance`] with both squared norms supplied by the
-    /// caller. This is the hot-path kernel: indexes cache `norm_sq` per
-    /// stored vector and per query, so a cosine distance costs one fused
-    /// dot product over adjacent memory instead of three accumulations.
-    /// Bit-identical to `distance` (each accumulator of the old fused
-    /// loop summed independently, so hoisting the norms out does not
-    /// change any rounding).
+    /// caller: indexes cache `norm_sq` per stored vector and per query, so
+    /// a cosine distance costs one dot product over adjacent memory
+    /// instead of three accumulations. Bit-identical to `distance` (each
+    /// accumulator of the old fused loop summed independently, so hoisting
+    /// the norms out does not change any rounding).
     #[inline]
     pub fn distance_prenorm(self, a: &[f32], a_norm_sq: f32, b: &[f32], b_norm_sq: f32) -> f32 {
+        self.distance_rooted(a, a_norm_sq.sqrt(), b, b_norm_sq.sqrt())
+    }
+
+    /// [`Metric::distance_prenorm`] with the norms' square roots cached
+    /// instead (`Metric::root_cache`): the same IEEE expression, because
+    /// `sqrt` is correctly rounded and a root is zero exactly when its
+    /// squared norm is, minus two `sqrt` per evaluation.
+    #[inline]
+    pub(crate) fn distance_rooted(self, a: &[f32], a_root: f32, b: &[f32], b_root: f32) -> f32 {
         match self {
-            Metric::Cosine => {
-                if a_norm_sq == 0.0 || b_norm_sq == 0.0 {
-                    1.0
-                } else {
-                    1.0 - dot(a, b) / (a_norm_sq.sqrt() * b_norm_sq.sqrt())
-                }
-            }
+            Metric::Cosine => cosine_from_dot(dot(a, b), a_root, b_root),
             Metric::Euclidean => sq_euclidean(a, b),
         }
     }
@@ -126,6 +163,13 @@ impl Metric {
             Metric::Cosine => norm_sq(v),
             Metric::Euclidean => 0.0,
         }
+    }
+
+    /// The norm-root cache entry for one vector: `sqrt(norm_sq(v))` under
+    /// cosine, zero under Euclidean (which never reads it).
+    #[inline]
+    pub(crate) fn root_cache(self, v: &[f32]) -> f32 {
+        self.norm_cache(v).sqrt()
     }
 }
 
@@ -172,7 +216,7 @@ impl BruteForceIndex {
         let mut hits: Vec<(usize, f32)> = (0..self.len())
             .map(|i| (i, self.metric.distance_prenorm(query, qn, self.get(i), self.norms[i])))
             .collect();
-        hits.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
+        hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         hits.truncate(k);
         hits
     }

@@ -11,7 +11,9 @@ pub mod overlap;
 pub mod rank;
 pub mod simhash;
 
-pub use hnsw::{Hnsw, HnswConfig, HnswSnapshot, SearchScratch, DEAD_REBUILD_DIVISOR};
+pub use hnsw::{
+    Hnsw, HnswConfig, HnswLoader, HnswSnapshot, SearchScratch, DEAD_REBUILD_DIVISOR, MAX_M,
+};
 pub use knn::{BruteForceIndex, Metric};
 pub use metrics::{
     evaluate_search, f1_at_k, f1_curve, multilabel_weighted_f1, precision_at_k, r2_score,

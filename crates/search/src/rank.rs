@@ -72,7 +72,7 @@ pub fn near_tables(per_column_hits: &[Vec<ColumnHit>], exclude: Option<usize>) -
     out.sort_by(|a, b| {
         b.matching_columns
             .cmp(&a.matching_columns)
-            .then(a.distance_sum.partial_cmp(&b.distance_sum).unwrap_or(std::cmp::Ordering::Equal))
+            .then(a.distance_sum.total_cmp(&b.distance_sum))
             .then(a.table.cmp(&b.table))
     });
     out
@@ -146,7 +146,7 @@ pub fn near_tables_with_provenance(
     out.sort_by(|a, b| {
         b.matching_columns
             .cmp(&a.matching_columns)
-            .then(a.distance_sum.partial_cmp(&b.distance_sum).unwrap_or(std::cmp::Ordering::Equal))
+            .then(a.distance_sum.total_cmp(&b.distance_sum))
             .then(a.table.cmp(&b.table))
     });
     out

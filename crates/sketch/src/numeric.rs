@@ -129,9 +129,17 @@ impl NumericalSketch {
     /// statistics span wild magnitudes (populations vs rates); the signed
     /// log keeps the linear projection trainable. The paper does not
     /// specify a normalization; this choice is documented in DESIGN.md.
+    ///
+    /// Every feature is finite. A column of huge values overflows its
+    /// mean and std to ±inf or NaN (the sketch keeps them as computed);
+    /// here ±inf becomes `±ln(1 + f64::MAX)`, the feature of the largest
+    /// finite value, and NaN becomes 0 — a NaN feature would make every
+    /// cosine distance to the column NaN. Finite statistics map as before,
+    /// to the bit.
     pub fn to_f32_features(&self) -> [f32; NUMERIC_SKETCH_DIM] {
         let mut out = [0.0f32; NUMERIC_SKETCH_DIM];
         for (o, x) in out.iter_mut().zip(self.to_vec()) {
+            let x = if x.is_nan() { 0.0 } else { x.clamp(-f64::MAX, f64::MAX) };
             *o = (x.signum() * x.abs().ln_1p()) as f32;
         }
         out
@@ -178,6 +186,32 @@ mod tests {
 
     fn int_col(vals: Vec<i64>) -> Column {
         Column::new("c", vals.into_iter().map(Value::Int).collect())
+    }
+
+    /// Overflowed statistics give finite features; finite ones keep the
+    /// bits of the unclamped formula.
+    #[test]
+    fn features_are_finite_for_overflowed_statistics() {
+        let cells = vec![Value::Float(1e308); 20];
+        let s = NumericalSketch::of_column(&Column::new("val", cells), 10_000);
+        assert!(!s.mean.is_finite() || !s.std.is_finite(), "the lake that overflows: {s:?}");
+        let f = s.to_f32_features();
+        assert!(f.iter().all(|x| x.is_finite()), "{f:?}");
+        let mut odd = NumericalSketch::zeros();
+        odd.mean = f64::INFINITY;
+        odd.std = f64::NAN;
+        odd.min = f64::NEG_INFINITY;
+        odd.max = f64::MAX;
+        let f = odd.to_f32_features();
+        assert_eq!(f[12], f64::MAX.ln_1p() as f32);
+        assert_eq!(f[13], 0.0);
+        assert_eq!(f[14], -f[12]);
+        assert_eq!(f[15], f[12]);
+        let col = int_col((-40..=260).map(|i| i * 7919).collect());
+        let s = NumericalSketch::of_column(&col, 10_000);
+        for (got, x) in s.to_f32_features().iter().zip(s.to_vec()) {
+            assert_eq!(got.to_bits(), ((x.signum() * x.abs().ln_1p()) as f32).to_bits());
+        }
     }
 
     #[test]

@@ -399,6 +399,7 @@ impl Catalog {
         index_updates_counter();
         index_update_histogram();
         dead_columns_gauge();
+        index_bytes_gauge();
         let dir = dir.into();
         let manifest = dir.join(MANIFEST_FILE);
         if manifest.exists() {
@@ -1336,6 +1337,7 @@ impl Catalog {
             e
         };
         dead_columns_gauge().set(engine.dead_columns() as i64);
+        index_bytes_gauge().set(engine.index_bytes() as i64);
         let engine = Arc::new(engine);
         self.base = Some(IndexBase { engine: Arc::clone(&engine), fingerprint: fp, hashes });
         Ok((engine, records))
@@ -1616,6 +1618,13 @@ fn dead_columns_gauge() -> Arc<tsfm_obs::metrics::Gauge> {
     obs().gauge(
         "tsfm_catalog_index_dead_columns",
         "Columns of removed or replaced tables still in the newest snapshot's graphs",
+    )
+}
+
+fn index_bytes_gauge() -> Arc<tsfm_obs::metrics::Gauge> {
+    obs().gauge(
+        "tsfm_engine_index_bytes",
+        "Heap bytes of the newest snapshot's join and union graphs (vectors, norm roots, link rows)",
     )
 }
 
@@ -2061,6 +2070,22 @@ mod tests {
         cat.commit().unwrap();
         cat.searcher().unwrap();
         assert!(index_build_histogram().count() > before, "a rebuild records its build time");
+    }
+
+    /// The index-size gauge is exported from open on and set when a
+    /// snapshot installs its engine.
+    #[test]
+    fn index_bytes_gauge_registers_at_open_and_is_set_by_a_snapshot() {
+        let dir = tmp_dir("index_bytes");
+        let mut cat = Catalog::open(&dir).unwrap();
+        assert!(obs().names().iter().any(|n| n == "tsfm_engine_index_bytes"), "exported at open");
+        cat.add_table(&table("t", &[1, 2, 3]), 1).unwrap();
+        cat.commit().unwrap();
+        let engine_bytes = cat.searcher().unwrap().engine().index_bytes();
+        assert!(engine_bytes > 0);
+        // Process-wide and tests run in parallel: another catalog may
+        // have set it since, but never to zero.
+        assert!(index_bytes_gauge().get() > 0);
     }
 
     /// The three histograms that say where a restart's time goes are

@@ -484,6 +484,12 @@ impl QueryEngine {
         self.col_owner.iter().filter(|&&t| t == DEAD).count()
     }
 
+    /// Heap bytes of the two graphs ([`Hnsw::heap_bytes`]): vectors, norm
+    /// roots and link rows — what the engine's indexes hold in memory.
+    pub fn index_bytes(&self) -> usize {
+        self.join_index.heap_bytes() + self.union_index.heap_bytes()
+    }
+
     /// Number of live tables.
     pub fn len(&self) -> usize {
         self.ids.len()

@@ -54,7 +54,7 @@
 use crate::durable::crc32c;
 use crate::error::{StoreError, StoreResult, FRAME};
 use crate::record::TableRecord;
-use tsfm_search::{Hnsw, HnswConfig, HnswSnapshot, Metric};
+use tsfm_search::{Hnsw, HnswConfig, HnswLoader, Metric};
 use tsfm_sketch::{ColumnSketch, MinHash, NumericalSketch, TableSketch};
 use tsfm_table::ColType;
 
@@ -571,7 +571,7 @@ pub fn write_hnsw(w: &mut Vec<u8>, index: &Hnsw) -> StoreResult<()> {
                 write_u32(w, layer.len() as u32)?;
                 w.reserve(layer.len() * 8);
                 for &n in layer {
-                    w.extend_from_slice(&(n as u64).to_le_bytes());
+                    w.extend_from_slice(&u64::from(n).to_le_bytes());
                 }
             }
         }
@@ -607,31 +607,30 @@ fn read_hnsw_body(s: &mut &[u8]) -> StoreResult<Hnsw> {
     if dim == 0 || n != data.len() / dim {
         return Err(bad(format!("node count {n} does not match vector buffer")));
     }
-    let mut neighbors = Vec::with_capacity(n);
-    for _ in 0..n {
-        let nlayers = read_u32(s)? as usize;
-        if nlayers > 64 {
-            return Err(bad(format!("unreasonable layer count {nlayers}")));
-        }
-        let mut layers = Vec::with_capacity(nlayers);
-        for _ in 0..nlayers {
-            let len = read_u32(s)?;
-            if len as usize > n {
-                return Err(bad(format!("unreasonable neighbour count {len}")));
-            }
-            let ids = take_elems(s, u64::from(len), 8, "neighbour list")?;
-            layers.push(ids.chunks_exact(8).map(|c| u64_at(c) as usize).collect());
-        }
-        neighbors.push(layers);
+    // Every node has a layer count and a layer-0 length, so the bytes
+    // left bound the rows the loader sizes up front (`8·m` per node).
+    if (s.len() as u64) < 8 * n as u64 {
+        return Err(bad(format!("{n} nodes' lists overrun the {} bytes left", s.len())));
     }
-    let snapshot =
-        HnswSnapshot { cfg, dim, metric, data, neighbors, entry, max_level, rng_state };
-    Hnsw::from_snapshot(snapshot).map_err(bad)
+    // Straight into the flat rows; the loader rejects an `m` above its
+    // cap before sizing them, and a list longer than its layer's `m_max`.
+    let mut graph = HnswLoader::new(cfg, dim, metric, data).map_err(bad)?;
+    for _ in 0..n {
+        let layers = read_u32(s)? as usize;
+        graph.node(layers).map_err(bad)?;
+        for _ in 0..layers {
+            let len = read_u32(s)?;
+            let ids = take_elems(s, u64::from(len), 8, "neighbour list")?;
+            graph.list(ids.chunks_exact(8).map(u64_at)).map_err(bad)?;
+        }
+    }
+    graph.finish(entry, max_level, rng_state).map_err(bad)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsfm_search::HnswSnapshot;
     use tsfm_sketch::{MinHasher, SketchConfig};
     use tsfm_table::{Column, Table, Value};
 

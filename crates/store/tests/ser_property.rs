@@ -662,3 +662,46 @@ fn a_tag2_cache_listing_a_table_twice_is_corrupt_for_fsck_and_catalog() {
     assert_eq!(report.index_cache, IndexCacheState::Valid);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Where node 0's layer-0 list starts in an `hnsw_bytes` frame: its
+/// length field, after the header fields, the entry, the vectors, the
+/// node count and node 0's layer count.
+fn first_list_at(buf: &[u8]) -> usize {
+    let flag = 24 + 41;
+    let count_at = if buf[flag] == 1 { flag + 9 } else { flag + 1 };
+    let floats = u64::from_le_bytes(buf[count_at..count_at + 8].try_into().unwrap()) as usize;
+    count_at + 8 + floats * 4 + 4 + 4
+}
+
+/// A resealed `TSFMHNS1` frame whose first list holds `2·m + 1` links —
+/// one more than a layer-0 row has slots, all of them real node ids —
+/// passes every checksum and is still a typed `Corrupt`.
+#[test]
+fn hnsw_list_longer_than_its_row_is_corrupt() {
+    let buf = hnsw_bytes(8, 5);
+    let at = first_list_at(&buf);
+    let len = u32::from_le_bytes(buf[at..at + 4].try_into().unwrap()) as usize;
+    let m = HnswConfig::default().m;
+    let mut long = buf[..at].to_vec();
+    long.extend_from_slice(&(2 * m as u32 + 1).to_le_bytes());
+    long.extend_from_slice(&buf[at + 4..at + 4 + len * 8]);
+    for i in len..2 * m + 1 {
+        long.extend_from_slice(&((i % 8) as u64).to_le_bytes());
+    }
+    long.extend_from_slice(&buf[at + 4 + len * 8..]);
+    reseal(&mut long);
+    let detail = corrupt_detail(read_hnsw(&mut long.as_slice()), "TSFMHNS1");
+    assert!(detail.contains("m_max"), "{detail}");
+}
+
+/// A resealed `TSFMHNS1` frame claiming `m = 2³¹` is rejected before
+/// anything is sized by it: rows of `2·m` links for its 8 nodes would be
+/// 128 GiB.
+#[test]
+fn hnsw_claiming_m_2_31_is_corrupt() {
+    let mut buf = hnsw_bytes(8, 5);
+    buf[24 + 5..24 + 9].copy_from_slice(&(1u32 << 31).to_le_bytes());
+    reseal(&mut buf);
+    let detail = corrupt_detail(read_hnsw(&mut buf.as_slice()), "TSFMHNS1");
+    assert!(detail.contains("cap"), "{detail}");
+}

@@ -11,28 +11,6 @@ pub mod unionexp;
 
 pub use scale::Scale;
 
-/// Schema version of the tracked `BENCH_*.json` artifacts. Bump whenever
-/// a field is renamed/removed so cross-PR tooling can refuse to compare
-/// incompatible files.
-pub const BENCH_SCHEMA: u32 = 2;
-
-/// The `"meta"` object stamped into every tracked bench artifact:
-/// schema version, host core count, and the git commit the binary ran
-/// from — without it a number from a 4-core CI runner and one from a
-/// 32-core dev box look interchangeable.
-pub fn bench_meta_json() -> String {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty() && s.chars().all(|c| c.is_ascii_hexdigit()))
-        .unwrap_or_else(|| "unknown".into());
-    format!("{{\"schema\":{BENCH_SCHEMA},\"cores\":{cores},\"commit\":\"{commit}\"}}")
-}
-
 /// Render a results row: name then fixed-width numeric columns.
 pub fn row(name: &str, values: &[f64]) -> String {
     let mut s = format!("{name:<24}");

@@ -4,7 +4,7 @@
 //! |------|------------------|
 //! | `no-unwrap-in-lib` | no `.unwrap()` / `.expect()` / `panic!` family in non-test library code of `store`/`sketch`/`search`/`obs` |
 //! | `unsafe-needs-safety-comment` | every `unsafe` token carries a `// SAFETY:` comment within the 3 lines above |
-//! | `no-spawn-outside-pool` | `std::thread::spawn` only in the serve worker pool, the bench crate, and the CLI manifest watcher |
+//! | `no-spawn-outside-pool` | `std::thread::spawn` only in the serve worker pool and the CLI manifest watcher |
 //! | `wire-error-taxonomy-coverage` | every `StoreError` variant has a serialization arm in `wire.rs::error_json` |
 //! | `format-magic-once` | all `TSFM*` magic byte-strings of a crate are defined in exactly one module |
 //! | `durable-write-required` | no raw `File::create` / `fs::write` in `tsfm_store` library code outside the `durable` module |
@@ -43,7 +43,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: NO_SPAWN,
-        summary: "std::thread::spawn only in store::serve::pool, crates/bench, and the CLI watcher",
+        summary: "std::thread::spawn only in store::serve::pool and the CLI watcher",
     },
     RuleInfo {
         name: WIRE_COVERAGE,
@@ -82,11 +82,9 @@ pub struct Finding {
 const PANIC_AUDITED: &[&str] =
     &["crates/store/src/", "crates/sketch/src/", "crates/search/src/", "crates/obs/src/"];
 
-/// The only places allowed to call `std::thread::spawn`: the bounded
-/// serve worker pool, load generators in the bench crate, and the CLI's
-/// manifest-watcher thread.
-const SPAWN_ALLOWED: &[&str] =
-    &["crates/store/src/serve/pool.rs", "crates/bench/", "src/bin/tsfm.rs"];
+/// The only files allowed to call `std::thread::spawn`: the bounded
+/// serve worker pool and the CLI's manifest-watcher thread.
+const SPAWN_ALLOWED: &[&str] = &["crates/store/src/serve/pool.rs", "src/bin/tsfm.rs"];
 
 /// `no-unwrap-in-lib`: panic surfaces in audited library code.
 pub fn no_unwrap_in_lib(fa: &FileAnalysis, out: &mut Vec<Finding>) {
@@ -139,9 +137,9 @@ pub fn unsafe_needs_safety_comment(fa: &FileAnalysis, out: &mut Vec<Finding>) {
 }
 
 /// `no-spawn-outside-pool`: unbounded thread creation is confined to the
-/// pool (which bounds and reuses workers), benches, and the CLI watcher.
+/// pool (which bounds and reuses workers) and the CLI watcher.
 pub fn no_spawn_outside_pool(fa: &FileAnalysis, out: &mut Vec<Finding>) {
-    if SPAWN_ALLOWED.iter().any(|p| fa.rel == *p || (p.ends_with('/') && fa.rel.starts_with(p))) {
+    if SPAWN_ALLOWED.contains(&fa.rel.as_str()) {
         return;
     }
     for at in fa.code_hits("thread::spawn", true) {

@@ -156,7 +156,7 @@ impl MinHashLsh {
             .into_iter()
             .map(|id| (id, self.sigs[id].jaccard(sig)))
             .collect();
-        hits.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
+        hits.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         hits.truncate(k);
         hits
     }
@@ -246,7 +246,7 @@ impl LshForest {
         }
         let mut hits: Vec<(usize, f64)> =
             cands.into_iter().map(|id| (id, self.sigs[id].jaccard(sig))).collect();
-        hits.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
+        hits.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         hits.truncate(k);
         hits
     }

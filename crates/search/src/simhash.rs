@@ -109,7 +109,7 @@ impl SimHashLsh {
             .into_iter()
             .map(|id| (id, Metric::Cosine.distance(q, &self.vecs[id])))
             .collect();
-        hits.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
+        hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         hits.truncate(k);
         hits
     }

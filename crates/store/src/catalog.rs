@@ -770,9 +770,10 @@ impl Catalog {
     }
 
     /// Bulk-add in-memory tables, checking, sketching and encoding across
-    /// `threads` workers (the `store_bench` ingest path). Results are
-    /// identical to calling [`Catalog::add_table`] for each table in
-    /// order. `tables` and `content_hashes` must be parallel slices.
+    /// `threads` workers. Results are identical to calling
+    /// [`Catalog::add_table`] for each table in order (the
+    /// `parallel_ingest_matches_serial` test holds 4 threads to 1).
+    /// `tables` and `content_hashes` must be parallel slices.
     pub fn ingest_tables(
         &mut self,
         tables: &[Table],

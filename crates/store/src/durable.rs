@@ -310,8 +310,8 @@ fn fault_write(f: &mut File, path: &Path, bytes: &[u8]) -> StoreResult<()> {
 // ---- atomic commit protocol -----------------------------------------------
 
 /// The temp-file sibling `commit_file` stages through. Every target this
-/// store commits (`catalog.manifest`, `index.cache`, `segments/*.arena`,
-/// `BENCH_*.json`) maps to a distinct `.tmp` name within its directory.
+/// store commits (`catalog.manifest`, `index.cache`, `segments/*.arena`)
+/// maps to a distinct `.tmp` name within its directory.
 fn tmp_path(path: &Path) -> PathBuf {
     path.with_extension("tmp")
 }

@@ -760,9 +760,7 @@ impl QueryEngine {
             .map(|(s, j)| (self.spans[s].table, j))
             .filter(|&(ti, _)| ti != DEAD && Some(ti) != exclude)
             .collect();
-        hits.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        });
+        hits.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         hits.truncate(req.k());
         hits.into_iter()
             .map(|(ti, score)| TableHit {

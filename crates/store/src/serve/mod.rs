@@ -972,6 +972,37 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_clients_are_all_counted() {
+        const CLIENTS: usize = 64;
+        const QUERIES: usize = 8;
+        let cfg = ServeConfig { max_connections: 2 * CLIENTS, ..ServeConfig::default() };
+        let (handle, join, addr) = start("concurrent", QUERIES, cfg);
+        // Every client connects before any sends, and none hangs up
+        // before all have been answered, so 64 connections are open at once.
+        let connected = std::sync::Barrier::new(CLIENTS);
+        let answered = std::sync::Barrier::new(CLIENTS);
+        std::thread::scope(|s| {
+            for _ in 0..CLIENTS {
+                s.spawn(|| {
+                    let (mut w, mut r) = connect(addr);
+                    connected.wait();
+                    for q in 0..QUERIES {
+                        let req = format!(r#"{{"mode":"join","k":3,"id":"t{q}"}}"#);
+                        let v = roundtrip(&mut w, &mut r, &req);
+                        assert!(v.get("hits").is_some(), "{v:?}");
+                    }
+                    answered.wait();
+                });
+            }
+        });
+        let m = handle.metrics();
+        assert_eq!(m.requests_ok, (CLIENTS * QUERIES) as u64);
+        assert_eq!(m.shed, 0);
+        assert!(handle.worker_count() <= 2 * CLIENTS, "{} workers", handle.worker_count());
+        stop(&handle, join);
+    }
+
+    #[test]
     fn overload_sheds_with_an_unavailable_reply() {
         let cfg = ServeConfig {
             max_connections: 1,

@@ -15,11 +15,13 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tabsketchfm::lake::{gen_pretrain_corpus, World, WorldConfig};
 use tabsketchfm::store::fsck::{fsck, IndexCacheState};
 use tabsketchfm::store::{
     Catalog, DiscoveryRequest, DiscoveryResponse, QueryMode, SnapshotMode,
 };
+use tabsketchfm::table::hash::hash_str;
 use tabsketchfm::table::{csv, Table};
 
 const V2_FIXTURE: &str = "tests/fixtures/v2_store";
@@ -359,4 +361,40 @@ fn monolithic_v2_store_migrates_to_shards_via_tsfm_compact() {
     assert!(out.status.success());
     let report = fsck(&dir, false).unwrap();
     assert!(report.healthy(), "{}", report.to_json());
+}
+
+/// The lazy-open gate at scale: 50 000 generated tables ingested over all
+/// cores and folded into shards by the first commit, then a cold
+/// `Catalog::open` plus one positioned `get` of the first table must
+/// answer within 100 ms. That reads the root manifest, one shard's offset
+/// table and one payload, whatever the table count. An eager open
+/// (`load_all_records`, every sketch decoded) takes ~0.4 s at this size
+/// on a 2-vCPU host and fails the bound. No index is built: the gate
+/// reads none.
+#[test]
+#[ignore = "release-mode scale gate; CI runs it with --ignored"]
+fn fifty_thousand_table_catalog_opens_lazily_within_100ms() {
+    const TABLES: usize = 50_000;
+    const BOUND: Duration = Duration::from_millis(100);
+    let dir = tmp_dir("scale_gate");
+    let tables = gen_pretrain_corpus(&World::generate(WorldConfig::default()), TABLES, 23);
+    let probe = tables[0].id.clone();
+    let hashes: Vec<u64> = tables.iter().map(|t| hash_str(&t.id)).collect();
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let mut cat = Catalog::open(&dir).unwrap();
+    cat.ingest_tables(&tables, &hashes, threads).unwrap();
+    drop(tables);
+    cat.commit().unwrap();
+    assert!(cat.shard_count() > 1, "the first commit folds 50 000 tables into shards");
+    drop(cat);
+
+    let t0 = Instant::now();
+    let cat = Catalog::open(&dir).unwrap();
+    let rec = cat.get(&probe).unwrap();
+    let open = t0.elapsed();
+    assert!(rec.is_some(), "probe table {probe:?} must be found");
+    eprintln!("lazy open + get at {TABLES} tables: {:.2} ms", open.as_secs_f64() * 1e3);
+    assert!(open < BOUND, "lazy open + get took {open:?}, over the {BOUND:?} bound");
+    drop(cat);
+    let _ = fs::remove_dir_all(&dir);
 }

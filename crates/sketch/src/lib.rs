@@ -26,6 +26,8 @@ pub use minhash::{MinHash, MinHasher};
 pub use numeric::NumericalSketch;
 pub use table_sketch::{ColumnSketch, SketchConfig, TableSketch};
 
+use tsfm_table::hash::{hash_str, ByteHasher};
+
 /// Split a string into lowercase word tokens (alphanumeric runs), the
 /// element set of the word-level MinHash.
 pub fn words_of(s: &str) -> impl Iterator<Item = String> + '_ {
@@ -53,6 +55,30 @@ pub fn for_each_word(s: &str, buf: &mut String, mut f: impl FnMut(&str)) {
     }
 }
 
+/// Visit the hash of every word token of [`words_of`], in order: each
+/// call gets `hash_str(w)` for the next word `w`. An ASCII string (the
+/// common case) is split, lowercased and hashed byte by byte with no
+/// buffer at all; anything else goes through [`for_each_word`], so the
+/// hashes are those of `words_of`' output in every case.
+pub fn for_each_word_hash(s: &str, buf: &mut String, mut f: impl FnMut(u64)) {
+    if !s.is_ascii() {
+        for_each_word(s, buf, |w| f(hash_str(w)));
+        return;
+    }
+    // For ASCII, `char::is_alphanumeric` is `u8::is_ascii_alphanumeric`.
+    let mut word: Option<ByteHasher> = None;
+    for &b in s.as_bytes() {
+        if b.is_ascii_alphanumeric() {
+            word.get_or_insert_with(ByteHasher::new).write_u8(b.to_ascii_lowercase());
+        } else if let Some(h) = word.take() {
+            f(h.finish());
+        }
+    }
+    if let Some(h) = word {
+        f(h.finish());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,6 +101,24 @@ mod tests {
             let mut got = Vec::new();
             let mut buf = String::new();
             for_each_word(s, &mut buf, |w| got.push(w.to_string()));
+            assert_eq!(got, expect, "input {s:?}");
+        }
+    }
+
+    #[test]
+    fn for_each_word_hash_matches_words_of() {
+        for s in [
+            "Austria Vienna",
+            "Main-Street 12, APT.4b",
+            "",
+            " ,;",
+            "trailing word",
+            "x",
+            "ÓBUDA Straße ΟΔΟΣ x",
+        ] {
+            let expect: Vec<u64> = words_of(s).map(|w| hash_str(&w)).collect();
+            let mut got = Vec::new();
+            for_each_word_hash(s, &mut String::new(), |h| got.push(h));
             assert_eq!(got, expect, "input {s:?}");
         }
     }

@@ -65,7 +65,10 @@ impl NumericalSketch {
     /// * `total_rows` — rows in the sketching window (`min(len, max_rows)`)
     /// * `nan` / `non_null` — null and non-null cell counts in the window
     /// * `width_sum` — total rendered byte width of non-null cells
-    /// * `hashes` — stable hash of each non-null cell's rendering
+    /// * `hashes` — stable hash of each non-null cell's rendering, in any
+    ///   order; it may arrive already sorted and deduplicated (as
+    ///   `ColumnSketch::build` passes it), since only the distinct count
+    ///   is read
     /// * `nums` — finite numeric values in window order
     pub fn from_parts(
         total_rows: usize,

@@ -4,11 +4,12 @@
 //! every cell **exactly once** and feeds the same pre-hashed `u64` stream
 //! to the cell MinHash and the numerical sketch's unique count (words are
 //! hashed once each for the word MinHash), instead of re-rendering and
-//! re-hashing the column per sketch family. All sketches are bit-identical
-//! to the naive multi-pass construction — pinned by
-//! `tests/determinism.rs`.
+//! re-hashing the column per sketch family. Each signature folds every
+//! *distinct* hash once: min is idempotent, so repeats change nothing.
+//! All sketches are bit-identical to the naive multi-pass construction —
+//! pinned by `tests/determinism.rs`.
 
-use crate::for_each_word;
+use crate::for_each_word_hash;
 use crate::minhash::{MinHash, MinHasher};
 use crate::numeric::NumericalSketch;
 use tsfm_table::hash::hash_str;
@@ -72,10 +73,12 @@ impl CellArena {
 
 impl ColumnSketch {
     /// One pass over the column window: each cell is rendered into a
-    /// reused buffer and hashed once; that hash feeds both the cell
-    /// MinHash fold and (collected) the numerical sketch's unique count.
-    /// String columns additionally fold each word's hash into the word
-    /// MinHash.
+    /// reused buffer and hashed once, and string columns also hash each
+    /// word of the cell. The cell hashes are sorted and deduplicated —
+    /// the numerical sketch's unique count needs that anyway — and so are
+    /// the word hashes; each distinct element is then folded once into
+    /// its MinHash. Min is idempotent, so the signatures equal folding
+    /// every occurrence.
     pub fn build(col: &Column, hasher: &MinHasher, max_rows: usize) -> Self {
         Self::build_inner(col, hasher, max_rows, None)
     }
@@ -94,9 +97,8 @@ impl ColumnSketch {
             a.offsets.push(0);
         }
 
-        let mut cell_sig = hasher.empty_sig();
-        let mut word_sig = is_str.then(|| hasher.empty_sig());
         let mut cell_hashes: Vec<u64> = Vec::with_capacity(n);
+        let mut word_hashes: Vec<u64> = Vec::new();
         let mut nums: Vec<f64> = Vec::new();
         let mut width_sum = 0usize;
         let mut nan = 0usize;
@@ -123,11 +125,9 @@ impl ColumnSketch {
                 }
             };
             width_sum += r.len();
-            let x = hash_str(r);
-            cell_hashes.push(x);
-            hasher.fold(&mut cell_sig, x);
-            if let Some(ws) = &mut word_sig {
-                for_each_word(r, &mut word_buf, |w| hasher.fold(ws, hash_str(w)));
+            cell_hashes.push(hash_str(r));
+            if is_str {
+                for_each_word_hash(r, &mut word_buf, |w| word_hashes.push(w));
             }
             if let Some(f) = v.as_f64() {
                 if f.is_finite() {
@@ -139,14 +139,16 @@ impl ColumnSketch {
                 a.offsets.push(a.bytes.len() as u32);
             }
         }
+        cell_hashes.sort_unstable();
+        cell_hashes.dedup();
+        let cell_minhash = hasher.signature_hashed(cell_hashes.iter().copied());
+        let word_minhash = is_str.then(|| {
+            word_hashes.sort_unstable();
+            word_hashes.dedup();
+            hasher.signature_hashed(word_hashes)
+        });
         let numeric = NumericalSketch::from_parts(n, nan, non_null, width_sum, cell_hashes, nums);
-        ColumnSketch {
-            name: col.name.clone(),
-            ty: col.ty,
-            cell_minhash: MinHash { sig: cell_sig },
-            word_minhash: word_sig.map(|sig| MinHash { sig }),
-            numeric,
-        }
+        ColumnSketch { name: col.name.clone(), ty: col.ty, cell_minhash, word_minhash, numeric }
     }
 
     /// The model input vector for the MinHash embedding stream: a fixed

@@ -159,17 +159,34 @@ fn hash_once_column_sketch_matches_reference() {
 proptest! {
     /// Property form over random columns of every type mix: nulls, ints,
     /// floats (incl. integral-valued ones that render as "x.0"), dates,
-    /// and multi-word unicode strings.
+    /// multi-word unicode strings, and multi-word ASCII strings with
+    /// mixed case and punctuation (the byte-wise word path).
     #[test]
     fn prop_hash_once_matches_reference(seed in 0u64..400, len in 0usize..50, max_rows in 1usize..40) {
         let h = |i: usize, salt: u64| splitmix64(seed ^ salt ^ (i as u64).wrapping_mul(0x9e37));
+        let pick = |i: usize, salt: u64, from: &[&'static str]| {
+            from[(h(i, salt) % from.len() as u64) as usize]
+        };
         let values: Vec<Value> = (0..len)
-            .map(|i| match h(i, 1) % 6 {
+            .map(|i| match h(i, 1) % 8 {
                 0 => Value::Null,
                 1 => Value::Int(h(i, 2) as i64 % 10_000),
                 2 => Value::Float((h(i, 3) % 2_000) as f64 / 8.0 - 100.0),
                 3 => Value::Date((h(i, 4) % 4_000_000_000) as i64 - 1_000_000_000),
                 4 => Value::Str(format!("word{} straße-{} ΟΔΟΣ", h(i, 5) % 30, h(i, 6) % 7)),
+                5 | 6 => Value::Str(format!(
+                    "{}{}{}{} {}{} {}.{}{}{}",
+                    pick(i, 8, &["", " ", "-", "(", "..."]),
+                    pick(i, 9, &["Main", "HIGH", "oak", "eLm", "X"]),
+                    pick(i, 10, &["-", "--", "_", "/", " ", ""]),
+                    pick(i, 11, &["Street", "ROAD", "ave", "Way"]),
+                    h(i, 12) % 40,
+                    pick(i, 13, &[",", ",,", ";", "", ":"]),
+                    pick(i, 14, &["APT", "apt", "Unit", "No"]),
+                    h(i, 15) % 9,
+                    pick(i, 16, &["b", "C", "", "x7"]),
+                    pick(i, 17, &["", ".", "!", " ", "#"]),
+                )),
                 _ => Value::Str(format!("v{}", h(i, 7) % 100)),
             })
             .collect();

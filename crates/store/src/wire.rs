@@ -214,11 +214,10 @@ impl Json {
 
 /// Parse one JSON document (trailing garbage is an error).
 pub fn parse_json(s: &str) -> Result<Json, String> {
-    let bytes = s.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let v = parse_value(s, &mut pos)?;
+    skip_ws(s.as_bytes(), &mut pos);
+    if pos != s.len() {
         return Err(format!("trailing characters at byte {pos}"));
     }
     Ok(v)
@@ -239,12 +238,13 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(s: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'{') => parse_object(s, pos),
+        Some(b'[') => parse_array(s, pos),
+        Some(b'"') => parse_string(s, pos).map(Json::Str),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
@@ -278,10 +278,20 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         .ok_or_else(|| format!("invalid number at byte {start}"))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote, backslash or control byte in
+        // one go. All three stop bytes are ASCII, so the run ends on a
+        // char boundary of `s`.
+        let run = b[*pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            .map_or(b.len(), |n| *pos + n);
+        out.push_str(&s[*pos..run]);
+        *pos = run;
         let Some(&c) = b.get(*pos) else {
             return Err("unterminated string".into());
         };
@@ -329,31 +339,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
             // serialize side (`escape_json`, which always emits `\uXXXX`)
             // and the parse side in exact agreement, and means a raw
             // newline can never smuggle a second JSONL frame into one
-            // string.
-            0x00..=0x1f => {
+            // string. The run above stops only at a quote, a backslash or
+            // such a byte, so this arm is the control byte.
+            _ => {
                 return Err(format!(
                     "unescaped control character 0x{c:02x} in string (must be \\u-escaped)"
                 ));
             }
-            _ => {
-                // Re-sync to char boundaries for multi-byte UTF-8.
-                let tail = &b[*pos - 1..];
-                let ch_len = utf8_len(c)?;
-                let chunk = tail.get(..ch_len).ok_or("truncated utf-8")?;
-                out.push_str(std::str::from_utf8(chunk).map_err(|_| "bad utf-8")?);
-                *pos += ch_len - 1;
-            }
         }
-    }
-}
-
-fn utf8_len(first: u8) -> Result<usize, String> {
-    match first {
-        0x00..=0x7f => Ok(1),
-        0xc0..=0xdf => Ok(2),
-        0xe0..=0xef => Ok(3),
-        0xf0..=0xf7 => Ok(4),
-        _ => Err("bad utf-8 lead byte".into()),
     }
 }
 
@@ -370,7 +363,8 @@ fn parse_hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
     u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape".into())
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(s: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'[')?;
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -379,7 +373,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(out));
     }
     loop {
-        out.push(parse_value(b, pos)?);
+        out.push(parse_value(s, pos)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -392,7 +386,8 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(s: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'{')?;
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -402,10 +397,10 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     loop {
         skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
+        let key = parse_string(s, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(s, pos)?;
         out.push((key, val));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -687,6 +682,37 @@ mod tests {
         }
         // The same bytes escaped are fine.
         assert!(parse_json("{\"s\":\"a\\u0000b\"}").is_ok());
+    }
+
+    proptest::proptest! {
+        /// Any string — control chars, quotes, backslashes, astral chars
+        /// and plain runs between them — survives `escape_json` and the
+        /// parser unchanged; the same string with a raw control byte
+        /// spliced in between two escaped halves is rejected with the
+        /// control-character error.
+        #[test]
+        fn prop_escape_parse_roundtrip(
+            s in "[\u{0}\u{1}\u{8}\u{c}\u{1b}\u{1f}\n\r\t\"\"\\\\/ ab xyz é€🦀𝄞]{0,40}",
+            cut in 0usize..41,
+            ctrl in 0u8..0x20
+        ) {
+            let parsed = parse_json(&format!("\"{}\"", escape_json(&s)));
+            proptest::prop_assert_eq!(
+                parsed.as_ref().ok().and_then(Json::as_str),
+                Some(s.as_str())
+            );
+
+            let cut = s.char_indices().map(|(i, _)| i).nth(cut).unwrap_or(s.len());
+            let (head, tail) = s.split_at(cut);
+            let spliced =
+                format!("\"{}{}{}\"", escape_json(head), ctrl as char, escape_json(tail));
+            proptest::prop_assert_eq!(
+                parse_json(&spliced).unwrap_err(),
+                format!(
+                    "unescaped control character 0x{ctrl:02x} in string (must be \\u-escaped)"
+                )
+            );
+        }
     }
 
     #[test]

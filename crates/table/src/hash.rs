@@ -17,12 +17,40 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// FNV-1a over bytes, finalized with splitmix64.
 #[inline]
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = ByteHasher::new();
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h.write_u8(b);
     }
-    splitmix64(h)
+    h.finish()
+}
+
+/// The state of [`hash_bytes`] fed one byte at a time, for callers that
+/// transform bytes on the fly (the word sketch lowercases as it hashes):
+/// writing a string's bytes and calling `finish` equals [`hash_str`].
+#[derive(Debug, Clone, Copy)]
+pub struct ByteHasher(u64);
+
+impl ByteHasher {
+    #[inline]
+    pub const fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    #[inline]
+    pub fn write_u8(&mut self, b: u8) {
+        self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    #[inline]
+    pub fn finish(self) -> u64 {
+        splitmix64(self.0)
+    }
+}
+
+impl Default for ByteHasher {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Stable hash of a string.

@@ -74,6 +74,15 @@
 //!
 //! Paths 3 and 4 rewrite the index cache for the new contents.
 //!
+//! Every read of a stored record is checked against the entry that names
+//! it: a shard manifest against its root metadata (`slot_manifest`), a
+//! shard or run slot against its entry's table id *and* content hash
+//! ([`ArenaIndex::check_entry`], for `get`, `load_all_records` and the lazy
+//! snapshot's `sketch_of` alike), a legacy segment file against its loose
+//! entry. `tsfm fsck` opens the store through the same open path and
+//! verifies through these same readers, so the catalog and fsck share one
+//! definition of a valid store.
+//!
 //! Incremental ingest: every record stores the stable hash of its source
 //! bytes. [`Catalog::ingest_dir`] hashes each CSV *before* parsing and
 //! skips unchanged files without sketching them, so re-ingesting an
@@ -93,7 +102,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use tsfm_search::Hnsw;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use tsfm_search::HnswConfig;
 use tsfm_sketch::{MinHasher, SketchConfig, TableSketch};
@@ -165,62 +173,6 @@ impl IngestReport {
             IngestOutcome::Unchanged => self.unchanged += 1,
         }
     }
-}
-
-/// Run `work(0..n)` across `threads` workers (atomic work-stealing, scoped
-/// threads), returning outputs in index order. `0` / `1` threads or a
-/// single job runs inline. `work`'s output must not depend on the order
-/// jobs run in — the ingest pool uses it for one source's read, hash,
-/// check, parse, sketch and encode, whose outputs are then applied
-/// serially in input order, so the catalog ends up byte-identical to a
-/// serial ingest at any thread count.
-fn parallel_map<T: Send>(
-    n: usize,
-    threads: usize,
-    work: impl Fn(usize) -> T + Sync,
-) -> StoreResult<Vec<T>> {
-    if threads <= 1 || n <= 1 {
-        return Ok((0..n).map(work).collect());
-    }
-    let next = AtomicUsize::new(0);
-    let workers = threads.min(n);
-    let mut panicked = 0usize;
-    let mut tagged: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        out.push((i, work(i)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        // Join every handle even after a panic: consuming each payload
-        // here keeps the scope from re-raising it, and the surviving
-        // workers' results let us report how much work was lost.
-        let mut all = Vec::new();
-        for h in handles {
-            match h.join() {
-                Ok(part) => all.extend(part),
-                Err(_) => panicked += 1,
-            }
-        }
-        all
-    });
-    if panicked > 0 {
-        return Err(StoreError::internal(format!(
-            "{panicked} ingest worker(s) panicked; batch discarded ({} of {n} jobs completed)",
-            tagged.len()
-        )));
-    }
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    Ok(tagged.into_iter().map(|(_, t)| t).collect())
 }
 
 /// A record serialized for the catalog: its `TSFMSEG1` frame and the
@@ -302,8 +254,8 @@ pub enum SnapshotMode {
 /// lazily-loaded (once per catalog instance) manifest and arena. The
 /// `OnceLock`s keep `Catalog::open` O(shards): nothing under `shards/`
 /// is touched until a lookup lands there.
-struct ShardSlot {
-    meta: ShardMeta,
+pub(crate) struct ShardSlot {
+    pub(crate) meta: ShardMeta,
     manifest: OnceLock<Arc<ShardManifest>>,
     arena: OnceLock<Arc<ArenaIndex>>,
 }
@@ -401,62 +353,66 @@ impl Catalog {
         dead_columns_gauge();
         index_bytes_gauge();
         let dir = dir.into();
-        let manifest = dir.join(MANIFEST_FILE);
-        if manifest.exists() {
-            let (sketch_cfg, entries, metas, mut tombstones) = read_manifest(&manifest)?;
-            if sketch_cfg.minhash_k != cfg.minhash_k
-                || sketch_cfg.max_rows != cfg.max_rows
-                || sketch_cfg.seed != cfg.seed
+        if dir.join(MANIFEST_FILE).exists() {
+            let cat = Self::open_existing(dir)?;
+            let on_disk = &cat.sketch_cfg;
+            if (on_disk.minhash_k, on_disk.max_rows, on_disk.seed)
+                != (cfg.minhash_k, cfg.max_rows, cfg.seed)
             {
                 return Err(StoreError::invalid(format!(
                     "catalog was created with (k={}, max_rows={}, seed={:#x}); \
                      refusing to open with a different sketch config",
-                    sketch_cfg.minhash_k, sketch_cfg.max_rows, sketch_cfg.seed
+                    on_disk.minhash_k, on_disk.max_rows, on_disk.seed
                 )));
             }
-            let space = metas.len() as u32;
-            // A tombstone pointing into a quarantined (missing) shard
-            // marks nothing; keeping it would undercount `len`.
-            if space > 0 {
-                let present: Vec<bool> = metas.iter().map(Option::is_some).collect();
-                tombstones.retain(|id| present[shard::shard_of(id, space) as usize]);
-            }
-            return Ok(Self {
-                dir,
-                sketch_cfg,
-                hnsw_cfg: HnswConfig::default(),
-                shards: metas.into_iter().map(|m| m.map(ShardSlot::new)).collect(),
-                tombstones,
-                snapshot_mode: SnapshotMode::default(),
-                snapshot: None,
-                base: None,
-                epoch: 0,
-                manifest_dirty: false,
-                pending: BTreeMap::new(),
-                committed: entries.values().map(|e| e.segment.clone()).collect(),
-                entries,
-            });
+            return Ok(cat);
         }
         fs::create_dir_all(dir.join(SEGMENT_DIR))?;
-        let cat = Self {
+        let cat = Self::with_contents(dir, (cfg, BTreeMap::new(), Vec::new(), BTreeSet::new()));
+        // The empty manifest is the catalog's first committed state: the
+        // first commit without mutations writes nothing.
+        cat.write_manifest()?;
+        Ok(cat)
+    }
+
+    /// Open the catalog whose manifest is in `dir`, with the sketch
+    /// configuration it persisted — the one open path, which
+    /// [`Catalog::open_with`] and `fsck` share. Reads the root manifest
+    /// only; nothing under `segments/` or `shards/` is touched.
+    pub(crate) fn open_existing(dir: PathBuf) -> StoreResult<Self> {
+        let contents = read_manifest(&dir.join(MANIFEST_FILE))?;
+        Ok(Self::with_contents(dir, contents))
+    }
+
+    fn with_contents(dir: PathBuf, contents: ManifestContents) -> Self {
+        let (sketch_cfg, entries, metas, tombstones) = contents;
+        let mut cat = Self {
             dir,
-            sketch_cfg: cfg,
+            sketch_cfg,
             hnsw_cfg: HnswConfig::default(),
-            entries: BTreeMap::new(),
-            shards: Vec::new(),
-            tombstones: BTreeSet::new(),
+            shards: metas.into_iter().map(|m| m.map(ShardSlot::new)).collect(),
+            tombstones,
             snapshot_mode: SnapshotMode::default(),
             snapshot: None,
             base: None,
             epoch: 0,
             manifest_dirty: false,
             pending: BTreeMap::new(),
-            committed: BTreeSet::new(),
+            committed: entries.values().map(|e| e.segment.clone()).collect(),
+            entries,
         };
-        // The empty manifest is the catalog's first committed state: the
-        // first commit without mutations writes nothing.
-        cat.write_manifest()?;
-        Ok(cat)
+        cat.prune_tombstones();
+        cat
+    }
+
+    /// Drop the tombstones that point into a quarantined (missing) shard:
+    /// they mark nothing, and keeping them would undercount `len`.
+    fn prune_tombstones(&mut self) {
+        let space = self.shards.len() as u32;
+        if space > 0 {
+            let shards = &self.shards;
+            self.tombstones.retain(|id| shards[shard::shard_of(id, space) as usize].is_some());
+        }
     }
 
     pub fn dir(&self) -> &Path {
@@ -541,10 +497,34 @@ impl Catalog {
         self.shards[shard::shard_of(id, self.shards.len() as u32) as usize].as_ref()
     }
 
+    /// The loose tier: the root manifest's own id → entry map.
+    pub(crate) fn loose_entries(&self) -> &BTreeMap<String, ManifestEntry> {
+        &self.entries
+    }
+
+    /// Every shard the root manifest lists (quarantine holes skipped).
+    pub(crate) fn shard_slots(&self) -> impl Iterator<Item = &ShardSlot> {
+        self.shards.iter().flatten()
+    }
+
+    /// Whether a shard-resident copy of `id` is its table's active copy:
+    /// neither removed nor shadowed by a loose entry since the last
+    /// compaction. Every other slot is dead data.
+    fn shard_copy_active(&self, id: &str) -> bool {
+        !self.tombstones.contains(id) && !self.entries.contains_key(id)
+    }
+
+    /// The slots of shard manifest `m` that hold active copies, ascending.
+    pub(crate) fn live_slots(&self, m: &ShardManifest) -> Vec<u32> {
+        (0..m.entries.len() as u32)
+            .filter(|&i| self.shard_copy_active(&m.entries[i as usize].id))
+            .collect()
+    }
+
     /// Load (once) a shard's manifest, cross-checked against its root
-    /// metadata. Errors are not cached: a transient failure retries on
-    /// the next call.
-    fn slot_manifest(&self, slot: &ShardSlot) -> StoreResult<Arc<ShardManifest>> {
+    /// metadata: the one definition of a valid shard manifest. Errors are
+    /// not cached: a transient failure retries on the next call.
+    pub(crate) fn slot_manifest(&self, slot: &ShardSlot) -> StoreResult<Arc<ShardManifest>> {
         if let Some(m) = slot.manifest.get() {
             return Ok(Arc::clone(m));
         }
@@ -579,7 +559,7 @@ impl Catalog {
     }
 
     /// Open (once) a shard's arena: header + offset table only.
-    fn slot_arena(&self, slot: &ShardSlot) -> StoreResult<Arc<ArenaIndex>> {
+    pub(crate) fn slot_arena(&self, slot: &ShardSlot) -> StoreResult<Arc<ArenaIndex>> {
         if let Some(a) = slot.arena.get() {
             return Ok(Arc::clone(a));
         }
@@ -625,22 +605,7 @@ impl Catalog {
         let Some((slot, m, i)) = self.shard_locate(id)? else {
             return Ok(None);
         };
-        let arena = self.slot_arena(slot)?;
-        let rec = arena.read_record(i)?;
-        let e = &m.entries[i];
-        if rec.content_hash != e.content_hash || rec.table_id() != id {
-            return Err(durable::note_corruption(
-                StoreError::corrupt(
-                    "TSFMARN1",
-                    format!(
-                        "arena slot {i} of shard {} does not match its manifest entry for {id:?}",
-                        slot.meta.index
-                    ),
-                )
-                .with_file(arena.path(), arena.slots.get(i).map_or(0, |s| s.offset)),
-            ));
-        }
-        Ok(Some(rec))
+        self.slot_arena(slot)?.read_entry(i, id, m.entries[i].content_hash).map(Some)
     }
 
     /// Like [`Catalog::get`] but a missing id is a typed
@@ -749,7 +714,7 @@ impl Catalog {
         // of a changed source, which the catalog holds until the commit
         // anyway.
         let this = &*self;
-        let prepared = parallel_map(files.len(), threads, |j| {
+        let prepared = crate::parallel_map(files.len(), threads, |j| {
             let path = &files[j];
             let text = match fs::read_to_string(path) {
                 Ok(text) => text,
@@ -795,7 +760,7 @@ impl Catalog {
         let hasher = self.hasher();
         let max_rows = self.sketch_cfg.max_rows;
         let this = &*self;
-        let prepared = parallel_map(tables.len(), threads, |i| {
+        let prepared = crate::parallel_map(tables.len(), threads, |i| {
             this.prepare(&tables[i].id, content_hashes[i], || {
                 TableSketch::build_with_hasher(&tables[i], &hasher, max_rows)
             })
@@ -1029,7 +994,7 @@ impl Catalog {
             let m = self.slot_manifest(slot)?;
             let arena = self.slot_arena(slot)?;
             for (i, e) in m.entries.iter().enumerate() {
-                if self.tombstones.contains(&e.id) || self.entries.contains_key(&e.id) {
+                if !self.shard_copy_active(&e.id) {
                     continue;
                 }
                 let payload = arena.read_payload(i)?;
@@ -1145,21 +1110,17 @@ impl Catalog {
         le: &ManifestEntry,
         runs: &mut OpenRuns,
     ) -> StoreResult<Vec<u8>> {
-        if let Some(slot) = le.slot {
-            return self.run(&le.segment, runs)?.read_payload(slot as usize);
+        match le.slot {
+            Some(slot) => self.run(&le.segment, runs)?.read_payload(slot as usize),
+            None => self.legacy_segment(id, le).map(|(bytes, _)| bytes),
         }
-        let path = self.dir.join(SEGMENT_DIR).join(&le.segment);
-        let bytes = fs::read(&path)?;
-        let rec = ser::read_record(&mut bytes.as_slice()).map_err(|e| {
-            durable::note_corruption(e.into_format("TSFMSEG1").with_file(&path, 0))
-        })?;
-        check_loose(id, le, &rec, &path, 0)?;
-        Ok(bytes)
     }
 
     /// A loose record, decoded: from its uncommitted frame, or from its run
-    /// slot or legacy segment file, verified to match its manifest entry.
-    fn loose_record(
+    /// slot or legacy segment file, verified to match its manifest entry
+    /// (a run slot by [`ArenaIndex::read_entry`]). The one read `get`,
+    /// every snapshot and `fsck` take for the loose tier.
+    pub(crate) fn loose_record(
         &self,
         id: &str,
         le: &ManifestEntry,
@@ -1168,17 +1129,26 @@ impl Catalog {
         if let Some(frame) = self.pending.get(id) {
             return ser::read_record(&mut frame.as_slice());
         }
-        let path = self.dir.join(SEGMENT_DIR).join(&le.segment);
-        let (rec, offset) = match le.slot {
-            Some(slot) => {
-                let run = self.run(&le.segment, runs)?;
-                let offset = run.slots.get(slot as usize).map_or(0, |s| s.offset);
-                (run.read_record(slot as usize)?, offset)
-            }
-            None => (durable::read_file_checked(&path, ser::read_record)?, 0),
+        let Some(slot) = le.slot else {
+            return self.legacy_segment(id, le).map(|(_, rec)| rec);
         };
-        check_loose(id, le, &rec, &path, offset)?;
-        Ok(rec)
+        self.run(&le.segment, runs)?.read_entry(slot as usize, id, le.content_hash)
+    }
+
+    /// A legacy one-record segment file's bytes and record, verified to
+    /// decode and to be the record its manifest entry names.
+    fn legacy_segment(&self, id: &str, le: &ManifestEntry) -> StoreResult<(Vec<u8>, TableRecord)> {
+        let path = self.dir.join(SEGMENT_DIR).join(&le.segment);
+        let bytes = fs::read(&path)?;
+        let mut rest = bytes.as_slice();
+        let corrupt = |e: StoreError, at| durable::note_corruption(e.with_file(&path, at));
+        let rec = ser::read_record(&mut rest)
+            .map_err(|e| corrupt(e, (bytes.len() - rest.len()) as u64))?;
+        if rec.content_hash != le.content_hash || rec.table_id() != id {
+            let detail = format!("segment {} does not match manifest entry for {id:?}", le.segment);
+            return Err(corrupt(StoreError::corrupt("TSFMSEG1", detail), 0));
+        }
+        Ok((bytes, rec))
     }
 
     /// The loose run `name`, opened at most once per read pass.
@@ -1262,19 +1232,9 @@ impl Catalog {
             for slot in &self.shards {
                 lazy_shards.push(match slot {
                     Some(s) => {
-                        let m = self.slot_manifest(s)?;
-                        let arena = self.slot_arena(s)?;
-                        let entries: Vec<(String, u32)> = m
-                            .entries
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, e)| {
-                                !self.tombstones.contains(&e.id)
-                                    && !self.entries.contains_key(&e.id)
-                            })
-                            .map(|(i, e)| (e.id.clone(), i as u32))
-                            .collect();
-                        Some(shard::LazyShard { arena, entries })
+                        let manifest = self.slot_manifest(s)?;
+                        let live = self.live_slots(&manifest);
+                        Some(shard::LazyShard { arena: self.slot_arena(s)?, manifest, live })
                     }
                     None => None,
                 });
@@ -1438,29 +1398,11 @@ impl Catalog {
             let arena = self.slot_arena(slot)?;
             // Slot `i` pairs with entry `i`; both counts were checked
             // against the root manifest when the two were opened.
-            let live = |i: usize| {
-                m.entries.get(i).is_some_and(|e| {
-                    !self.tombstones.contains(&e.id) && !self.entries.contains_key(&e.id)
-                })
-            };
+            let live = |i: usize| m.entries.get(i).is_some_and(|e| self.shard_copy_active(&e.id));
             arena.read_records(live, |i, rec| {
-                let entry = m.entries.get(i).map(|e| (e.id.as_str(), e.content_hash));
-                if entry == Some((rec.table_id(), rec.content_hash)) {
-                    out.push(rec);
-                    return Ok(());
-                }
-                Err(durable::note_corruption(
-                    StoreError::corrupt(
-                        "TSFMARN1",
-                        format!(
-                            "arena slot {i} of shard {} does not match its manifest \
-                             entry for {:?}",
-                            slot.meta.index,
-                            entry.map_or(rec.table_id(), |(id, _)| id)
-                        ),
-                    )
-                    .with_file(arena.path(), arena.slots[i].offset),
-                ))
+                let e = &m.entries[i];
+                out.push(arena.check_entry(i, &e.id, e.content_hash, rec)?);
+                Ok(())
             })?;
         }
         out.sort_by(|a, b| a.table_id().cmp(b.table_id()));
@@ -1480,7 +1422,7 @@ impl Catalog {
     /// tier holds each table — so a compaction (which moves tables
     /// between tiers without changing contents) leaves it unchanged and
     /// the index cache stays warm across it.
-    fn fingerprint(&self) -> StoreResult<u64> {
+    pub(crate) fn fingerprint(&self) -> StoreResult<u64> {
         self.with_active_pairs(|pairs| fingerprint_pairs(&self.sketch_cfg, pairs.iter().copied()))
     }
 
@@ -1494,11 +1436,8 @@ impl Catalog {
         let mut pairs: Vec<(&str, u64)> =
             self.entries.iter().map(|(id, e)| (id.as_str(), e.content_hash)).collect();
         for m in &shard_manifests {
-            for e in &m.entries {
-                if !self.tombstones.contains(&e.id) && !self.entries.contains_key(&e.id) {
-                    pairs.push((e.id.as_str(), e.content_hash));
-                }
-            }
+            let active = m.entries.iter().filter(|e| self.shard_copy_active(&e.id));
+            pairs.extend(active.map(|e| (e.id.as_str(), e.content_hash)));
         }
         pairs.sort_unstable();
         Ok(f(&pairs))
@@ -1549,6 +1488,20 @@ impl Catalog {
         let res = durable::commit_file(&self.dir.join(INDEX_FILE), &file);
         index_cache_write_histogram().record(t0.elapsed().as_micros() as u64);
         res
+    }
+
+    /// Drop loose `tables` and whole `shards` — each leaves a hole in the
+    /// shard space, healed by the next compaction — and durably commit the
+    /// pruned manifest: what `fsck --repair` keeps of a damaged store.
+    pub(crate) fn drop_damaged(&mut self, tables: &[String], shards: &[u32]) -> StoreResult<()> {
+        for id in tables {
+            self.entries.remove(id);
+        }
+        for &i in shards {
+            self.shards[i as usize] = None;
+        }
+        self.prune_tombstones();
+        self.write_manifest()
     }
 
     fn write_manifest(&self) -> StoreResult<()> {
@@ -1653,11 +1606,9 @@ fn churn_since(
 }
 
 /// The fingerprint chain over ascending-id `(id, content_hash)` pairs of
-/// the contents + sketch config — what the index cache is keyed on. A
-/// free function so `fsck` can compute the expected fingerprint without a
-/// `Catalog`; tier-agnostic, so a loose-only catalog and its compacted
-/// twin agree.
-pub(crate) fn fingerprint_pairs<'a>(
+/// the contents + sketch config — what the index cache is keyed on.
+/// Tier-agnostic, so a loose-only catalog and its compacted twin agree.
+fn fingerprint_pairs<'a>(
     cfg: &SketchConfig,
     pairs: impl Iterator<Item = (&'a str, u64)>,
 ) -> u64 {
@@ -1801,16 +1752,14 @@ fn read_engine_meta(s: &mut &[u8]) -> StoreResult<Vec<SpanMeta>> {
     Ok(out)
 }
 
-/// Serialize and durably commit a manifest. Shared by [`Catalog::commit`]
-/// and fsck's repair path (which writes a pruned manifest without a live
-/// catalog).
+/// Serialize and durably commit a manifest.
 ///
 /// The shard section (space width, present shard metas, tombstones)
 /// trails the loose entries and is written only when a shard layer
 /// exists — a loose-only catalog's manifest stays byte-identical to
 /// every pre-shard release, so old fixtures (and their index-cache
 /// fingerprints) remain valid.
-pub(crate) fn write_manifest_file(
+fn write_manifest_file(
     path: &Path,
     cfg: &SketchConfig,
     entries: &BTreeMap<String, ManifestEntry>,
@@ -1862,10 +1811,10 @@ impl Drop for Catalog {
     }
 }
 
-pub(crate) type ManifestContents =
+type ManifestContents =
     (SketchConfig, BTreeMap<String, ManifestEntry>, Vec<Option<ShardMeta>>, BTreeSet<String>);
 
-pub(crate) fn read_manifest(path: &Path) -> StoreResult<ManifestContents> {
+fn read_manifest(path: &Path) -> StoreResult<ManifestContents> {
     durable::read_file_checked(path, |r| {
         let res = match ser::read_frame(r, MANIFEST_MAGIC, "TSFM catalog manifest") {
             // v1 manifests predate the shard layer.
@@ -1988,36 +1937,14 @@ fn run_seq(name: &str, generation: u64) -> Option<u32> {
 }
 
 /// Loose runs opened during one read pass, by file name.
-type OpenRuns = BTreeMap<String, ArenaIndex>;
-
-/// A committed loose record must be the one its manifest entry names;
-/// anything else is corruption of the file at `path`.
-fn check_loose(
-    id: &str,
-    le: &ManifestEntry,
-    rec: &TableRecord,
-    path: &Path,
-    offset: u64,
-) -> StoreResult<()> {
-    if rec.content_hash == le.content_hash && rec.table_id() == id {
-        return Ok(());
-    }
-    let (format, what) = match le.slot {
-        Some(slot) => ("TSFMARN1", format!("slot {slot} of run {}", le.segment)),
-        None => ("TSFMSEG1", format!("segment {}", le.segment)),
-    };
-    Err(durable::note_corruption(
-        StoreError::corrupt(format, format!("{what} does not match manifest entry for {id:?}"))
-            .with_file(path, offset),
-    ))
-}
+pub(crate) type OpenRuns = BTreeMap<String, ArenaIndex>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::QueryMode;
     use crate::request::DiscoveryRequest;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use tsfm_table::{Column, Value};
 
     fn tmp_dir(tag: &str) -> PathBuf {

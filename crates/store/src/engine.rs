@@ -601,40 +601,16 @@ impl QueryEngine {
 
     /// [`QueryEngine::search_batch`] with an explicit worker count
     /// (`search_batch` picks the host's available parallelism). `0` or
-    /// `1` runs the serial path inline.
+    /// `1` runs the serial path inline. A panicking worker fails the
+    /// whole batch with a typed [`StoreError::Internal`].
     pub fn search_batch_with_threads(
         &self,
         sketches: &[TableSketch],
         req: &DiscoveryRequest,
         threads: usize,
     ) -> StoreResult<Vec<DiscoveryResponse>> {
-        let n = sketches.len();
-        let threads = threads.min(n);
-        if threads <= 1 {
-            return sketches.iter().map(|s| self.search(s, req)).collect();
-        }
-        let chunk = n.div_ceil(threads);
-        let mut slots: Vec<Option<StoreResult<DiscoveryResponse>>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (out, work) in slots.chunks_mut(chunk).zip(sketches.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (slot, sketch) in out.iter_mut().zip(work) {
-                        *slot = Some(self.search(sketch, req));
-                    }
-                });
-            }
-        });
-        // An unfilled slot means its worker panicked before writing it
-        // (scope re-raises worker panics, so this is belt-and-braces for
-        // a future panic=abort-less refactor): surface a typed server
-        // fault instead of panicking the caller too.
-        slots
+        crate::parallel_map(sketches.len(), threads, |i| self.search(&sketches[i], req))?
             .into_iter()
-            .map(|s| {
-                s.unwrap_or_else(|| {
-                    Err(StoreError::internal("batch search worker left its slot unfilled"))
-                })
-            })
             .collect()
     }
 

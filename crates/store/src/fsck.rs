@@ -10,6 +10,22 @@
 //! both tiers, leftover `.tmp` staging files, and the index cache
 //! (checksum, the engine reassembly the catalog itself serves from, and
 //! fingerprint over the merged loose+sharded contents).
+//!
+//! fsck holds no validity rule of its own. It opens the store through the
+//! catalog's own open path, with the sketch configuration the manifest
+//! persisted, and reads every item through the readers the catalog serves
+//! from: the loose tier through `Catalog::loose_record`, each shard
+//! manifest through `Catalog::slot_manifest` (checked against the root
+//! manifest), each arena through `Catalog::slot_arena`, each active slot
+//! through [`ArenaIndex::read_entry`](crate::shard::ArenaIndex::read_entry)
+//! — whose `check_entry` is the one slot-vs-entry check — and the index
+//! cache through `read_index_engine` against `Catalog::fingerprint`. So
+//! fsck and the catalog agree on every record, run, shard manifest and
+//! arena (the `fsck_agrees` property test holds them to it). What fsck
+//! adds is its own: it checks every item instead of
+//! stopping at the first failure, finds orphans and staging leftovers,
+//! classifies each failure (a file not on disk is `missing_*`, any other
+//! error `corrupt_*`), and repairs.
 //! Damage is reported as typed [`Problem`]s and rendered as one
 //! structured JSON object.
 //!
@@ -27,18 +43,16 @@
 //! segments alone, so a corrupt manifest is reported and left for
 //! restore-from-backup.
 
-use crate::catalog::{
-    self, fingerprint_pairs, read_index_cache, read_index_engine, Catalog, ManifestEntry,
-};
+use crate::catalog::{self, read_index_cache, read_index_engine, Catalog, OpenRuns};
 use crate::durable;
 use crate::error::{StoreError, StoreResult};
 use crate::ser;
-use crate::shard::{self, ArenaIndex, ShardManifest, ShardMeta};
+use crate::shard;
 use crate::wire::escape_json;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::fmt::Display;
 use std::fs;
 use std::path::{Path, PathBuf};
-use tsfm_sketch::SketchConfig;
 
 /// Where repair moves bad segments (inside the catalog directory).
 pub const QUARANTINE_DIR: &str = "quarantine";
@@ -164,6 +178,16 @@ pub struct FsckReport {
 }
 
 impl FsckReport {
+    fn push(
+        &mut self,
+        kind: ProblemKind,
+        file: String,
+        table: Option<String>,
+        detail: &dyn Display,
+    ) {
+        self.problems.push(Problem { kind, file, table, detail: detail.to_string() });
+    }
+
     /// Whether the store verified clean (pre-repair state). A stale or
     /// absent index cache is not damage — the next snapshot rebuilds it.
     pub fn healthy(&self) -> bool {
@@ -234,8 +258,7 @@ impl FsckReport {
 /// environmental failures (the directory is not a catalog, repair I/O
 /// failed); damage found in the store comes back inside the report.
 pub fn fsck(dir: &Path, repair: bool) -> StoreResult<FsckReport> {
-    let manifest_path = dir.join(catalog::MANIFEST_FILE);
-    if !manifest_path.exists() {
+    if !dir.join(catalog::MANIFEST_FILE).exists() {
         return Err(StoreError::invalid(format!(
             "{} is not a catalog (no {} found)",
             dir.display(),
@@ -251,92 +274,55 @@ pub fn fsck(dir: &Path, repair: bool) -> StoreResult<FsckReport> {
         index_cache: IndexCacheState::Absent,
         repair: None,
     };
-
-    let manifest = catalog::read_manifest(&manifest_path);
-    let (cfg, entries, metas, tombstones) = match manifest {
-        Ok(v) => v,
+    let index_path = dir.join(catalog::INDEX_FILE);
+    let mut cat = match Catalog::open_existing(dir.to_path_buf()) {
+        Ok(cat) => cat,
         Err(e) => {
-            report.problems.push(Problem {
-                kind: ProblemKind::CorruptManifest,
-                file: catalog::MANIFEST_FILE.to_string(),
-                table: None,
-                detail: e.to_string(),
-            });
+            let file = catalog::MANIFEST_FILE.to_string();
+            report.push(ProblemKind::CorruptManifest, file, None, &e);
             // Still classify the index cache so the report is complete,
             // even though nothing can validate its fingerprint.
-            report.index_cache = match read_index_cache(&dir.join(catalog::INDEX_FILE)) {
+            report.index_cache = match read_index_cache(&index_path) {
                 Ok(_) => IndexCacheState::Stale,
-                Err(StoreError::Io(ref io)) if io.kind() == std::io::ErrorKind::NotFound => {
-                    IndexCacheState::Absent
-                }
+                Err(e) if is_not_found(&e) => IndexCacheState::Absent,
                 Err(e) => IndexCacheState::Corrupt(e.to_string()),
             };
             return Ok(report);
         }
     };
-    let sharded_total: u64 = metas.iter().flatten().map(|m| m.entry_count).sum();
-    report.tables = entries.len()
-        + sharded_total.saturating_sub(tombstones.len() as u64) as usize;
+    report.tables = cat.len();
+    let mut damage = Damage::default();
 
-    // ---- loose tier: every record's checksum and manifest agreement ----
+    // ---- loose tier: every record, read as the catalog reads it ----
     // A bad run slot drops only its own table; a missing or unreadable
     // run drops every table it held.
     let seg_dir = dir.join(catalog::SEGMENT_DIR);
-    let mut bad_tables: Vec<String> = Vec::new();
-    let mut runs: BTreeMap<&str, Result<ArenaIndex, (ProblemKind, String)>> = BTreeMap::new();
-    for (id, entry) in &entries {
-        let path = seg_dir.join(&entry.segment);
-        let rec = match entry.slot {
-            Some(slot) => {
-                match runs.entry(&entry.segment).or_insert_with(|| {
-                    ArenaIndex::open_run(&path).map_err(segment_problem)
-                }) {
-                    Ok(run) => run.read_record(slot as usize).map_err(segment_problem),
-                    Err(problem) => Err(problem.clone()),
-                }
+    let entries = cat.loose_entries();
+    let mut runs = OpenRuns::new();
+    for (id, entry) in entries {
+        if entry.slot.is_none() && is_v1_segment(&seg_dir.join(&entry.segment)) {
+            report.v1_segments += 1;
+        }
+        match cat.loose_record(id, entry, &mut runs) {
+            Ok(_) => report.segments_ok += 1,
+            Err(e) => {
+                let (kind, detail) =
+                    classify(&e, ProblemKind::MissingSegment, ProblemKind::CorruptSegment);
+                let file = format!("{}/{}", catalog::SEGMENT_DIR, entry.segment);
+                report.push(kind, file, Some(id.clone()), &detail);
+                damage.bad_tables.push(id.clone());
             }
-            None => durable::read_file_checked(&path, |s| {
-                let mut header = *s;
-                let version = ser::read_frame_header(&mut header, ser::SEGMENT_MAGIC, "segment");
-                if version.ok() == Some(ser::LEGACY_VERSION) {
-                    report.v1_segments += 1;
-                }
-                ser::read_record(s)
-            })
-            .map_err(segment_problem),
-        };
-        let (kind, detail) = match rec {
-            Ok(rec) if rec.content_hash == entry.content_hash && rec.table_id() == id => {
-                report.segments_ok += 1;
-                continue;
-            }
-            Ok(rec) => (
-                ProblemKind::CorruptSegment,
-                format!(
-                    "record holds table {:?} hash {:#x}, manifest expects {id:?} hash {:#x}",
-                    rec.table_id(),
-                    rec.content_hash,
-                    entry.content_hash
-                ),
-            ),
-            Err(problem) => problem,
-        };
-        report.problems.push(Problem {
-            kind,
-            file: format!("{}/{}", catalog::SEGMENT_DIR, entry.segment),
-            table: Some(id.clone()),
-            detail,
-        });
-        bad_tables.push(id.clone());
+        }
     }
     // A damaged file no surviving entry references is moved aside; one
     // that still backs other tables stays where they read it.
     let surviving: BTreeSet<&str> = entries
         .iter()
-        .filter(|(id, _)| !bad_tables.contains(id))
+        .filter(|(id, _)| !damage.bad_tables.contains(id))
         .map(|(_, e)| e.segment.as_str())
         .collect();
-    let mut quarantine: Vec<PathBuf> = bad_tables
+    damage.segments = damage
+        .bad_tables
         .iter()
         .filter_map(|id| entries.get(id))
         .map(|e| e.segment.as_str())
@@ -349,228 +335,63 @@ pub fn fsck(dir: &Path, repair: bool) -> StoreResult<FsckReport> {
 
     // ---- shard layer: manifests, arenas, every active slot ----
     let shard_dir = dir.join(shard::SHARD_DIR);
-    let space = metas.len() as u32;
-    let mut bad_shards: Vec<u32> = Vec::new();
-    let mut shard_quarantine: Vec<PathBuf> = Vec::new();
-    let mut shard_dropped: Vec<String> = Vec::new();
-    let mut shard_manifests: Vec<Option<ShardManifest>> = vec![None; metas.len()];
-    for meta in metas.iter().flatten() {
-        let srel = format!("{}/{}", shard::SHARD_DIR, meta.shard_file());
-        let arel = format!("{}/{}", shard::SHARD_DIR, meta.arena_file());
-        let spath = shard_dir.join(meta.shard_file());
-        let apath = shard_dir.join(meta.arena_file());
+    for slot in cat.shard_slots() {
+        let meta = &slot.meta;
+        let files = [meta.shard_file(), meta.arena_file()];
+        let manifest = cat.slot_manifest(slot);
+        let arena = cat.slot_arena(slot);
         let mut shard_ok = true;
-
-        let sm = if spath.exists() {
-            match shard::read_shard_manifest(&spath) {
-                Ok(m) => {
-                    if m.index != meta.index
-                        || m.generation != meta.generation
-                        || m.shard_count != space
-                        || m.entries.len() as u64 != meta.entry_count
-                    {
-                        report.problems.push(Problem {
-                            kind: ProblemKind::CorruptShard,
-                            file: srel.clone(),
-                            table: None,
-                            detail: format!(
-                                "shard file says (shard {} of {}, generation {}, {} entries); \
-                                 root manifest says (shard {} of {space}, generation {}, {} \
-                                 entries)",
-                                m.index,
-                                m.shard_count,
-                                m.generation,
-                                m.entries.len(),
-                                meta.index,
-                                meta.generation,
-                                meta.entry_count
-                            ),
-                        });
-                        shard_ok = false;
-                    }
-                    Some(m)
-                }
-                Err(e) => {
-                    report.problems.push(Problem {
-                        kind: ProblemKind::CorruptShard,
-                        file: srel.clone(),
-                        table: None,
-                        detail: e.to_string(),
-                    });
-                    shard_ok = false;
-                    None
-                }
-            }
-        } else {
-            report.problems.push(Problem {
-                kind: ProblemKind::MissingShard,
-                file: srel.clone(),
-                table: None,
-                detail: "root manifest references a shard file that is not on disk".to_string(),
-            });
-            shard_ok = false;
-            None
-        };
-
-        match ArenaIndex::open(&apath, meta) {
-            Ok(arena) => {
-                // A CRC-verified positioned read of every *active* slot
-                // (tombstoned or loose-shadowed slots are dead data).
-                if let Some(m) = sm.as_ref().filter(|_| shard_ok) {
-                    for (i, e) in m.entries.iter().enumerate() {
-                        if tombstones.contains(&e.id) || entries.contains_key(&e.id) {
-                            continue;
-                        }
-                        let slot_ok = match arena.read_record(i) {
-                            Ok(rec) => {
-                                if rec.content_hash == e.content_hash && rec.table_id() == e.id {
-                                    Ok(())
-                                } else {
-                                    Err(format!(
-                                        "slot {i} holds table {:?} hash {:#x}, shard manifest \
-                                         expects {:?} hash {:#x}",
-                                        rec.table_id(),
-                                        rec.content_hash,
-                                        e.id,
-                                        e.content_hash
-                                    ))
-                                }
-                            }
-                            Err(err) => Err(err.to_string()),
-                        };
-                        match slot_ok {
-                            Ok(()) => report.segments_ok += 1,
-                            Err(detail) => {
-                                report.problems.push(Problem {
-                                    kind: ProblemKind::CorruptShard,
-                                    file: arel.clone(),
-                                    table: Some(e.id.clone()),
-                                    detail,
-                                });
-                                shard_ok = false;
-                            }
-                        }
-                    }
-                }
-            }
-            Err(err) => {
-                let kind = match &err {
-                    StoreError::Io(io) if io.kind() == std::io::ErrorKind::NotFound => {
-                        ProblemKind::MissingShard
-                    }
-                    _ => ProblemKind::CorruptShard,
-                };
-                report.problems.push(Problem {
-                    kind,
-                    file: arel.clone(),
-                    table: None,
-                    detail: err.to_string(),
-                });
+        for (file, opened) in files.iter().zip([manifest.as_ref().err(), arena.as_ref().err()]) {
+            if let Some(e) = opened {
+                let (kind, detail) =
+                    classify(e, ProblemKind::MissingShard, ProblemKind::CorruptShard);
+                report.push(kind, format!("{}/{file}", shard::SHARD_DIR), None, &detail);
                 shard_ok = false;
             }
         }
-
-        if shard_ok {
-            shard_manifests[meta.index as usize] = sm;
-        } else {
-            bad_shards.push(meta.index);
-            for p in [&spath, &apath] {
-                if p.exists() {
-                    shard_quarantine.push(p.clone());
+        let live = manifest.as_ref().map(|m| cat.live_slots(m)).unwrap_or_default();
+        if let (Ok(m), Ok(arena)) = (&manifest, &arena) {
+            // A positioned read of every *active* slot, checked as every
+            // catalog read checks it (tombstoned or loose-shadowed slots
+            // are dead data).
+            for &i in &live {
+                let e = &m.entries[i as usize];
+                match arena.read_entry(i as usize, &e.id, e.content_hash) {
+                    Ok(_) => report.segments_ok += 1,
+                    Err(err) => {
+                        let file = format!("{}/{}", shard::SHARD_DIR, files[1]);
+                        report.push(ProblemKind::CorruptShard, file, Some(e.id.clone()), &err);
+                        shard_ok = false;
+                    }
                 }
             }
-            if let Some(m) = &sm {
-                shard_dropped.extend(
-                    m.entries
-                        .iter()
-                        .filter(|e| !tombstones.contains(&e.id) && !entries.contains_key(&e.id))
-                        .map(|e| e.id.clone()),
-                );
+        }
+        if !shard_ok {
+            damage.bad_shards.push(meta.index);
+            damage.shards.extend(files.iter().map(|f| shard_dir.join(f)).filter(|p| p.exists()));
+            if let Ok(m) = &manifest {
+                damage.shard_tables.extend(live.iter().map(|&i| m.entries[i as usize].id.clone()));
             }
         }
     }
 
     // ---- orphans and staging leftovers ----
-    let referenced: std::collections::BTreeSet<&str> =
-        entries.values().map(|e| e.segment.as_str()).collect();
-    let mut tmp_files: Vec<PathBuf> = Vec::new();
-    if seg_dir.is_dir() {
-        let mut names: Vec<String> = fs::read_dir(&seg_dir)?
-            .filter_map(|e| e.ok().map(|e| e.file_name().to_string_lossy().to_string()))
-            .collect();
-        names.sort();
-        for name in names {
-            if referenced.contains(name.as_str()) {
-                continue;
-            }
-            let path = seg_dir.join(&name);
-            let rel = format!("{}/{name}", catalog::SEGMENT_DIR);
-            if name.ends_with(".tmp") {
-                report.problems.push(Problem {
-                    kind: ProblemKind::TmpFile,
-                    file: rel,
-                    table: None,
-                    detail: "staging file left by an interrupted commit".to_string(),
-                });
-                tmp_files.push(path);
-            } else {
-                report.problems.push(Problem {
-                    kind: ProblemKind::OrphanSegment,
-                    file: rel,
-                    table: None,
-                    detail: "no manifest entry references this file".to_string(),
-                });
-                quarantine.push(path);
-            }
-        }
-    }
+    let referenced: BTreeSet<String> = entries.values().map(|e| e.segment.clone()).collect();
+    let orphan = (ProblemKind::OrphanSegment, "no manifest entry references this file");
+    let found = sweep(dir, catalog::SEGMENT_DIR, &referenced, orphan, &mut report, &mut damage.tmp);
+    damage.segments.extend(found?);
     // Files under shards/ no root-manifest meta references: leftovers of
     // a compaction that crashed before its root-manifest flip.
-    if shard_dir.is_dir() {
-        let shard_referenced: BTreeSet<String> = metas
-            .iter()
-            .flatten()
-            .flat_map(|m| [m.shard_file(), m.arena_file()])
-            .collect();
-        let mut names: Vec<String> = fs::read_dir(&shard_dir)?
-            .filter_map(|e| e.ok().map(|e| e.file_name().to_string_lossy().to_string()))
-            .collect();
-        names.sort();
-        for name in names {
-            if shard_referenced.contains(&name) {
-                continue;
-            }
-            let path = shard_dir.join(&name);
-            let rel = format!("{}/{name}", shard::SHARD_DIR);
-            if name.ends_with(".tmp") {
-                report.problems.push(Problem {
-                    kind: ProblemKind::TmpFile,
-                    file: rel,
-                    table: None,
-                    detail: "staging file left by an interrupted commit".to_string(),
-                });
-                tmp_files.push(path);
-            } else {
-                report.problems.push(Problem {
-                    kind: ProblemKind::OrphanShard,
-                    file: rel,
-                    table: None,
-                    detail: "no root-manifest shard references this file".to_string(),
-                });
-                shard_quarantine.push(path);
-            }
-        }
-    }
+    let referenced: BTreeSet<String> =
+        cat.shard_slots().flat_map(|s| [s.meta.shard_file(), s.meta.arena_file()]).collect();
+    let orphan = (ProblemKind::OrphanShard, "no root-manifest shard references this file");
+    let found = sweep(dir, shard::SHARD_DIR, &referenced, orphan, &mut report, &mut damage.tmp);
+    damage.shards.extend(found?);
     for staging in ["catalog.tmp", "index.tmp"] {
         let path = dir.join(staging);
         if path.exists() {
-            report.problems.push(Problem {
-                kind: ProblemKind::TmpFile,
-                file: staging.to_string(),
-                table: None,
-                detail: "staging file left by an interrupted commit".to_string(),
-            });
-            tmp_files.push(path);
+            report.push(ProblemKind::TmpFile, staging.to_string(), None, &STAGING);
+            damage.tmp.push(path);
         }
     }
 
@@ -578,24 +399,9 @@ pub fn fsck(dir: &Path, repair: bool) -> StoreResult<FsckReport> {
     // The fingerprint covers the merged active contents of both tiers;
     // with any shard unreadable the expected value is unknowable, so a
     // readable cache degrades to Stale (rebuilt on repair), not Corrupt.
-    let merged_fp = if bad_shards.is_empty() {
-        let mut pairs: Vec<(&str, u64)> =
-            entries.iter().map(|(id, e)| (id.as_str(), e.content_hash)).collect();
-        for m in shard_manifests.iter().flatten() {
-            for e in &m.entries {
-                if !tombstones.contains(&e.id) && !entries.contains_key(&e.id) {
-                    pairs.push((e.id.as_str(), e.content_hash));
-                }
-            }
-        }
-        pairs.sort_unstable();
-        Some(fingerprint_pairs(&cfg, pairs.into_iter()))
-    } else {
-        None
-    };
-    let index_path = dir.join(catalog::INDEX_FILE);
+    let merged_fp = if damage.bad_shards.is_empty() { cat.fingerprint().ok() } else { None };
     report.index_cache = if index_path.exists() {
-        match read_index_engine(&index_path, cfg.minhash_k) {
+        match read_index_engine(&index_path, cat.sketch_config().minhash_k) {
             Ok((fp, ..)) if merged_fp == Some(fp) => IndexCacheState::Valid,
             Ok(_) => IndexCacheState::Stale,
             Err(e) => IndexCacheState::Corrupt(e.to_string()),
@@ -605,22 +411,7 @@ pub fn fsck(dir: &Path, repair: bool) -> StoreResult<FsckReport> {
     };
 
     if repair {
-        let summary = run_repair(
-            dir,
-            &cfg,
-            &entries,
-            &bad_tables,
-            &quarantine,
-            &tmp_files,
-            &report.index_cache,
-            &ShardRepair {
-                metas: &metas,
-                tombstones: &tombstones,
-                bad_shards: &bad_shards,
-                quarantine: &shard_quarantine,
-                dropped: &shard_dropped,
-            },
-        )?;
+        let summary = run_repair(&mut cat, damage, &report.index_cache)?;
         if summary.actions() > 0 {
             tsfm_obs::metrics::global()
                 .counter("tsfm_store_fsck_repairs_total", "Repair actions taken by tsfm fsck")
@@ -631,117 +422,143 @@ pub fn fsck(dir: &Path, repair: bool) -> StoreResult<FsckReport> {
     Ok(report)
 }
 
-/// What a failed read of a loose record's file reports.
-fn segment_problem(e: StoreError) -> (ProblemKind, String) {
-    match e {
-        StoreError::Io(io) if io.kind() == std::io::ErrorKind::NotFound => (
-            ProblemKind::MissingSegment,
-            "manifest references a segment that is not on disk".to_string(),
-        ),
-        e => (ProblemKind::CorruptSegment, e.to_string()),
+/// What a `.tmp` staging file is reported as.
+const STAGING: &str = "staging file left by an interrupted commit";
+
+fn is_not_found(e: &StoreError) -> bool {
+    matches!(e, StoreError::Io(io) if io.kind() == std::io::ErrorKind::NotFound)
+}
+
+/// The problem a failed catalog read reports: `missing` when its file is
+/// not on disk, `corrupt` with the reader's own error for anything else.
+fn classify(e: &StoreError, missing: ProblemKind, corrupt: ProblemKind) -> (ProblemKind, String) {
+    if is_not_found(e) {
+        (missing, "the manifest references a file that is not on disk".to_string())
+    } else {
+        (corrupt, e.to_string())
     }
 }
 
-/// The shard-layer inputs to [`run_repair`], bundled.
-struct ShardRepair<'a> {
-    metas: &'a [Option<ShardMeta>],
-    tombstones: &'a BTreeSet<String>,
-    /// Indices of shards to quarantine as a unit.
-    bad_shards: &'a [u32],
-    /// Shard-layer files (bad shards' pairs + orphans) to move aside.
-    quarantine: &'a [PathBuf],
-    /// Active table ids lost with the bad shards (where known).
-    dropped: &'a [String],
+/// Whether the legacy segment file at `path` is a pre-checksum (v1) frame,
+/// by a peek at its header.
+fn is_v1_segment(path: &Path) -> bool {
+    durable::read_prefix(path, ser::FRAME_HEADER_LEN as u64).is_ok_and(|head| {
+        let version = ser::read_frame_header(&mut head.as_slice(), ser::SEGMENT_MAGIC, "segment");
+        version.ok() == Some(ser::LEGACY_VERSION)
+    })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_repair(
+/// Report every file under `dir/sub` that `referenced` does not name, in
+/// name order: a `.tmp` staging file goes to `tmp`, anything else is an
+/// `orphan` problem, returned for quarantine.
+fn sweep(
     dir: &Path,
-    cfg: &SketchConfig,
-    entries: &BTreeMap<String, ManifestEntry>,
-    bad_tables: &[String],
-    quarantine: &[PathBuf],
-    tmp_files: &[PathBuf],
+    sub: &str,
+    referenced: &BTreeSet<String>,
+    orphan: (ProblemKind, &str),
+    report: &mut FsckReport,
+    tmp: &mut Vec<PathBuf>,
+) -> StoreResult<Vec<PathBuf>> {
+    let mut orphans = Vec::new();
+    if !dir.join(sub).is_dir() {
+        return Ok(orphans);
+    }
+    let mut names: Vec<String> = fs::read_dir(dir.join(sub))?
+        .filter_map(|e| e.ok().map(|e| e.file_name().to_string_lossy().to_string()))
+        .filter(|name| !referenced.contains(name))
+        .collect();
+    names.sort();
+    for name in names {
+        let (path, rel) = (dir.join(sub).join(&name), format!("{sub}/{name}"));
+        if name.ends_with(".tmp") {
+            report.push(ProblemKind::TmpFile, rel, None, &STAGING);
+            tmp.push(path);
+        } else {
+            report.push(orphan.0, rel, None, &orphan.1);
+            orphans.push(path);
+        }
+    }
+    Ok(orphans)
+}
+
+/// What the walk found that repair acts on.
+#[derive(Default)]
+struct Damage {
+    /// Loose tables whose record failed to verify.
+    bad_tables: Vec<String>,
+    /// Shards to quarantine as a unit.
+    bad_shards: Vec<u32>,
+    /// Active tables lost with the bad shards (where their manifest was
+    /// readable).
+    shard_tables: Vec<String>,
+    /// Files to move aside, under `segments/` and under `shards/`.
+    segments: Vec<PathBuf>,
+    shards: Vec<PathBuf>,
+    /// `.tmp` staging files to remove.
+    tmp: Vec<PathBuf>,
+}
+
+fn run_repair(
+    cat: &mut Catalog,
+    damage: Damage,
     index_state: &IndexCacheState,
-    shards: &ShardRepair<'_>,
 ) -> StoreResult<RepairSummary> {
     let mut summary = RepairSummary::default();
-
-    if !quarantine.is_empty() {
-        let qdir = dir.join(QUARANTINE_DIR);
-        fs::create_dir_all(&qdir)?;
-        for path in quarantine {
-            let name = path.file_name().map(|n| n.to_string_lossy().to_string());
-            let Some(name) = name else { continue };
-            fs::rename(path, qdir.join(&name))?;
-            summary.quarantined.push(format!("{QUARANTINE_DIR}/{name}"));
-        }
-        durable::sync_dir(&dir.join(catalog::SEGMENT_DIR))?;
-    }
-    if !shards.quarantine.is_empty() {
-        let qdir = dir.join(QUARANTINE_DIR);
-        fs::create_dir_all(&qdir)?;
-        for path in shards.quarantine {
-            let name = path.file_name().map(|n| n.to_string_lossy().to_string());
-            let Some(name) = name else { continue };
-            fs::rename(path, qdir.join(&name))?;
-            summary.quarantined.push(format!("{QUARANTINE_DIR}/{name}"));
-        }
-        durable::sync_dir(&dir.join(shard::SHARD_DIR))?;
-    }
-    for path in tmp_files {
+    let dir = cat.dir().to_path_buf();
+    quarantine(&dir, catalog::SEGMENT_DIR, &damage.segments, &mut summary)?;
+    quarantine(&dir, shard::SHARD_DIR, &damage.shards, &mut summary)?;
+    for path in &damage.tmp {
         fs::remove_file(path)?;
         summary
             .removed_tmp
             .push(path.file_name().map_or_else(String::new, |n| n.to_string_lossy().to_string()));
     }
 
-    let entries_changed = !bad_tables.is_empty();
-    let shards_changed = !shards.bad_shards.is_empty();
-    if entries_changed || shards_changed {
-        let mut pruned = entries.clone();
-        for id in bad_tables {
-            pruned.remove(id);
-            summary.dropped_tables.push(id.clone());
-        }
-        summary.dropped_tables.extend(shards.dropped.iter().cloned());
+    let manifest_changed = !damage.bad_tables.is_empty() || !damage.bad_shards.is_empty();
+    if manifest_changed {
+        cat.drop_damaged(&damage.bad_tables, &damage.bad_shards)?;
+        summary.dropped_tables = damage.bad_tables;
+        summary.dropped_tables.extend(damage.shard_tables);
         summary.dropped_tables.sort_unstable();
-        // A quarantined shard leaves a hole in the space (its slice of
-        // the namespace is empty until the next compaction heals it);
-        // tombstones pointing into a hole mark nothing and are dropped.
-        let mut metas_after = shards.metas.to_vec();
-        for &i in shards.bad_shards {
-            metas_after[i as usize] = None;
-        }
-        let mut tombs_after = shards.tombstones.clone();
-        if !metas_after.is_empty() {
-            let space = metas_after.len() as u32;
-            tombs_after.retain(|id| metas_after[shard::shard_of(id, space) as usize].is_some());
-        }
-        catalog::write_manifest_file(
-            &dir.join(catalog::MANIFEST_FILE),
-            cfg,
-            &pruned,
-            &metas_after,
-            &tombs_after,
-        )?;
     }
 
     // Rebuild derived state whenever it cannot be trusted as-is: the
     // manifest changed under it, or it was stale/corrupt to begin with.
-    if entries_changed || shards_changed || !matches!(index_state, IndexCacheState::Valid) {
+    if manifest_changed || !matches!(index_state, IndexCacheState::Valid) {
         let _ = fs::remove_file(dir.join(catalog::INDEX_FILE));
-        let mut cat = Catalog::open_with(dir, cfg.clone())?;
         cat.searcher()?;
-        cat.commit()?;
         summary.index_rebuilt = true;
     }
     Ok(summary)
 }
 
+/// Move `files` (all under `dir/sub`) into the quarantine directory, then
+/// make the moves durable.
+fn quarantine(
+    dir: &Path,
+    sub: &str,
+    files: &[PathBuf],
+    summary: &mut RepairSummary,
+) -> StoreResult<()> {
+    if files.is_empty() {
+        return Ok(());
+    }
+    let qdir = dir.join(QUARANTINE_DIR);
+    fs::create_dir_all(&qdir)?;
+    for path in files {
+        let Some(name) = path.file_name().map(|n| n.to_string_lossy().to_string()) else {
+            continue;
+        };
+        fs::rename(path, qdir.join(&name))?;
+        summary.quarantined.push(format!("{QUARANTINE_DIR}/{name}"));
+    }
+    durable::sync_dir(&dir.join(sub))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ArenaIndex;
     use std::sync::atomic::{AtomicU64, Ordering};
     use tsfm_table::{Column, Table, Value};
 
@@ -912,6 +729,76 @@ mod tests {
         assert!(repaired.repair.unwrap().index_rebuilt);
         let after = fsck(&dir, false).unwrap();
         assert_eq!(after.index_cache, IndexCacheState::Valid);
+    }
+
+    /// The name of the one file with extension `ext` under `shards/` of a
+    /// one-shard store.
+    fn shard_file(dir: &Path, ext: &str) -> String {
+        fs::read_dir(dir.join(shard::SHARD_DIR))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().to_string())
+            .find(|name| name.ends_with(&format!(".{ext}")))
+            .expect("one-shard store")
+    }
+
+    /// Fsck `dir`, expecting `problem` about `shards/<file>`; repair it,
+    /// expecting exactly `quarantined` (names under `shards/`) moved
+    /// aside; then expect a healthy store that still serves its loose
+    /// tier.
+    fn repair_to_healthy(dir: &Path, problem: ProblemKind, file: &str, quarantined: &[&str]) {
+        let report = fsck(dir, false).unwrap();
+        assert!(!report.healthy(), "{}", report.to_json());
+        let rel = format!("{}/{file}", shard::SHARD_DIR);
+        assert!(
+            report.problems.iter().any(|p| p.kind == problem && p.file == rel),
+            "{}",
+            report.to_json()
+        );
+        let repaired = fsck(dir, true).unwrap();
+        assert!(repaired.consistent_after(), "{}", repaired.to_json());
+        let mut moved = repaired.repair.expect("repair acted").quarantined;
+        moved.sort();
+        let mut want: Vec<String> =
+            quarantined.iter().map(|f| format!("{QUARANTINE_DIR}/{f}")).collect();
+        want.sort();
+        assert_eq!(moved, want);
+        for f in quarantined {
+            assert!(dir.join(QUARANTINE_DIR).join(f).is_file(), "{f} quarantined");
+            assert!(!dir.join(shard::SHARD_DIR).join(f).exists(), "{f} moved");
+        }
+        let after = fsck(dir, false).unwrap();
+        assert!(after.healthy(), "{}", after.to_json());
+        assert!(Catalog::open(dir).unwrap().get("t0").unwrap().is_some(), "loose tier serves");
+    }
+
+    #[test]
+    fn shard_manifest_of_another_generation_is_corrupt_shard() {
+        let dir = tmp_dir("shard_gen");
+        drop(loose_seeded_catalog(&dir, 2));
+        let (shard, arena) = (shard_file(&dir, "shard"), shard_file(&dir, "arena"));
+        let path = dir.join(shard::SHARD_DIR).join(&shard);
+        let mut m = shard::read_shard_manifest(&path).unwrap();
+        m.generation += 1;
+        shard::write_shard_manifest(&path, &m).unwrap();
+        repair_to_healthy(&dir, ProblemKind::CorruptShard, &shard, &[&shard, &arena]);
+    }
+
+    #[test]
+    fn deleted_shard_manifest_is_missing_shard() {
+        let dir = tmp_dir("shard_missing");
+        drop(loose_seeded_catalog(&dir, 2));
+        let (shard, arena) = (shard_file(&dir, "shard"), shard_file(&dir, "arena"));
+        fs::remove_file(dir.join(shard::SHARD_DIR).join(&shard)).unwrap();
+        repair_to_healthy(&dir, ProblemKind::MissingShard, &shard, &[&arena]);
+    }
+
+    #[test]
+    fn stray_arena_is_orphan_shard() {
+        let dir = tmp_dir("shard_orphan");
+        drop(loose_seeded_catalog(&dir, 2));
+        let stray = "s000-deadbeef.arena";
+        fs::write(dir.join(shard::SHARD_DIR).join(stray), b"not an arena").unwrap();
+        repair_to_healthy(&dir, ProblemKind::OrphanShard, stray, &[stray]);
     }
 
     #[test]

@@ -86,3 +86,82 @@ pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use searcher::Searcher;
 pub use serve::{ServeConfig, Server, ServerHandle};
 pub use wire::{ServeCommand, ServeRequest};
+
+/// Run `work(0..n)` across `threads` workers (atomic work-stealing, scoped
+/// threads), returning outputs in index order. `0` / `1` threads or a
+/// single job runs inline. `work`'s output must not depend on the order
+/// jobs run in: the ingest pool applies its outputs serially in input
+/// order, so the catalog ends up byte-identical to a serial ingest at any
+/// thread count, and a batch search answers as the serial loop does. A
+/// panicking worker discards the batch as a typed
+/// [`StoreError::Internal`] instead of unwinding into the caller.
+pub(crate) fn parallel_map<T: Send>(
+    n: usize,
+    threads: usize,
+    work: impl Fn(usize) -> T + Sync,
+) -> StoreResult<Vec<T>> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    if threads <= 1 || n <= 1 {
+        return Ok((0..n).map(work).collect());
+    }
+    let next = AtomicUsize::new(0);
+    let mut panicked = 0usize;
+    let mut tagged: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        out.push((i, work(i)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        // Join every handle even after a panic: consuming each payload
+        // here keeps the scope from re-raising it, and the surviving
+        // workers' results let us report how much work was lost.
+        let mut all = Vec::new();
+        for h in handles {
+            match h.join() {
+                Ok(part) => all.extend(part),
+                Err(_) => panicked += 1,
+            }
+        }
+        all
+    });
+    if panicked > 0 {
+        return Err(StoreError::internal(format!(
+            "{panicked} worker(s) panicked; batch discarded ({} of {n} jobs completed)",
+            tagged.len()
+        )));
+    }
+    tagged.sort_unstable_by_key(|&(i, _)| i);
+    Ok(tagged.into_iter().map(|(_, t)| t).collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parallel_map_keeps_index_order_at_any_thread_count() {
+        for threads in [0, 1, 2, 5] {
+            let out = parallel_map(7, threads, |i| i * i).unwrap();
+            assert_eq!(out, [0, 1, 4, 9, 16, 25, 36], "{threads} threads");
+        }
+    }
+
+    /// A worker that panics fails the whole batch with a typed error; the
+    /// caller does not unwind.
+    #[test]
+    fn a_panicking_worker_is_a_typed_internal_error() {
+        let err = parallel_map(8, 2, |i| assert_ne!(i, 3, "job 3 fails")).unwrap_err();
+        assert!(matches!(&err, StoreError::Internal(_)), "{err}");
+        assert!(err.to_string().contains("panicked"), "{err}");
+    }
+}

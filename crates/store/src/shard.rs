@@ -28,7 +28,11 @@
 //! each payload's own CRC is then verified by
 //! [`crate::durable::read_at_checked`] on every positioned read, so a
 //! lazy sketch load can never return silently corrupt bytes. Slot `i` of
-//! the arena belongs to entry `i` of the shard manifest.
+//! the arena belongs to entry `i` of the shard manifest, and
+//! [`ArenaIndex::check_entry`] is the one check that it holds that
+//! entry's record (table id and content hash): `Catalog::get`,
+//! `Catalog::load_all_records`, the lazy [`LazyCorpus::sketch_of`] and
+//! `fsck` all read slots through it.
 //!
 //! A loose commit writes its records into an arena of the same layout,
 //! a *run* under `segments/`, named by the root manifest's loose entries
@@ -436,6 +440,48 @@ impl ArenaIndex {
         self.decode(&bytes, offset)
     }
 
+    /// Read slot `slot` and [check](ArenaIndex::check_entry) it against
+    /// the entry that names it.
+    pub(crate) fn read_entry(
+        &self,
+        slot: usize,
+        id: &str,
+        content_hash: u64,
+    ) -> StoreResult<TableRecord> {
+        self.check_entry(slot, id, content_hash, self.read_record(slot)?)
+    }
+
+    /// The one check that a slot holds the record its entry names — a
+    /// shard manifest's entry `slot`, or a loose manifest entry pointing
+    /// into a run: table id *and* content hash. A mismatch is a counted
+    /// [`StoreError::Corrupt`] naming the file and the slot's offset.
+    /// `Catalog::get`, `Catalog::load_all_records`, [`LazyCorpus::sketch_of`]
+    /// and `fsck` all check slots through it.
+    pub(crate) fn check_entry(
+        &self,
+        slot: usize,
+        id: &str,
+        content_hash: u64,
+        rec: TableRecord,
+    ) -> StoreResult<TableRecord> {
+        if rec.table_id() == id && rec.content_hash == content_hash {
+            return Ok(rec);
+        }
+        let name = self.path.file_name().unwrap_or_default().to_string_lossy();
+        Err(durable::note_corruption(
+            StoreError::corrupt(
+                ARENA_MAGIC_STR,
+                format!(
+                    "slot {slot} of {name} holds table {:?} hash {:#x}, its entry names \
+                     {id:?} hash {content_hash:#x}",
+                    rec.table_id(),
+                    rec.content_hash
+                ),
+            )
+            .with_file(&self.path, self.slots.get(slot).map_or(0, |s| s.offset)),
+        ))
+    }
+
     /// Decode every slot `wanted` accepts, in slot order, handing `f` the
     /// slot number and its record: what [`ArenaIndex::read_record`] does
     /// slot by slot, but consecutive slots come in one positioned read per
@@ -479,11 +525,13 @@ impl ArenaIndex {
 
 // ---- the lazy corpus -------------------------------------------------------
 
-/// One shard as seen by a lazy snapshot: the open arena plus the active
-/// `(id, slot)` pairs at capture time, ascending by id.
+/// One shard as seen by a lazy snapshot: the open arena, the shard
+/// manifest the catalog loaded (shared, not copied), and the slots active
+/// at capture time, ascending (so ascending by id).
 pub(crate) struct LazyShard {
     pub arena: Arc<ArenaIndex>,
-    pub entries: Vec<(String, u32)>,
+    pub manifest: Arc<ShardManifest>,
+    pub live: Vec<u32>,
 }
 
 /// The lazy snapshot corpus: sketch payloads stay in their arenas and
@@ -513,7 +561,7 @@ impl LazyCorpus {
         debug_assert!(loose.windows(2).all(|w| w[0].table_id < w[1].table_id));
         let obs = tsfm_obs::metrics::global();
         let len = loose.len()
-            + shards.iter().flatten().map(|s| s.entries.len()).sum::<usize>();
+            + shards.iter().flatten().map(|s| s.live.len()).sum::<usize>();
         Self {
             shard_count,
             shards,
@@ -542,7 +590,8 @@ impl LazyCorpus {
 
     /// The sketch of `id`, or `None` if the snapshot has no such table.
     /// Loose tables answer from memory; shard-resident tables from the
-    /// cache or a positioned arena read.
+    /// cache or a positioned arena read, checked against the slot's
+    /// manifest entry by [`ArenaIndex::read_entry`] (id and content hash).
     pub fn sketch_of(&self, id: &str) -> StoreResult<Option<Arc<TableSketch>>> {
         if let Ok(i) = self.loose.binary_search_by(|s| s.table_id.as_str().cmp(id)) {
             return Ok(Some(Arc::clone(&self.loose[i])));
@@ -553,7 +602,8 @@ impl LazyCorpus {
         let Some(shard) = &self.shards[shard_of(id, self.shard_count) as usize] else {
             return Ok(None);
         };
-        let Ok(i) = shard.entries.binary_search_by(|(eid, _)| eid.as_str().cmp(id)) else {
+        let entries = &shard.manifest.entries;
+        let Ok(i) = shard.live.binary_search_by(|&s| entries[s as usize].id.as_str().cmp(id)) else {
             return Ok(None);
         };
         if let Some(hit) = lock_unpoisoned(&self.cache).get(id) {
@@ -561,18 +611,8 @@ impl LazyCorpus {
             return Ok(Some(hit));
         }
         self.misses.inc();
-        let slot = shard.entries[i].1 as usize;
-        let rec = shard.arena.read_record(slot)?;
-        if rec.table_id() != id {
-            return Err(durable::note_corruption(StoreError::corrupt(
-                ARENA_MAGIC_STR,
-                format!(
-                    "arena slot {slot} of shard {} holds {:?}, manifest says {id:?}",
-                    shard.arena.index,
-                    rec.table_id()
-                ),
-            )));
-        }
+        let slot = shard.live[i] as usize;
+        let rec = shard.arena.read_entry(slot, id, entries[slot].content_hash)?;
         let sketch = Arc::new(rec.sketch);
         lock_unpoisoned(&self.cache).insert(id, Arc::clone(&sketch));
         Ok(Some(sketch))

@@ -7,7 +7,7 @@
 //! unreachable in this environment, so everything is hand-rolled on
 //! `std`, in the same spirit as the hand-rolled JSON in `tsfm_store`.
 //!
-//! Three independent facilities:
+//! Four facilities:
 //!
 //! * [`trace`] — structured tracing spans. `let _g = span!("stage");`
 //!   costs one relaxed atomic load when tracing is disabled and roughly
@@ -15,10 +15,12 @@
 //!   bounded per-thread buffers (recording never takes a shared lock)
 //!   and export as Chrome `trace_event` JSON that loads straight into
 //!   `chrome://tracing` / Perfetto.
-//! * [`metrics`] — a global registry of named counters, gauges, and
-//!   log-bucketed latency histograms (the generalization of what used to
-//!   be `tsfm_store::metrics::LatencyHistogram`). Recording is plain
-//!   relaxed atomics; the registry renders Prometheus text exposition.
+//! * [`metrics`] — registries of named counters, gauges, and
+//!   log-bucketed latency histograms: the process-wide [`metrics::global`]
+//!   one, declared through [`instruments!`], and one per server.
+//!   Recording is plain relaxed atomics; a registry renders Prometheus
+//!   text exposition. [`Histogram::time`] times a scope into a histogram
+//!   and a span of the same scope with one guard.
 //! * [`slowlog`] — a bounded, always-sorted log of the slowest
 //!   operations with their per-stage breakdowns, behind an atomic
 //!   admission floor so fast requests pay one relaxed load.

@@ -1,15 +1,14 @@
-//! A global registry of named instruments — counters, gauges, and
-//! log-bucketed latency histograms — with Prometheus text exposition.
+//! Registries of named instruments — counters, gauges, and log-bucketed
+//! latency histograms — with Prometheus text exposition.
 //!
 //! Recording is plain relaxed atomics: once a call site holds its
-//! `Arc<Counter>` (usually cached in a `OnceLock`), bumping it costs one
-//! `fetch_add`, with no lock and no registry lookup. The registry's
-//! `RwLock` is only taken to register a new name or render exposition.
+//! `Arc<Counter>` (usually cached in a `OnceLock`, see [`instruments!`]),
+//! bumping it costs one `fetch_add`, with no lock and no registry lookup.
+//! The registry's `RwLock` is only taken to register a new name or render
+//! exposition.
 //!
-//! [`Histogram`] is the generalization of what used to be
-//! `tsfm_store::metrics::LatencyHistogram` (the store re-exports it
-//! under that name): any crate can now register latency distributions
-//! without depending on the store.
+//! A name may end in one label set, `family{key="value"}`: members of a
+//! family share one `# HELP` / `# TYPE` header in the exposition.
 //!
 //! ## Histogram shape
 //!
@@ -22,6 +21,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
+use std::time::Instant;
 
 /// Exact buckets for 0..LINEAR_MAX µs.
 const LINEAR_MAX: u64 = 64;
@@ -190,6 +190,28 @@ impl Histogram {
         // answer for "the highest latency seen".
         self.max()
     }
+
+    /// Time the rest of the scope into this histogram, and into a trace
+    /// span named `span` while tracing is on: one guard, one clock read
+    /// at entry. Bind it to a named `_t`, as with [`crate::span!`].
+    pub fn time(&self, span: &'static str) -> Timer<'_> {
+        let span = crate::trace::Span::enter(span);
+        Timer { hist: self, start: span.start.unwrap_or_else(Instant::now), _span: span }
+    }
+}
+
+/// The guard [`Histogram::time`] returns: records the scope's µs on drop,
+/// before its span closes.
+pub struct Timer<'a> {
+    hist: &'a Histogram,
+    start: Instant,
+    _span: crate::trace::Span,
+}
+
+impl Drop for Timer<'_> {
+    fn drop(&mut self) {
+        self.hist.record(self.start.elapsed().as_micros() as u64);
+    }
 }
 
 enum Instrument {
@@ -199,11 +221,12 @@ enum Instrument {
 }
 
 impl Instrument {
+    /// The exposition `# TYPE`: histograms render as summaries.
     fn kind(&self) -> &'static str {
         match self {
             Instrument::Counter(_) => "counter",
             Instrument::Gauge(_) => "gauge",
-            Instrument::Histogram(_) => "histogram",
+            Instrument::Histogram(_) => "summary",
         }
     }
 }
@@ -214,12 +237,13 @@ struct Entry {
 }
 
 /// A named-instrument registry. Most code uses the process-wide
-/// [`global`] registry; a fresh `Registry` is useful in tests.
+/// [`global`] registry; a server keeps one of its own so two servers in
+/// one process never mix their counts.
 ///
 /// `counter`/`gauge`/`histogram` are get-or-register: the first call for
 /// a name creates the instrument, later calls (from any thread) return
-/// the same one. Asking for an existing name as a *different* kind is a
-/// programmer error and panics.
+/// the same one. Asking for a name of an existing family as a *different*
+/// kind is a programmer error and panics.
 #[derive(Default)]
 pub struct Registry {
     inner: RwLock<BTreeMap<String, Entry>>,
@@ -231,14 +255,24 @@ pub fn global() -> &'static Registry {
     R.get_or_init(Registry::default)
 }
 
-/// Prometheus metric names: `[a-zA-Z_:][a-zA-Z0-9_:]*`.
+/// `family{key="value"}` → (`family`, `{key="value"}`); no labels → (`name`, "").
+fn split_labels(name: &str) -> (&str, &str) {
+    name.find('{').map_or((name, ""), |i| name.split_at(i))
+}
+
+/// A Prometheus metric name, `[a-zA-Z_:][a-zA-Z0-9_:]*`, optionally
+/// followed by one `{key="value"}` label set.
 fn valid_name(name: &str) -> bool {
-    let mut chars = name.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
-        _ => return false,
-    }
-    chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+    let ident = |s: &str| {
+        let mut chars = s.chars();
+        chars.next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+            && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+    };
+    let (family, labels) = split_labels(name);
+    let inner = labels.strip_prefix('{').and_then(|l| l.strip_suffix("\"}"));
+    let pair = inner.and_then(|l| l.split_once("=\""));
+    ident(family)
+        && (labels.is_empty() || pair.is_some_and(|(k, v)| ident(k) && !v.contains(['"', '\\', '\n'])))
 }
 
 impl Registry {
@@ -264,7 +298,13 @@ impl Registry {
         }
         let mut w = crate::sync::write_unpoisoned(&self.inner);
         // Re-check under the write lock: another thread may have won the
-        // registration race between our read and write.
+        // registration race between our read and write. Every member of a
+        // family must be of one kind: they render under one TYPE.
+        let family = split_labels(name).0;
+        let other_kind = w.iter().find(|(n, e)| split_labels(n).0 == family && project(&e.inst).is_none());
+        if let Some((_, e)) = other_kind {
+            mismatch(e);
+        }
         let e = w
             .entry(name.to_string())
             .or_insert_with(|| Entry { help: help.to_string(), inst: make() });
@@ -274,41 +314,21 @@ impl Registry {
     /// Get or register a counter. `help` is kept from the first
     /// registration.
     pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        self.get_or_register(
-            name,
-            help,
-            |i| match i {
-                Instrument::Counter(c) => Some(c.clone()),
-                _ => None,
-            },
-            || Instrument::Counter(Arc::new(Counter::new())),
-        )
+        let project = |i: &Instrument| if let Instrument::Counter(c) = i { Some(c.clone()) } else { None };
+        self.get_or_register(name, help, project, || Instrument::Counter(Arc::default()))
     }
 
     /// Get or register a gauge.
     pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        self.get_or_register(
-            name,
-            help,
-            |i| match i {
-                Instrument::Gauge(g) => Some(g.clone()),
-                _ => None,
-            },
-            || Instrument::Gauge(Arc::new(Gauge::new())),
-        )
+        let project = |i: &Instrument| if let Instrument::Gauge(g) = i { Some(g.clone()) } else { None };
+        self.get_or_register(name, help, project, || Instrument::Gauge(Arc::default()))
     }
 
     /// Get or register a latency histogram.
     pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        self.get_or_register(
-            name,
-            help,
-            |i| match i {
-                Instrument::Histogram(h) => Some(h.clone()),
-                _ => None,
-            },
-            || Instrument::Histogram(Arc::new(Histogram::new())),
-        )
+        let project =
+            |i: &Instrument| if let Instrument::Histogram(h) = i { Some(h.clone()) } else { None };
+        self.get_or_register(name, help, project, || Instrument::Histogram(Arc::default()))
     }
 
     /// Registered names, sorted (the registry map is a `BTreeMap`).
@@ -317,45 +337,81 @@ impl Registry {
     }
 
     /// Render every instrument as Prometheus text exposition
-    /// (`text/plain; version=0.0.4`). Histograms render as summaries
+    /// (`text/plain; version=0.0.4`), one `# HELP` / `# TYPE` per family,
+    /// help from its first member. Histograms render as summaries
     /// (`{quantile="..."}` series plus `_sum`/`_count`), since the
     /// log-bucket layout already gives ~3%-accurate quantiles
     /// server-side.
     pub fn prometheus_text(&self) -> String {
         let inner = crate::sync::read_unpoisoned(&self.inner);
-        let mut out = String::new();
+        let mut families: BTreeMap<&str, Vec<(&str, &Entry)>> = BTreeMap::new();
         for (name, e) in inner.iter() {
-            let help = e.help.replace('\\', "\\\\").replace('\n', "\\n");
-            match &e.inst {
-                Instrument::Counter(c) => {
-                    out.push_str(&format!(
-                        "# HELP {name} {help}\n# TYPE {name} counter\n{name} {}\n",
-                        c.get()
-                    ));
-                }
-                Instrument::Gauge(g) => {
-                    out.push_str(&format!(
-                        "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {}\n",
-                        g.get()
-                    ));
-                }
-                Instrument::Histogram(h) => {
-                    out.push_str(&format!(
-                        "# HELP {name} {help}\n# TYPE {name} summary\n"
-                    ));
-                    for (label, q) in [("0.5", 0.5), ("0.95", 0.95), ("0.99", 0.99)] {
-                        out.push_str(&format!(
-                            "{name}{{quantile=\"{label}\"}} {}\n",
-                            h.percentile(q)
-                        ));
+            let (family, labels) = split_labels(name);
+            families.entry(family).or_default().push((labels, e));
+        }
+        let mut out = String::new();
+        for (name, members) in families {
+            let first = &members[0].1;
+            let help = first.help.replace('\\', "\\\\").replace('\n', "\\n");
+            let kind = first.inst.kind();
+            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+            for (labels, e) in members {
+                match &e.inst {
+                    Instrument::Counter(c) => out.push_str(&format!("{name}{labels} {}\n", c.get())),
+                    Instrument::Gauge(g) => out.push_str(&format!("{name}{labels} {}\n", g.get())),
+                    Instrument::Histogram(h) => {
+                        let inner = labels.trim_start_matches('{').trim_end_matches('}');
+                        let sep = if inner.is_empty() { "" } else { "," };
+                        for (label, q) in [("0.5", 0.5), ("0.95", 0.95), ("0.99", 0.99)] {
+                            let v = h.percentile(q);
+                            out.push_str(&format!("{name}{{{inner}{sep}quantile=\"{label}\"}} {v}\n"));
+                        }
+                        out.push_str(&format!("{name}_sum{labels} {}\n", h.sum()));
+                        out.push_str(&format!("{name}_count{labels} {}\n", h.count()));
                     }
-                    out.push_str(&format!("{name}_sum {}\n", h.sum()));
-                    out.push_str(&format!("{name}_count {}\n", h.count()));
                 }
             }
         }
         out
     }
+}
+
+/// Declare instruments once, in the `&'static Registry` `$reg`: each entry
+/// becomes a fn returning its handle — registered on the first call,
+/// cached after it, so a hot path pays one atomic load and no lookup —
+/// and `fn $all()` registers every entry, so each series is exported (at
+/// zero) before its first event.
+///
+/// ```
+/// tsfm_obs::instruments! {
+///     in tsfm_obs::metrics::global(), fn register_all;
+///     /// Widgets made.
+///     pub fn widgets() -> Counter = ("tsfm_widgets_total", "Widgets made");
+/// }
+/// register_all();
+/// widgets().inc();
+/// assert!(tsfm_obs::metrics::global().prometheus_text().contains(" Widgets made\n"));
+/// ```
+#[macro_export]
+macro_rules! instruments {
+    (in $reg:expr, fn $all:ident; $(
+        $(#[$attr:meta])* $vis:vis fn $f:ident() -> $kind:ident = ($name:literal, $help:literal);
+    )*) => {
+        $(
+            $(#[$attr])*
+            $vis fn $f() -> &'static ::std::sync::Arc<$crate::metrics::$kind> {
+                static CELL: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::$kind>> =
+                    ::std::sync::OnceLock::new();
+                CELL.get_or_init(|| $crate::instruments!(@get $reg, $kind, $name, $help))
+            }
+        )*
+        fn $all() {
+            $( $f(); )*
+        }
+    };
+    (@get $reg:expr, Counter, $name:expr, $help:expr) => { $reg.counter($name, $help) };
+    (@get $reg:expr, Gauge, $name:expr, $help:expr) => { $reg.gauge($name, $help) };
+    (@get $reg:expr, Histogram, $name:expr, $help:expr) => { $reg.histogram($name, $help) };
 }
 
 #[cfg(test)]
@@ -444,6 +500,49 @@ mod tests {
     #[should_panic(expected = "invalid metric name")]
     fn registry_rejects_invalid_names() {
         Registry::new().counter("not a metric name", "spaces are invalid");
+    }
+
+    #[test]
+    fn labeled_members_share_one_family_header() {
+        let r = Registry::new();
+        r.counter("tsfm_req_total{outcome=\"ok\"}", "requests").add(2);
+        r.counter("tsfm_req_total{outcome=\"error\"}", "requests").inc();
+        r.counter("tsfm_req_total_x", "a neighbour, not a member");
+        r.histogram("tsfm_lat_us{mode=\"join\"}", "latency").record(5);
+        let text = r.prometheus_text();
+        assert_eq!(text.matches("# TYPE tsfm_req_total counter\n").count(), 1, "{text}");
+        assert_eq!(text.matches("# HELP tsfm_req_total requests\n").count(), 1, "{text}");
+        assert!(text.contains("tsfm_req_total{outcome=\"error\"} 1\ntsfm_req_total{outcome=\"ok\"} 2\n"));
+        assert!(text.contains("# TYPE tsfm_req_total_x counter\ntsfm_req_total_x 0\n"));
+        assert!(text.contains("tsfm_lat_us{mode=\"join\",quantile=\"0.5\"} 5\n"), "{text}");
+        assert!(text.contains("tsfm_lat_us_sum{mode=\"join\"} 5\n"), "{text}");
+    }
+
+    #[test]
+    fn label_sets_are_validated() {
+        assert!(valid_name("tsfm_x_total{reason=\"slow_read\"}"));
+        for bad in ["tsfm_x{}", "tsfm_x{reason}", "tsfm_x{1a=\"b\"}", "tsfm_x{a=\"b\"c\"}", "{a=\"b\"}"] {
+            assert!(!valid_name(bad), "{bad:?} accepted");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered")]
+    fn a_family_has_one_kind() {
+        let r = Registry::new();
+        r.counter("tsfm_x_total{a=\"1\"}", "a counter");
+        r.gauge("tsfm_x_total{a=\"2\"}", "now a gauge?");
+    }
+
+    #[test]
+    fn a_timer_records_its_scope_once() {
+        let h = Histogram::new();
+        {
+            let _t = h.time("test.timer");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        assert_eq!(h.count(), 1);
+        assert!(h.max() >= 2_000, "{}µs", h.max());
     }
 
     #[test]

@@ -151,7 +151,8 @@ fn record(rec: SpanRecord) {
 /// tracing is disabled at entry this is inert (no timestamp, no record).
 pub struct Span {
     name: &'static str,
-    start: Option<Instant>,
+    /// When the span started, if tracing was on at entry.
+    pub(crate) start: Option<Instant>,
 }
 
 impl Span {

@@ -1,6 +1,6 @@
 //! Edge-case and property coverage for [`tsfm_obs::metrics::Histogram`] —
-//! the instrument `tsfm_store` re-exports as `LatencyHistogram`, so its
-//! quantiles back both the `stats` verb and Prometheus exposition.
+//! the instrument behind the serve latency, so its quantiles back both the
+//! `stats` verb and Prometheus exposition.
 //!
 //! The accuracy contract under test: quantiles are reported from bucket
 //! *lower edges*, so they are exact below 64µs and within one log

@@ -109,12 +109,56 @@ use tsfm_table::hash::{hash_str, splitmix64};
 use tsfm_table::{csv, Table};
 
 /// The process-wide metrics registry (`{"op":"metrics"}` surfaces it).
-/// Catalog instruments live there rather than on the `Catalog` struct so
-/// segment I/O and index-rebuild counts survive catalog reopen — the
-/// interesting failure mode ("why is this process rebuilding its index
-/// every reload?") spans catalog instances.
 fn obs() -> &'static tsfm_obs::metrics::Registry {
     tsfm_obs::metrics::global()
+}
+
+// Every store instrument, declared once. They live in `obs()`, not on the
+// `Catalog`, so counts survive catalog reopen: "why is this process
+// rebuilding its index every reload?" spans catalog instances.
+// `Catalog::open_with` registers them all, so the metrics verb exports
+// each series (at zero) before its first event.
+tsfm_obs::instruments! {
+    in obs(), fn register_instruments;
+    fn opens_counter() -> Counter = ("tsfm_catalog_opens_total", "Catalog open attempts");
+    pub(crate) fn corruptions_counter() -> Counter = ("tsfm_store_corruptions_detected_total",
+        "Checksum or format violations detected while reading store files");
+    pub(crate) fn fsck_repairs_counter() -> Counter = ("tsfm_store_fsck_repairs_total",
+        "Repair actions taken by tsfm fsck");
+    pub(crate) fn shard_cache_hits_counter() -> Counter = ("tsfm_store_shard_cache_hits_total",
+        "Lazy sketch loads answered by the shard cache");
+    pub(crate) fn shard_cache_misses_counter() -> Counter = ("tsfm_store_shard_cache_misses_total",
+        "Lazy sketch loads that went to an arena read");
+    fn compactions_counter() -> Counter = ("tsfm_store_compactions_total",
+        "Shard compaction passes completed");
+    pub(crate) fn arena_read_histogram() -> Histogram = ("tsfm_store_arena_read_us",
+        "Positioned arena payload read latency");
+    fn segments_written_counter() -> Counter = ("tsfm_catalog_segments_written_total",
+        "Segment files written");
+    fn segment_bytes_counter() -> Counter = ("tsfm_catalog_segment_bytes_written_total",
+        "Segment bytes written");
+    fn snapshot_build_histogram() -> Histogram = ("tsfm_catalog_snapshot_build_us",
+        "Snapshot (re)build latency");
+    fn index_cache_hits_counter() -> Counter = ("tsfm_catalog_index_cache_hits_total",
+        "Snapshots served from the on-disk HNSW cache");
+    fn index_rebuilds_counter() -> Counter = ("tsfm_catalog_index_rebuilds_total",
+        "Snapshots that rebuilt the HNSW graphs from records");
+    fn index_build_histogram() -> Histogram = ("tsfm_catalog_index_build_us",
+        "QueryEngine::build latency (join and union HNSW lanes) on an index rebuild");
+    fn index_cache_load_histogram() -> Histogram = ("tsfm_catalog_index_cache_load_us",
+        "index.cache read, checksum and decode latency, engine reassembly included");
+    fn index_cache_write_histogram() -> Histogram = ("tsfm_catalog_index_cache_write_us",
+        "index.cache encode and commit latency (fsync and rename included)");
+    fn load_records_histogram() -> Histogram = ("tsfm_catalog_load_records_us",
+        "Latency of loading every active record, both tiers, for a snapshot or rebuild");
+    fn index_updates_counter() -> Counter = ("tsfm_catalog_index_updates_total",
+        "Snapshots whose engine was derived from the previous one by inserting only changed tables");
+    fn index_update_histogram() -> Histogram = ("tsfm_catalog_index_update_us",
+        "QueryEngine::update latency (fork both graphs, insert the changed columns)");
+    fn dead_columns_gauge() -> Gauge = ("tsfm_catalog_index_dead_columns",
+        "Columns of removed or replaced tables still in the newest snapshot's graphs");
+    fn index_bytes_gauge() -> Gauge = ("tsfm_engine_index_bytes",
+        "Heap bytes of the newest snapshot's join and union graphs (vectors, norm roots, link rows)");
 }
 
 // Format magics live in `ser`, the crate's single magic module (the
@@ -324,34 +368,8 @@ impl Catalog {
     /// [`StoreError::InvalidRequest`].
     pub fn open_with(dir: impl Into<PathBuf>, cfg: SketchConfig) -> StoreResult<Self> {
         let _g = tsfm_obs::span!("catalog.open");
-        obs().counter("tsfm_catalog_opens_total", "Catalog open attempts").inc();
-        // Registered eagerly (not on first increment) so the serve
-        // metrics verb always exposes the durability counters — an
-        // operator alerting on corruption needs the zero, not an absent
-        // series.
-        obs().counter(
-            "tsfm_store_corruptions_detected_total",
-            "Checksum or format violations detected while reading store files",
-        );
-        obs().counter("tsfm_store_fsck_repairs_total", "Repair actions taken by tsfm fsck");
-        obs().counter(
-            "tsfm_store_shard_cache_hits_total",
-            "Lazy sketch loads answered by the shard cache",
-        );
-        obs().counter(
-            "tsfm_store_shard_cache_misses_total",
-            "Lazy sketch loads that went to an arena read",
-        );
-        obs().counter("tsfm_store_compactions_total", "Shard compaction passes completed");
-        obs().histogram("tsfm_store_arena_read_us", "Positioned arena payload read latency");
-        index_build_histogram();
-        index_cache_load_histogram();
-        index_cache_write_histogram();
-        load_records_histogram();
-        index_updates_counter();
-        index_update_histogram();
-        dead_columns_gauge();
-        index_bytes_gauge();
+        register_instruments();
+        opens_counter().inc();
         let dir = dir.into();
         if dir.join(MANIFEST_FILE).exists() {
             let cat = Self::open_existing(dir)?;
@@ -907,10 +925,8 @@ impl Catalog {
         let frames: Vec<&Vec<u8>> = self.pending.values().collect();
         let bytes = shard::build_arena(seq, generation, &frames);
         durable::commit_file(&self.dir.join(SEGMENT_DIR).join(&name), &bytes)?;
-        obs().counter("tsfm_catalog_segments_written_total", "Segment files written").inc();
-        obs()
-            .counter("tsfm_catalog_segment_bytes_written_total", "Segment bytes written")
-            .add(bytes.len() as u64);
+        segments_written_counter().inc();
+        segment_bytes_counter().add(bytes.len() as u64);
         for (slot, id) in self.pending.keys().enumerate() {
             let entry = self.entries.get_mut(id).ok_or_else(|| {
                 StoreError::internal(format!("uncommitted record {id:?} has no manifest entry"))
@@ -1096,7 +1112,7 @@ impl Catalog {
         // Content-preserving: the merged fingerprint is unchanged, so the
         // index cache stays valid, handed-out snapshots stay correct, and
         // neither the epoch nor the cached snapshot needs to move.
-        obs().counter("tsfm_store_compactions_total", "Shard compaction passes completed").inc();
+        compactions_counter().inc();
         Ok(())
     }
 
@@ -1215,17 +1231,15 @@ impl Catalog {
         if let Some(s) = &self.snapshot {
             return Ok(s.clone());
         }
-        let t0 = std::time::Instant::now();
-        let _g = tsfm_obs::span!("catalog.snapshot");
         let lazy = match self.snapshot_mode {
             SnapshotMode::Eager => false,
             SnapshotMode::Lazy => true,
             SnapshotMode::Auto => !self.shards.is_empty() && self.len() >= AUTO_LAZY_MIN_TABLES,
         };
-        let (engine, records) = self.index_engine(lazy)?;
-        obs()
-            .histogram("tsfm_catalog_snapshot_build_us", "Snapshot (re)build latency")
-            .record(t0.elapsed().as_micros() as u64);
+        let (engine, records) = {
+            let _t = snapshot_build_histogram().time("catalog.snapshot");
+            self.index_engine(lazy)?
+        };
         let sketches = records.into_iter().map(|r| Arc::new(r.sketch));
         let snapshot = if lazy {
             let mut lazy_shards = Vec::with_capacity(self.shards.len());
@@ -1284,7 +1298,7 @@ impl Catalog {
             return Ok((engine, records));
         }
         let engine = if let Some(e) = cached {
-            Self::count_cache_hit();
+            index_cache_hits_counter().inc();
             e
         } else {
             let e = match self.update_base(churn, &records)? {
@@ -1346,11 +1360,8 @@ impl Catalog {
         if peek_index_fingerprint(&path).is_some_and(|on_disk| on_disk != fp) {
             return None;
         }
-        let _g = tsfm_obs::span!("catalog.index_cache.load");
-        let t0 = std::time::Instant::now();
-        let loaded = read_index_engine(&path, self.sketch_cfg.minhash_k);
-        index_cache_load_histogram().record(t0.elapsed().as_micros() as u64);
-        match loaded {
+        let _t = index_cache_load_histogram().time("catalog.index_cache.load");
+        match read_index_engine(&path, self.sketch_cfg.minhash_k) {
             Ok((cached_fp, engine)) if cached_fp == fp => engine,
             _ => None,
         }
@@ -1389,8 +1400,7 @@ impl Catalog {
 
     /// Load every active record (ascending id order), across both tiers.
     pub fn load_all_records(&self) -> StoreResult<Vec<TableRecord>> {
-        let _g = tsfm_obs::span!("catalog.load_records");
-        let t0 = std::time::Instant::now();
+        let _t = load_records_histogram().time("catalog.load_records");
         let mut out = self.load_loose_records()?;
         out.reserve(self.len().saturating_sub(out.len()));
         for slot in self.shards.iter().flatten() {
@@ -1406,7 +1416,6 @@ impl Catalog {
             })?;
         }
         out.sort_by(|a, b| a.table_id().cmp(b.table_id()));
-        load_records_histogram().record(t0.elapsed().as_micros() as u64);
         Ok(out)
     }
 
@@ -1450,25 +1459,12 @@ impl Catalog {
         }
     }
 
-    fn count_cache_hit() {
-        obs()
-            .counter(
-                "tsfm_catalog_index_cache_hits_total",
-                "Snapshots served from the on-disk HNSW cache",
-            )
-            .inc();
-    }
 
     /// Build the engine from all live records — the path taken when no
     /// usable cache or base exists, or an update would leave too much of
     /// the graph dead.
     fn rebuild_engine(&self, records: &[TableRecord]) -> QueryEngine {
-        obs()
-            .counter(
-                "tsfm_catalog_index_rebuilds_total",
-                "Snapshots that rebuilt the HNSW graphs from records",
-            )
-            .inc();
+        index_rebuilds_counter().inc();
         let t0 = std::time::Instant::now();
         let e = QueryEngine::build(records, self.sketch_cfg.minhash_k, self.hnsw_cfg.clone());
         index_build_histogram().record(t0.elapsed().as_micros() as u64);
@@ -1476,8 +1472,7 @@ impl Catalog {
     }
 
     fn write_index_cache(&self, engine: &QueryEngine, fp: u64) -> StoreResult<()> {
-        let _g = tsfm_obs::span!("catalog.index_cache.write");
-        let t0 = std::time::Instant::now();
+        let _t = index_cache_write_histogram().time("catalog.index_cache.write");
         let mut file = Vec::new();
         ser::write_framed(&mut file, INDEX_MAGIC, |w| {
             ser::write_u64(w, fp)?;
@@ -1485,9 +1480,7 @@ impl Catalog {
             ser::write_hnsw(w, engine.union_index())?;
             write_engine_meta(w, engine)
         })?;
-        let res = durable::commit_file(&self.dir.join(INDEX_FILE), &file);
-        index_cache_write_histogram().record(t0.elapsed().as_micros() as u64);
-        res
+        durable::commit_file(&self.dir.join(INDEX_FILE), &file)
     }
 
     /// Drop loose `tables` and whole `shards` — each leaves a hole in the
@@ -1515,71 +1508,6 @@ impl Catalog {
             &self.tombstones,
         )
     }
-}
-
-/// Graph build alone — `tsfm_catalog_snapshot_build_us` also covers cache
-/// hits, record loads and the cache write. Registered at catalog open so
-/// the series is exported (empty) before the first rebuild, like the
-/// three update instruments below.
-fn index_build_histogram() -> Arc<tsfm_obs::Histogram> {
-    obs().histogram(
-        "tsfm_catalog_index_build_us",
-        "QueryEngine::build latency (join and union HNSW lanes) on an index rebuild",
-    )
-}
-
-/// The verified read of `index.cache` and the engine's reassembly from it,
-/// run when its peeked fingerprint matches (hit or not).
-fn index_cache_load_histogram() -> Arc<tsfm_obs::Histogram> {
-    obs().histogram(
-        "tsfm_catalog_index_cache_load_us",
-        "index.cache read, checksum and decode latency, engine reassembly included",
-    )
-}
-
-/// Encoding and durably committing `index.cache`.
-fn index_cache_write_histogram() -> Arc<tsfm_obs::Histogram> {
-    obs().histogram(
-        "tsfm_catalog_index_cache_write_us",
-        "index.cache encode and commit latency (fsync and rename included)",
-    )
-}
-
-/// Reading and decoding every active record for an eager snapshot or a
-/// rebuild.
-fn load_records_histogram() -> Arc<tsfm_obs::Histogram> {
-    obs().histogram(
-        "tsfm_catalog_load_records_us",
-        "Latency of loading every active record, both tiers, for a snapshot or rebuild",
-    )
-}
-
-fn index_updates_counter() -> Arc<tsfm_obs::metrics::Counter> {
-    obs().counter(
-        "tsfm_catalog_index_updates_total",
-        "Snapshots whose engine was derived from the previous one by inserting only changed tables",
-    )
-}
-
-fn index_update_histogram() -> Arc<tsfm_obs::Histogram> {
-    obs().histogram(
-        "tsfm_catalog_index_update_us",
-        "QueryEngine::update latency (fork both graphs, insert the changed columns)",
-    )
-}
-
-fn dead_columns_gauge() -> Arc<tsfm_obs::metrics::Gauge> {
-    obs().gauge(
-        "tsfm_catalog_index_dead_columns",
-        "Columns of removed or replaced tables still in the newest snapshot's graphs",
-    )
-}
-
-fn index_bytes_gauge() -> Arc<tsfm_obs::metrics::Gauge> {
-    obs().gauge(
-        "tsfm_engine_index_bytes",
-        "Heap bytes of the newest snapshot's join and union graphs (vectors, norm roots, link rows)",
-    )
 }
 
 /// What changed between an engine's tables — `ids` with their content
@@ -1930,10 +1858,15 @@ fn run_file_name(generation: u64, seq: u32) -> String {
     format!("run-{generation:08x}-{seq:08x}.arena")
 }
 
+/// The `(generation, seq)` a run's file name encodes.
+pub(crate) fn run_name_parts(name: &str) -> Option<(u64, u32)> {
+    let (generation, seq) = name.strip_prefix("run-")?.strip_suffix(".arena")?.split_once('-')?;
+    Some((u64::from_str_radix(generation, 16).ok()?, u32::from_str_radix(seq, 16).ok()?))
+}
+
 /// The sequence number of `name` if it is a run written under `generation`.
 fn run_seq(name: &str, generation: u64) -> Option<u32> {
-    let hex = name.strip_prefix(&format!("run-{generation:08x}-"))?.strip_suffix(".arena")?;
-    u32::from_str_radix(hex, 16).ok()
+    run_name_parts(name).filter(|&(g, _)| g == generation).map(|(_, seq)| seq)
 }
 
 /// Loose runs opened during one read pass, by file name.

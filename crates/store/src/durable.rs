@@ -418,9 +418,7 @@ pub(crate) fn read_at(
     use std::os::unix::fs::FileExt;
     let t0 = std::time::Instant::now();
     let res = file.read_exact_at(buf, offset);
-    tsfm_obs::metrics::global()
-        .histogram("tsfm_store_arena_read_us", "Positioned arena payload read latency")
-        .record(t0.elapsed().as_micros() as u64);
+    crate::catalog::arena_read_histogram().record(t0.elapsed().as_micros() as u64);
     res.map_err(|e| {
         let e = if e.kind() == std::io::ErrorKind::UnexpectedEof {
             StoreError::corrupt(
@@ -459,12 +457,7 @@ pub(crate) fn check_at(
 /// Count a corruption sighting (no-op for other error kinds).
 pub(crate) fn note_corruption(e: StoreError) -> StoreError {
     if matches!(e, StoreError::Corrupt { .. }) {
-        tsfm_obs::metrics::global()
-            .counter(
-                "tsfm_store_corruptions_detected_total",
-                "Checksum or format violations detected while reading store files",
-            )
-            .inc();
+        crate::catalog::corruptions_counter().inc();
     }
     e
 }

@@ -413,9 +413,7 @@ pub fn fsck(dir: &Path, repair: bool) -> StoreResult<FsckReport> {
     if repair {
         let summary = run_repair(&mut cat, damage, &report.index_cache)?;
         if summary.actions() > 0 {
-            tsfm_obs::metrics::global()
-                .counter("tsfm_store_fsck_repairs_total", "Repair actions taken by tsfm fsck")
-                .add(summary.actions());
+            catalog::fsck_repairs_counter().add(summary.actions());
             report.repair = Some(summary);
         }
     }
@@ -618,6 +616,33 @@ mod tests {
         let dir = tmp_dir("nocat");
         fs::create_dir_all(&dir).unwrap();
         assert!(matches!(fsck(&dir, false), Err(StoreError::InvalidRequest(_))));
+    }
+
+    /// A run's header must carry the generation and sequence number its
+    /// file name encodes: a byte flipped there is a typed corruption for
+    /// every reader and for fsck, not a run accepted as another.
+    #[test]
+    fn run_header_contradicting_its_name_is_corrupt() {
+        let dir = tmp_dir("runhdr");
+        let (cat, _) = loose_seeded_catalog(&dir, 4);
+        let entry = cat.entry("t2").unwrap().clone();
+        drop(cat);
+        let path = dir.join(catalog::SEGMENT_DIR).join(&entry.segment);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[16] = 0x55; // the low byte of the header's generation
+        fs::write(&path, &bytes).unwrap();
+
+        let got = Catalog::open(&dir).unwrap().get("t2");
+        assert!(matches!(&got, Err(StoreError::Corrupt { .. })), "{got:?}");
+        let report = fsck(&dir, false).unwrap();
+        assert!(!report.healthy());
+        assert!(
+            report.problems.iter().any(|p| p.kind == ProblemKind::CorruptSegment
+                && p.table.as_deref() == Some("t2")
+                && p.detail.contains("contradicts its name")),
+            "{}",
+            report.to_json()
+        );
     }
 
     #[test]

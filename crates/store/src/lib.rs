@@ -49,9 +49,8 @@
 //! * [`serve`] — the production serve frontend: a bounded worker pool
 //!   with accept-queue shedding, per-connection read/write timeouts and a
 //!   request-line cap, pipelining, graceful shutdown, catalog hot-swap,
-//!   and the `stats` ops verb;
-//! * [`metrics`] — the lock-free counters and log-bucketed latency
-//!   histogram behind the `stats` verb.
+//!   and the `stats` / `metrics` / `slowlog` ops verbs, read from the
+//!   server's own [`tsfm_obs::Registry`].
 //!
 //! The `tsfm` CLI binary (in the umbrella crate) drives this end to end
 //! over directories of real CSV files: `tsfm ingest <catalog> <dir>`,
@@ -65,7 +64,6 @@ pub mod durable;
 pub mod engine;
 pub mod error;
 pub mod fsck;
-pub mod metrics;
 pub mod record;
 pub mod request;
 pub mod searcher;
@@ -82,9 +80,8 @@ pub use record::TableRecord;
 pub use request::{
     ColumnMatch, DiscoveryRequest, DiscoveryRequestBuilder, DiscoveryResponse, HitExplanation,
 };
-pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use searcher::Searcher;
-pub use serve::{ServeConfig, Server, ServerHandle};
+pub use serve::{MetricsSnapshot, ServeConfig, Server, ServerHandle};
 pub use wire::{ServeCommand, ServeRequest};
 
 /// Run `work(0..n)` across `threads` workers (atomic work-stealing, scoped

@@ -11,9 +11,8 @@
 //!
 //! * **Bounded worker pool.** At most [`ServeConfig::max_connections`]
 //!   worker threads exist; workers are pooled and reused across
-//!   connections (spawned lazily, trimmed after
-//!   [`ServeConfig::worker_linger`] idle). Accepted connections beyond
-//!   the pool wait in a queue of at most
+//!   connections (spawned lazily, trimmed after ten idle seconds).
+//!   Accepted connections beyond the pool wait in a queue of at most
 //!   [`ServeConfig::pending_capacity`]; past that the acceptor *sheds*:
 //!   it answers with a one-line [`crate::wire::unavailable_json`] reply
 //!   and closes, so overload degrades into fast, explicit refusals
@@ -36,10 +35,12 @@
 //! * **Graceful shutdown.** [`ServerHandle::shutdown`] stops the
 //!   acceptor, lets every in-flight request finish, then closes
 //!   connections and joins the workers.
-//! * **Ops surface.** The `{"op":"stats"}` wire verb reports the
-//!   [`crate::metrics::ServeMetrics`] counters and latency percentiles;
-//!   `{"op":"metrics"}` renders the same counters (plus the process-wide
-//!   [`tsfm_obs::metrics::global`] registry) as Prometheus text;
+//! * **Ops surface.** Each server records its counters, gauges and
+//!   latency histogram in a [`tsfm_obs::Registry`] of its own, so two
+//!   servers in one process never mix counts. The `{"op":"stats"}` wire
+//!   verb reports them as JSON ([`MetricsSnapshot`]); `{"op":"metrics"}`
+//!   renders the same registry, then the process-wide
+//!   [`tsfm_obs::metrics::global`] one, as Prometheus text;
 //!   `{"op":"slowlog"}` reports the slowest requests seen, each with the
 //!   per-stage breakdown the engine's profiler produced. The serve loop
 //!   profiles every query (a handful of clock reads against a hundreds-
@@ -50,17 +51,17 @@
 mod pool;
 
 use crate::error::{StoreError, StoreResult};
-use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::request::DiscoveryResponse;
 use crate::searcher::Searcher;
 use crate::wire::{self, ServeCommand, ServeRequest};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 use tsfm_obs::slowlog::{unix_ms_now, SlowEntry, Slowlog};
+use tsfm_obs::{Counter, Gauge, Histogram, Registry};
 use tsfm_table::csv;
 
 /// How often blocked reads wake up to re-check deadlines and the
@@ -89,8 +90,6 @@ pub struct ServeConfig {
     pub write_timeout: Duration,
     /// Hard cap on one request line (bytes, newline excluded).
     pub max_line_bytes: usize,
-    /// Idle pooled workers exit after this long without work.
-    pub worker_linger: Duration,
 }
 
 impl Default for ServeConfig {
@@ -102,7 +101,6 @@ impl Default for ServeConfig {
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             max_line_bytes: 4 << 20,
-            worker_linger: Duration::from_secs(10),
         }
     }
 }
@@ -111,8 +109,7 @@ impl Default for ServeConfig {
 struct Shared {
     cfg: ServeConfig,
     searcher: RwLock<Searcher>,
-    metrics: ServeMetrics,
-    started: Instant,
+    metrics: Instruments,
     addr: SocketAddr,
     shutdown: AtomicBool,
     /// Accepted connections waiting for a worker.
@@ -122,8 +119,6 @@ struct Shared {
     workers: AtomicUsize,
     /// Workers currently parked on the queue.
     idle_workers: AtomicUsize,
-    /// Times a new snapshot was swapped in (the serve-side epoch).
-    reloads: AtomicU64,
     /// The slowest requests seen, with per-stage breakdowns.
     slowlog: Slowlog,
     /// Test-only injection point: when set, the next connection handler
@@ -164,18 +159,18 @@ impl Server {
         }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let metrics = Instruments::new();
+        metrics.tables.set(searcher.len() as i64);
         let shared = Arc::new(Shared {
             cfg,
             searcher: RwLock::new(searcher),
-            metrics: ServeMetrics::new(),
-            started: Instant::now(),
+            metrics,
             addr,
             shutdown: AtomicBool::new(false),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             workers: AtomicUsize::new(0),
             idle_workers: AtomicUsize::new(0),
-            reloads: AtomicU64::new(0),
             slowlog: Slowlog::new(SLOWLOG_CAPACITY),
             #[cfg(test)]
             panic_next_connection: AtomicBool::new(false),
@@ -207,7 +202,7 @@ impl Server {
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => continue, // transient accept failure (EMFILE etc.)
             };
-            shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.accepted.inc();
             pool::dispatch(shared, stream, &mut joins);
         }
 
@@ -244,8 +239,14 @@ impl ServerHandle {
     /// connection sees the new one. Returns the reload generation (1 for
     /// the first swap).
     pub fn swap_searcher(&self, searcher: Searcher) -> u64 {
-        *tsfm_obs::sync::write_unpoisoned(&self.shared.searcher) = searcher;
-        self.shared.reloads.fetch_add(1, Ordering::Relaxed) + 1
+        let m = &self.shared.metrics;
+        // Under the write lock: swaps count in order, and the tables gauge
+        // moves with its snapshot.
+        let mut current = tsfm_obs::sync::write_unpoisoned(&self.shared.searcher);
+        m.tables.set(searcher.len() as i64);
+        *current = searcher;
+        m.reloads.inc();
+        m.reloads.get()
     }
 
     /// The snapshot currently serving queries.
@@ -271,7 +272,7 @@ impl ServerHandle {
 
     /// The Prometheus text the `metrics` verb reports.
     pub fn prometheus_text(&self) -> String {
-        prometheus_text(&self.shared)
+        self.shared.metrics.prometheus_text()
     }
 }
 
@@ -408,7 +409,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    let mut writer = std::io::BufWriter::new(stream);
+    let mut writer = BufWriter::new(stream);
     let mut line = Vec::new();
 
     loop {
@@ -424,52 +425,26 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                         wire::error_json(&StoreError::invalid("request line is not valid UTF-8"))
                     }
                 };
-                if writer
-                    .write_all(reply.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    // Peer gone or not draining: write backpressure bound.
-                    shared.metrics.closed_slow_write.fetch_add(1, Ordering::Relaxed);
+                if send_line(&mut writer, &reply).is_err() {
+                    shared.metrics.closed_slow_write.inc();
                     return;
                 }
             }
             LineOutcome::Overflow => {
-                shared.metrics.overlong_lines.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.overlong_lines.inc();
                 count_error(shared, true);
-                let e = StoreError::invalid(format!(
-                    "request line exceeds {} bytes",
-                    shared.cfg.max_line_bytes
-                ));
-                let sent = writer
-                    .write_all(wire::error_json(&e).as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush())
-                    .is_ok();
-                if sent {
-                    drain_before_close(&mut reader);
-                }
+                let max = shared.cfg.max_line_bytes;
+                reject(&mut writer, &mut reader, format!("request line exceeds {max} bytes"));
                 return; // cannot resync mid-line: close
             }
             LineOutcome::IdleTimeout => {
-                shared.metrics.closed_idle.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.closed_idle.inc();
                 return;
             }
             LineOutcome::SlowRead => {
-                shared.metrics.closed_slow_read.fetch_add(1, Ordering::Relaxed);
-                let e = StoreError::invalid(format!(
-                    "request line not completed within {:?}",
-                    shared.cfg.read_timeout
-                ));
-                let sent = writer
-                    .write_all(wire::error_json(&e).as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush())
-                    .is_ok();
-                if sent {
-                    drain_before_close(&mut reader);
-                }
+                shared.metrics.closed_slow_read.inc();
+                let t = shared.cfg.read_timeout;
+                reject(&mut writer, &mut reader, format!("request line not completed within {t:?}"));
                 return;
             }
             LineOutcome::Eof | LineOutcome::Shutdown | LineOutcome::Failed => return,
@@ -477,13 +452,27 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     }
 }
 
-fn count_error(shared: &Shared, client: bool) {
-    shared.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-    if client {
-        shared.metrics.requests_client_error.fetch_add(1, Ordering::Relaxed);
-    } else {
-        shared.metrics.requests_server_error.fetch_add(1, Ordering::Relaxed);
+/// Write one reply line and flush it. An error means the peer is gone or
+/// not draining: the write-backpressure bound.
+fn send_line(writer: &mut BufWriter<TcpStream>, reply: &str) -> std::io::Result<()> {
+    writer.write_all(reply.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
+}
+
+/// Answer a line the connection cannot resync after with a typed
+/// `invalid_request` error, then drain what the peer already sent so the
+/// close does not destroy the reply.
+fn reject(writer: &mut BufWriter<TcpStream>, reader: &mut BufReader<TcpStream>, detail: String) {
+    if send_line(writer, &wire::error_json(&StoreError::invalid(detail))).is_ok() {
+        drain_before_close(reader);
     }
+}
+
+fn count_error(shared: &Shared, client: bool) {
+    let m = &shared.metrics;
+    let outcome = if client { &m.requests_client_error } else { &m.requests_server_error };
+    outcome.inc();
 }
 
 /// Parse and execute one request line, returning the reply line (no
@@ -491,18 +480,16 @@ fn count_error(shared: &Shared, client: bool) {
 fn handle_line(shared: &Shared, line: &str) -> String {
     match ServeCommand::parse_line(line) {
         Ok(ServeCommand::Stats) => {
-            shared.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.requests_ok.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.requests_ok.inc();
             stats_json(shared)
         }
         Ok(ServeCommand::Metrics) => {
-            shared.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.requests_ok.fetch_add(1, Ordering::Relaxed);
-            format!("{{\"metrics\":\"{}\"}}", wire::escape_json(&prometheus_text(shared)))
+            shared.metrics.requests_ok.inc();
+            let text = shared.metrics.prometheus_text();
+            format!("{{\"metrics\":\"{}\"}}", wire::escape_json(&text))
         }
         Ok(ServeCommand::Slowlog) => {
-            shared.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.requests_ok.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.requests_ok.inc();
             slowlog_json(shared)
         }
         Ok(ServeCommand::Query(mut req)) => {
@@ -520,8 +507,7 @@ fn handle_line(shared: &Shared, line: &str) -> String {
                 Ok(mut resp) => {
                     let total_us = t0.elapsed().as_micros() as u64;
                     shared.metrics.latency.record(total_us);
-                    shared.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.requests_ok.fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.requests_ok.inc();
                     shared.slowlog.record(SlowEntry {
                         label: resp.query_id.clone(),
                         detail: resp.mode.name().to_string(),
@@ -565,55 +551,169 @@ pub fn execute(searcher: &Searcher, req: &ServeRequest) -> StoreResult<Discovery
     }
 }
 
+/// This server's instruments, registered in its own [`Registry`]; both
+/// ops verbs read them, and each field's help text says what it counts.
+/// Workers bump them without a lock or a name lookup: one relaxed atomic
+/// per event. Every request has exactly one outcome, stats included.
+struct Instruments {
+    registry: Registry,
+    started: Instant,
+    uptime_ms: Arc<Gauge>,
+    tables: Arc<Gauge>,
+    active: Arc<Gauge>,
+    reloads: Arc<Counter>,
+    accepted: Arc<Counter>,
+    shed: Arc<Counter>,
+    closed_idle: Arc<Counter>,
+    closed_slow_read: Arc<Counter>,
+    closed_slow_write: Arc<Counter>,
+    /// Always 0 in a healthy server; any nonzero value is a bug worth a page.
+    worker_panics: Arc<Counter>,
+    overlong_lines: Arc<Counter>,
+    requests_ok: Arc<Counter>,
+    requests_client_error: Arc<Counter>,
+    requests_server_error: Arc<Counter>,
+    latency: Arc<Histogram>,
+}
+
+impl Instruments {
+    fn new() -> Self {
+        let registry = Registry::new();
+        let (r, c) = (&registry, |name: &str, help: &str| registry.counter(name, help));
+        let by = |family: &str, help: &str, key: &str, values: [&str; 3]| {
+            values.map(|v| c(&format!("{family}{{{key}=\"{v}\"}}"), help))
+        };
+        let [closed_idle, closed_slow_read, closed_slow_write] =
+            by("tsfm_serve_connections_closed_total", "Connections closed by limit enforcement",
+                "reason", ["idle", "slow_read", "slow_write"]);
+        let [requests_ok, requests_client_error, requests_server_error] =
+            by("tsfm_serve_requests_total", "Requests served, by outcome",
+                "outcome", ["ok", "client_error", "server_error"]);
+        Self {
+            started: Instant::now(),
+            uptime_ms: r.gauge("tsfm_serve_uptime_ms", "Milliseconds since the server started"),
+            tables: r.gauge("tsfm_serve_tables", "Tables in the serving snapshot"),
+            active: r.gauge("tsfm_serve_connections_active",
+                "Connections currently owned by a worker"),
+            reloads: c("tsfm_serve_reloads_total", "Searcher snapshot hot-swaps"),
+            accepted: c("tsfm_serve_connections_accepted_total",
+                "Connections accepted from the listener"),
+            shed: c("tsfm_serve_connections_shed_total",
+                "Connections refused at capacity with an unavailable reply"),
+            closed_idle,
+            closed_slow_read,
+            closed_slow_write,
+            worker_panics: c("tsfm_serve_worker_panics_total",
+                "Connection-handler panics contained by the worker pool"),
+            overlong_lines: c("tsfm_serve_overlong_lines_total",
+                "Request lines rejected for exceeding the line cap"),
+            requests_ok,
+            requests_client_error,
+            requests_server_error,
+            latency: r.histogram("tsfm_serve_latency_us", "Successful query latency, microseconds"),
+            registry,
+        }
+    }
+
+    /// The uptime gauge, brought up to date for a reader.
+    fn uptime_ms(&self) -> u64 {
+        let ms = self.started.elapsed().as_millis() as u64;
+        self.uptime_ms.set(ms as i64);
+        ms
+    }
+
+    /// Point-in-time copy of every instrument.
+    fn snapshot(&self) -> MetricsSnapshot {
+        let ok = self.requests_ok.get();
+        let client_error = self.requests_client_error.get();
+        let server_error = self.requests_server_error.get();
+        let l = &self.latency;
+        MetricsSnapshot {
+            uptime_ms: self.uptime_ms(),
+            tables: self.tables.get() as u64,
+            reloads: self.reloads.get(),
+            accepted: self.accepted.get(),
+            shed: self.shed.get(),
+            active: self.active.get() as usize,
+            closed_idle: self.closed_idle.get(),
+            closed_slow_read: self.closed_slow_read.get(),
+            closed_slow_write: self.closed_slow_write.get(),
+            overlong_lines: self.overlong_lines.get(),
+            requests_total: ok + client_error + server_error,
+            requests_ok: ok,
+            requests_client_error: client_error,
+            requests_server_error: server_error,
+            worker_panics: self.worker_panics.get(),
+            latency_count: l.count(),
+            latency_mean_us: l.mean(),
+            latency_p50_us: l.percentile(0.50),
+            latency_p95_us: l.percentile(0.95),
+            latency_p99_us: l.percentile(0.99),
+            latency_max_us: l.max(),
+        }
+    }
+
+    /// The `{"op":"metrics"}` payload: this server's `tsfm_serve_*`
+    /// families, then the process-wide registry (sketch, search and
+    /// catalog instruments).
+    fn prometheus_text(&self) -> String {
+        self.uptime_ms();
+        let mut text = self.registry.prometheus_text();
+        text.push_str(&tsfm_obs::metrics::global().prometheus_text());
+        text
+    }
+}
+
+/// A copy of one server's instruments at one instant (fields may be a few
+/// events apart under concurrent load; each is individually exact).
+/// `requests_total` is the sum of the three outcomes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MetricsSnapshot {
+    pub uptime_ms: u64,
+    pub tables: u64,
+    pub reloads: u64,
+    pub accepted: u64,
+    pub shed: u64,
+    pub active: usize,
+    pub closed_idle: u64,
+    pub closed_slow_read: u64,
+    pub closed_slow_write: u64,
+    pub overlong_lines: u64,
+    pub requests_total: u64,
+    pub requests_ok: u64,
+    pub requests_client_error: u64,
+    pub requests_server_error: u64,
+    pub worker_panics: u64,
+    pub latency_count: u64,
+    pub latency_mean_us: f64,
+    pub latency_p50_us: u64,
+    pub latency_p95_us: u64,
+    pub latency_p99_us: u64,
+    pub latency_max_us: u64,
+}
+
 /// The `{"op":"stats"}` reply: ops counters, corpus counters, and latency
 /// percentiles, as one JSON line.
 fn stats_json(shared: &Shared) -> String {
-    let m = shared.metrics.snapshot();
-    let (tables, epoch) = {
-        let s = tsfm_obs::sync::read_unpoisoned(&shared.searcher);
-        (s.len(), s.epoch())
-    };
+    let MetricsSnapshot {
+        uptime_ms, tables, reloads, accepted, shed, active, closed_idle, closed_slow_read,
+        closed_slow_write, overlong_lines, requests_total: total, requests_ok: ok,
+        requests_client_error: client_error, requests_server_error: server_error,
+        worker_panics: _, latency_count: count, latency_mean_us: mean, latency_p50_us: p50,
+        latency_p95_us: p95, latency_p99_us: p99, latency_max_us: max,
+    } = shared.metrics.snapshot();
+    let epoch = tsfm_obs::sync::read_unpoisoned(&shared.searcher).epoch();
     format!(
-        "{{\"stats\":{{\"uptime_ms\":{},\"tables\":{tables},\"epoch\":{epoch},\
-         \"reloads\":{},\
-         \"connections\":{{\"active\":{},\"accepted\":{},\"shed\":{},\
-         \"closed_idle\":{},\"closed_slow_read\":{},\"closed_slow_write\":{},\
-         \"overlong_lines\":{}}},\
-         \"requests\":{{\"total\":{},\"ok\":{},\"client_error\":{},\"server_error\":{}}},\
-         \"latency_us\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}}}}}",
-        shared.started.elapsed().as_millis(),
-        shared.reloads.load(Ordering::Relaxed),
-        m.active,
-        m.accepted,
-        m.shed,
-        m.closed_idle,
-        m.closed_slow_read,
-        m.closed_slow_write,
-        m.overlong_lines,
-        m.requests_total,
-        m.requests_ok,
-        m.requests_client_error,
-        m.requests_server_error,
-        m.latency_count,
-        m.latency_mean_us,
-        m.latency_p50_us,
-        m.latency_p95_us,
-        m.latency_p99_us,
-        m.latency_max_us,
+        "{{\"stats\":{{\"uptime_ms\":{uptime_ms},\"tables\":{tables},\"epoch\":{epoch},\
+         \"reloads\":{reloads},\
+         \"connections\":{{\"active\":{active},\"accepted\":{accepted},\"shed\":{shed},\
+         \"closed_idle\":{closed_idle},\"closed_slow_read\":{closed_slow_read},\
+         \"closed_slow_write\":{closed_slow_write},\"overlong_lines\":{overlong_lines}}},\
+         \"requests\":{{\"total\":{total},\"ok\":{ok},\"client_error\":{client_error},\
+         \"server_error\":{server_error}}},\
+         \"latency_us\":{{\"count\":{count},\"mean\":{mean:.1},\"p50\":{p50},\"p95\":{p95},\
+         \"p99\":{p99},\"max\":{max}}}}}}}"
     )
-}
-
-/// The `{"op":"metrics"}` payload: this server's `tsfm_serve_*` families
-/// plus the process-wide registry (sketch/search/catalog instruments).
-fn prometheus_text(shared: &Shared) -> String {
-    let tables = tsfm_obs::sync::read_unpoisoned(&shared.searcher).len();
-    let mut text = shared.metrics.prometheus_text(
-        tables,
-        shared.started.elapsed().as_millis() as u64,
-        shared.reloads.load(Ordering::Relaxed),
-    );
-    text.push_str(&tsfm_obs::metrics::global().prometheus_text());
-    text
 }
 
 /// The `{"op":"slowlog"}` reply: slowest requests first, each with its
@@ -838,6 +938,106 @@ mod tests {
         stop(&handle, join);
     }
 
+    /// Each server counts in a registry of its own: traffic to one never
+    /// shows in the other's snapshot or exposition.
+    #[test]
+    fn two_servers_keep_separate_counts() {
+        const N: u64 = 5;
+        let (first, join1, addr1) = start("separate_a", 1, ServeConfig::default());
+        let (second, join2, _) = start("separate_b", 1, ServeConfig::default());
+        let (mut w, mut r) = connect(addr1);
+        for _ in 0..N {
+            let v = roundtrip(&mut w, &mut r, r#"{"mode":"join","k":1,"id":"t0"}"#);
+            assert!(v.get("hits").is_some(), "{v:?}");
+        }
+        drop((w, r));
+        assert_eq!(first.metrics().requests_ok, N);
+        assert_eq!(second.metrics().requests_ok, 0);
+        let ok = |n: u64| format!("tsfm_serve_requests_total{{outcome=\"ok\"}} {n}\n");
+        assert!(first.prometheus_text().contains(&ok(N)), "{}", first.prometheus_text());
+        assert!(second.prometheus_text().contains(&ok(0)), "{}", second.prometheus_text());
+        stop(&first, join1);
+        stop(&second, join2);
+    }
+
+    /// A server after one connection, one answered and one rejected query,
+    /// and one reload to a seven-table searcher.
+    fn served_once(tag: &str) -> (ServerHandle, std::thread::JoinHandle<StoreResult<()>>) {
+        let (handle, join, addr) = start(tag, 2, ServeConfig::default());
+        let (mut w, mut r) = connect(addr);
+        let v = roundtrip(&mut w, &mut r, r#"{"mode":"join","k":1,"id":"t0"}"#);
+        assert!(v.get("hits").is_some(), "{v:?}");
+        let v = roundtrip(&mut w, &mut r, r#"{"mode":"join","k":1,"id":"nope"}"#);
+        assert!(v.get("error").is_some(), "{v:?}");
+        drop((w, r));
+        let (bigger, _dir) = searcher_with(&format!("{tag}_big"), 7);
+        assert_eq!(handle.swap_searcher(bigger), 1);
+        (handle, join)
+    }
+
+    /// The snapshot copies the registry's counts of what happened.
+    #[test]
+    fn metrics_snapshot_copies_counters() {
+        let (handle, join) = served_once("snapshot");
+        let m = handle.metrics();
+        assert_eq!((m.accepted, m.shed, m.tables, m.reloads), (1, 0, 7, 1));
+        assert_eq!((m.requests_total, m.requests_ok, m.requests_client_error), (2, 1, 1));
+        assert_eq!((m.latency_count, m.requests_server_error, m.worker_panics), (1, 0, 0));
+        assert!(m.latency_p50_us <= m.latency_max_us);
+        stop(&handle, join);
+    }
+
+    /// The exposition carries every `tsfm_serve_*` family once and each
+    /// line is `name[{labels}] value`.
+    #[test]
+    fn prometheus_text_is_well_formed_and_complete() {
+        let (handle, join) = served_once("exposition");
+        let text = handle.prometheus_text();
+        for line in [
+            "tsfm_serve_tables 7\n",
+            "tsfm_serve_reloads_total 1\n",
+            "tsfm_serve_connections_accepted_total 1\n",
+            "tsfm_serve_connections_shed_total 0\n",
+            "tsfm_serve_requests_total{outcome=\"ok\"} 1\n",
+            "tsfm_serve_requests_total{outcome=\"client_error\"} 1\n",
+            "tsfm_serve_requests_total{outcome=\"server_error\"} 0\n",
+            "tsfm_serve_connections_closed_total{reason=\"idle\"} 0\n",
+            "tsfm_serve_connections_closed_total{reason=\"slow_read\"} 0\n",
+            "tsfm_serve_connections_closed_total{reason=\"slow_write\"} 0\n",
+            "tsfm_serve_latency_us_count 1\n",
+        ] {
+            assert!(text.contains(line), "missing {line:?} in {text}");
+        }
+        for (family, kind) in [
+            ("tsfm_serve_uptime_ms", "gauge"),
+            ("tsfm_serve_tables", "gauge"),
+            ("tsfm_serve_connections_active", "gauge"),
+            ("tsfm_serve_reloads_total", "counter"),
+            ("tsfm_serve_connections_accepted_total", "counter"),
+            ("tsfm_serve_connections_shed_total", "counter"),
+            ("tsfm_serve_connections_closed_total", "counter"),
+            ("tsfm_serve_worker_panics_total", "counter"),
+            ("tsfm_serve_overlong_lines_total", "counter"),
+            ("tsfm_serve_requests_total", "counter"),
+            ("tsfm_serve_latency_us", "summary"),
+        ] {
+            let typed = format!("# TYPE {family} {kind}\n");
+            assert_eq!(text.matches(&typed).count(), 1, "{typed:?} once in {text}");
+            assert_eq!(text.matches(&format!("# HELP {family} ")).count(), 1, "{family}");
+        }
+        // Exposition grammar: every non-comment, non-blank line is
+        // `name[{labels}] value` with a numeric value.
+        for line in text.lines().filter(|l| !l.starts_with('#') && !l.is_empty()) {
+            let (series, value) = line.rsplit_once(' ').expect("name value");
+            assert!(value.parse::<f64>().is_ok(), "bad value in {line:?}");
+            let (name, labels) = series.split_at(series.find('{').unwrap_or(series.len()));
+            assert!(!name.is_empty(), "no name in {line:?}");
+            assert!(name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'), "{line:?}");
+            assert!(labels.is_empty() || labels.ends_with("\"}") && labels.contains("=\""), "{line:?}");
+        }
+        stop(&handle, join);
+    }
+
     #[test]
     fn pipelined_requests_are_answered_in_order() {
         let (handle, join, addr) = start("pipeline", 4, ServeConfig::default());
@@ -951,7 +1151,6 @@ mod tests {
     fn pool_stays_bounded_and_workers_are_reused() {
         let cfg = ServeConfig {
             max_connections: 2,
-            worker_linger: Duration::from_secs(30),
             ..ServeConfig::default()
         };
         let (handle, join, addr) = start("pool", 1, cfg);

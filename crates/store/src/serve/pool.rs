@@ -28,6 +28,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use tsfm_obs::sync::{lock_unpoisoned, wait_timeout_unpoisoned};
 
+/// Idle pooled workers exit after this long without work.
+const WORKER_LINGER: Duration = Duration::from_secs(10);
+
 /// Shed / enqueue / spawn decision for one accepted connection, made
 /// under the queue lock so it sees a coherent queue depth. Shed when
 /// every worker slot is taken, none is idle, and the pending queue is
@@ -43,7 +46,7 @@ pub(super) fn dispatch(shared: &Arc<Shared>, stream: TcpStream, joins: &mut Vec<
             && q.len() >= shared.cfg.pending_capacity
         {
             drop(q);
-            shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.shed.inc();
             shed(stream);
             return;
         }
@@ -87,7 +90,7 @@ pub(super) fn worker_loop(shared: &Arc<Shared>) {
                 }
                 shared.idle_workers.fetch_add(1, Ordering::Relaxed);
                 let (guard, timeout) =
-                    wait_timeout_unpoisoned(&shared.queue_cv, q, shared.cfg.worker_linger);
+                    wait_timeout_unpoisoned(&shared.queue_cv, q, WORKER_LINGER);
                 q = guard;
                 shared.idle_workers.fetch_sub(1, Ordering::Relaxed);
                 if timeout.timed_out() && q.is_empty() {
@@ -97,7 +100,7 @@ pub(super) fn worker_loop(shared: &Arc<Shared>) {
                 }
             }
         };
-        shared.metrics.active.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.active.add(1);
         // Contain handler panics to this connection: the worker itself
         // must survive, with its counters balanced, or the pool leaks
         // capacity one panic at a time. `AssertUnwindSafe` is sound here
@@ -105,9 +108,9 @@ pub(super) fn worker_loop(shared: &Arc<Shared>) {
         // stream, dropped on unwind) or lock-free/poison-tolerant shared
         // state that is valid at every intermediate step.
         let outcome = catch_unwind(AssertUnwindSafe(|| serve_connection(shared, conn)));
-        shared.metrics.active.fetch_sub(1, Ordering::Relaxed);
+        shared.metrics.active.add(-1);
         if outcome.is_err() {
-            shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.worker_panics.inc();
         }
     }
 }

@@ -45,7 +45,7 @@
 //! [`LazyCorpus`] snapshot taken before a compaction) keep reading them
 //! untouched.
 
-use crate::durable;
+use crate::{catalog, durable};
 use crate::error::{StoreError, StoreResult};
 use crate::record::TableRecord;
 use crate::ser::{self, ARENA_MAGIC, SHARD_MAGIC};
@@ -311,11 +311,18 @@ impl ArenaIndex {
     }
 
     /// Open and verify a loose run under `segments/`: the same layout
-    /// checks as [`ArenaIndex::open`], with no root-manifest metadata to
-    /// hold the header against — each manifest entry naming a slot checks
-    /// the record it reads there.
+    /// checks as [`ArenaIndex::open`], with the header held against the
+    /// generation and sequence number the run's file name encodes — each
+    /// manifest entry naming a slot checks the record it reads there.
     pub fn open_run(path: &Path) -> StoreResult<Self> {
-        Self::open_checked(path, None)
+        let run = Self::open_checked(path, None)?;
+        let named = path.file_name().and_then(|n| catalog::run_name_parts(n.to_str()?));
+        if named == Some((run.generation, run.index)) {
+            return Ok(run);
+        }
+        let (index, generation) = (run.index, run.generation);
+        let detail = format!("run header (seq {index}, generation {generation}) contradicts its name");
+        Err(durable::note_corruption(StoreError::corrupt(ARENA_MAGIC_STR, detail).with_file(path, 12)))
     }
 
     fn open_checked(path: &Path, meta: Option<&ShardMeta>) -> StoreResult<Self> {
@@ -546,8 +553,6 @@ pub struct LazyCorpus {
     /// Eager sketches of loose tables, ascending by table id.
     loose: Vec<Arc<TableSketch>>,
     cache: Mutex<SketchCache>,
-    hits: Arc<tsfm_obs::metrics::Counter>,
-    misses: Arc<tsfm_obs::metrics::Counter>,
     len: usize,
 }
 
@@ -559,7 +564,6 @@ impl LazyCorpus {
         cache_cap: usize,
     ) -> Self {
         debug_assert!(loose.windows(2).all(|w| w[0].table_id < w[1].table_id));
-        let obs = tsfm_obs::metrics::global();
         let len = loose.len()
             + shards.iter().flatten().map(|s| s.live.len()).sum::<usize>();
         Self {
@@ -567,14 +571,6 @@ impl LazyCorpus {
             shards,
             loose,
             cache: Mutex::new(SketchCache::new(cache_cap)),
-            hits: obs.counter(
-                "tsfm_store_shard_cache_hits_total",
-                "Lazy sketch loads answered by the shard cache",
-            ),
-            misses: obs.counter(
-                "tsfm_store_shard_cache_misses_total",
-                "Lazy sketch loads that went to an arena read",
-            ),
             len,
         }
     }
@@ -607,10 +603,10 @@ impl LazyCorpus {
             return Ok(None);
         };
         if let Some(hit) = lock_unpoisoned(&self.cache).get(id) {
-            self.hits.inc();
+            catalog::shard_cache_hits_counter().inc();
             return Ok(Some(hit));
         }
-        self.misses.inc();
+        catalog::shard_cache_misses_counter().inc();
         let slot = shard.live[i] as usize;
         let rec = shard.arena.read_entry(slot, id, entries[slot].content_hash)?;
         let sketch = Arc::new(rec.sketch);

@@ -334,20 +334,25 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let server = Server::bind((host.as_str(), port), searcher, cfg)
         .map_err(|e| format!("bind {host}:{port}: {e}"))?;
     let addr = server.local_addr();
-    // Tests and scripts parse this line for the actual port (`--port 0`
-    // binds an ephemeral one).
-    println!("tsfm: serving {tables} tables on {addr}");
-    std::io::stdout().flush().ok();
 
     // Hot reload: poll the manifest for mutations committed by another
     // process (`tsfm ingest` against the same directory) and swap a fresh
     // snapshot in without dropping in-flight queries. `--reload-ms 0`
-    // disables the watcher.
+    // disables the watcher. Its failure counter registers before the
+    // banner, so the metrics verb exports it (at 0) from the first request.
     if reload_ms > 0 {
+        let failures = tsfm_obs::metrics::global().counter(
+            "tsfm_serve_reload_failures_total",
+            "Catalog hot-reload attempts that failed and were retried with backoff",
+        );
         let handle = server.handle();
         let dir = catalog_dir.clone();
-        std::thread::spawn(move || watch_manifest(&handle, &dir, &manifest, reload_ms));
+        std::thread::spawn(move || watch_manifest(&handle, &dir, &manifest, reload_ms, &failures));
     }
+    // Tests and scripts parse this line for the actual port (`--port 0`
+    // binds an ephemeral one).
+    println!("tsfm: serving {tables} tables on {addr}");
+    std::io::stdout().flush().ok();
 
     server.run().map_err(|e| format!("serve: {e}"))
 }
@@ -361,13 +366,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// waiting a full `--reload-ms` cycle the watcher retries with
 /// exponential backoff (an eighth of the poll interval, doubling back up
 /// to it), counting each failure in `tsfm_serve_reload_failures_total`.
-fn watch_manifest(handle: &ServerHandle, catalog_dir: &str, manifest: &Path, reload_ms: u64) {
-    // Register up front so the metrics verb exports the counter (at 0)
-    // even before the first failed reload.
-    let failures = tsfm_obs::metrics::global().counter(
-        "tsfm_serve_reload_failures_total",
-        "Catalog hot-reload attempts that failed and were retried with backoff",
-    );
+fn watch_manifest(
+    handle: &ServerHandle,
+    catalog_dir: &str,
+    manifest: &Path,
+    reload_ms: u64,
+    failures: &tsfm_obs::Counter,
+) {
     let stat = |p: &Path| {
         std::fs::metadata(p)
             .ok()

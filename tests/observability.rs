@@ -169,3 +169,67 @@ fn query_trace_writes_valid_chrome_trace_json() {
         assert!(names.contains(expected), "missing span {expected:?} in {names:?}");
     }
 }
+
+/// The README's instrument table (the rows under `| Instrument | Type |`)
+/// as `(family, type)` pairs: a labeled row names its family.
+fn documented_instruments() -> std::collections::BTreeSet<(String, String)> {
+    let readme = fs::read_to_string("README.md").unwrap();
+    let rows = readme.lines().skip_while(|l| !l.starts_with("| Instrument | Type |")).skip(2);
+    rows.take_while(|l| l.starts_with('|'))
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let family = cells[1].trim_matches('`').split('{').next().unwrap().to_string();
+            (family, cells[2].to_string())
+        })
+        .collect()
+}
+
+/// Every `tsfm_*` instrument is in the README table, and every row of it
+/// is exported: a live server that has ingested, answered a stored-id and
+/// an inline-CSV query, and started its reload watcher renders exactly the
+/// documented families, each under one `# TYPE` line.
+#[test]
+fn readme_metrics_table_matches_the_live_exposition() {
+    let documented = documented_instruments();
+    assert!(documented.len() > 30, "README instrument table not found: {documented:?}");
+
+    let cat_dir = fixture_catalog("readme_table");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tsfm"))
+        .args(["serve", cat_dir.to_str().unwrap(), "--port", "0", "--reload-ms", "60000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn tsfm serve");
+    let mut banner = String::new();
+    BufReader::new(child.stdout.as_mut().unwrap()).read_line(&mut banner).unwrap();
+    let _guard = ServerGuard(child);
+    let addr = banner.rsplit(" on ").next().map(str::trim).unwrap_or_default().to_string();
+    let stream = TcpStream::connect(&addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    for query in [
+        r#"{"mode":"join","k":2,"id":"cities"}"#,
+        r#"{"mode":"union","k":2,"csv":"city,pop\nVienna,1900000\nGraz,290000\n"}"#,
+    ] {
+        let resp = roundtrip(&mut writer, &mut reader, query);
+        assert!(resp.get("hits").is_some(), "{resp:?}");
+    }
+    let resp = roundtrip(&mut writer, &mut reader, "{\"op\":\"metrics\"}");
+    let text = resp.get("metrics").and_then(|m| m.as_str()).expect("metrics text");
+    let typed: Vec<(String, String)> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .map(|l| {
+            let (family, kind) = l.split_once(' ').expect("# TYPE family kind");
+            (family.to_string(), kind.to_string())
+        })
+        .collect();
+    let exported: std::collections::BTreeSet<_> = typed.iter().cloned().collect();
+    assert_eq!(exported.len(), typed.len(), "a family rendered twice:\n{text}");
+    let missing: Vec<_> = documented.difference(&exported).collect();
+    let undocumented: Vec<_> = exported.difference(&documented).collect();
+    assert!(
+        missing.is_empty() && undocumented.is_empty(),
+        "documented but not exported: {missing:?}; exported but not documented: {undocumented:?}"
+    );
+}

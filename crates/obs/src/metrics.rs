@@ -196,21 +196,31 @@ impl Histogram {
     /// at entry. Bind it to a named `_t`, as with [`crate::span!`].
     pub fn time(&self, span: &'static str) -> Timer<'_> {
         let span = crate::trace::Span::enter(span);
-        Timer { hist: self, start: span.start.unwrap_or_else(Instant::now), _span: span }
+        Timer { hist: Some(self), start: span.start.unwrap_or_else(Instant::now), _span: span }
     }
 }
 
 /// The guard [`Histogram::time`] returns: records the scope's µs on drop,
 /// before its span closes.
 pub struct Timer<'a> {
-    hist: &'a Histogram,
+    hist: Option<&'a Histogram>,
     start: Instant,
     _span: crate::trace::Span,
 }
 
+impl Timer<'_> {
+    /// Close the span without recording into the histogram: the timed
+    /// stage turned out not to run (an index update the engine declined).
+    pub fn discard(mut self) {
+        self.hist = None;
+    }
+}
+
 impl Drop for Timer<'_> {
     fn drop(&mut self) {
-        self.hist.record(self.start.elapsed().as_micros() as u64);
+        if let Some(hist) = self.hist {
+            hist.record(self.start.elapsed().as_micros() as u64);
+        }
     }
 }
 
@@ -543,6 +553,8 @@ mod tests {
         }
         assert_eq!(h.count(), 1);
         assert!(h.max() >= 2_000, "{}µs", h.max());
+        h.time("test.timer").discard();
+        assert_eq!(h.count(), 1, "a discarded timer records nothing");
     }
 
     #[test]

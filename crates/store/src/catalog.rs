@@ -59,20 +59,27 @@
 //! contents allow:
 //!
 //! 1. the engine the previous snapshot served, as is, when the contents
-//!    fingerprint is unchanged (a snapshot-mode switch, a compaction);
+//!    fingerprint is unchanged (a snapshot-mode switch, a compaction),
+//!    and an eager previous snapshot's corpus with it;
 //! 2. the on-disk index cache when its fingerprint matches, so a cold
 //!    reopen of an unchanged catalog skips graph construction entirely;
 //! 3. the previous engine *updated* by the churn since it was built: the
 //!    catalog keeps that engine and one content hash per table across
 //!    mutations, diffs them against the active `(id, content_hash)` set,
 //!    and hands [`QueryEngine::update`] the removed ids and the records of
-//!    the changed and added tables — the only records it reads — so an
+//!    the changed and added tables. When the previous snapshot was eager,
+//!    the catalog kept its sketches too (the same `Arc`s), so the new
+//!    eager corpus is those minus the removed and replaced tables plus the
+//!    changed and added records — the only records it reads — and an
 //!    update becomes visible in time proportional to churn;
 //! 4. a full [`QueryEngine::build`] over the live records, when there is
 //!    no previous engine (a fresh open) or the update would leave a
 //!    quarter of the graph dead.
 //!
-//! Paths 3 and 4 rewrite the index cache for the new contents.
+//! Paths 3 and 4 rewrite the index cache for the new contents; a write that
+//! fails leaves the snapshot serving from memory and is counted in
+//! `tsfm_catalog_index_cache_write_failures_total`. Every other snapshot
+//! that is eager, and every lazy one's loose tier, loads its records.
 //!
 //! Every read of a stored record is checked against the entry that names
 //! it: a shard manifest against its root metadata (`slot_manifest`), a
@@ -87,7 +94,17 @@
 //! bytes. [`Catalog::ingest_dir`] hashes each CSV *before* parsing and
 //! skips unchanged files without sketching them, so re-ingesting an
 //! unchanged directory touches nothing and adding one file re-sketches
-//! exactly one table.
+//! exactly one table. Within one process a catalog also skips the *read*:
+//! it remembers, in memory only, each source's file stamp (device, inode,
+//! length, mtime and ctime to the nanosecond) from its last scan of the
+//! directory beside the hash of the bytes read under it, and the next scan
+//! takes a file whose stamp is unchanged, and whose table still has that
+//! hash, as unchanged on one `stat`. Only a stamp whose mtime and ctime
+//! both lie [`SETTLE_NS`] before the scan started is remembered (git's
+//! "racily clean" rule), so a same-length write inside one timestamp tick
+//! cannot hide behind it; ctime catches an mtime set back by hand, the
+//! inode a rename over the file. Nothing of this is persisted: a fresh
+//! process reads and hashes every source.
 
 use crate::durable;
 use crate::engine::{QueryEngine, SpanMeta};
@@ -153,6 +170,9 @@ tsfm_obs::instruments! {
         "Latency of loading every active record, both tiers, for a snapshot or rebuild");
     fn index_updates_counter() -> Counter = ("tsfm_catalog_index_updates_total",
         "Snapshots whose engine was derived from the previous one by inserting only changed tables");
+    fn index_cache_write_failures_counter() -> Counter = (
+        "tsfm_catalog_index_cache_write_failures_total",
+        "index.cache writes that failed; the snapshot still serves, and the next cold open rebuilds");
     fn index_update_histogram() -> Histogram = ("tsfm_catalog_index_update_us",
         "QueryEngine::update latency (fork both graphs, insert the changed columns)");
     fn dead_columns_gauge() -> Gauge = ("tsfm_catalog_index_dead_columns",
@@ -256,6 +276,94 @@ enum Prepared {
     Failed(String, String),
 }
 
+/// How long before a scan starts a source's mtime and ctime must both lie
+/// for its stamp to be remembered (git's "racily clean" rule). A write
+/// that lands after a scan has started changes one of them to a time past
+/// this line, so it cannot hide behind a stamp taken before it, even on a
+/// filesystem that keeps times to the second or to two seconds.
+pub(crate) const SETTLE_NS: i128 = 2_000_000_000;
+
+/// A file's identity and version as `stat` reports them; times in
+/// nanoseconds since the Unix epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stamp {
+    dev: u64,
+    ino: u64,
+    len: u64,
+    mtime: i128,
+    ctime: i128,
+}
+
+impl Stamp {
+    /// Whether both times lie [`SETTLE_NS`] or more before `scan_start`.
+    fn settled(&self, scan_start: i128) -> bool {
+        self.mtime.max(self.ctime) <= scan_start - SETTLE_NS
+    }
+}
+
+/// One source as the last scan of its directory read it: the stamp taken
+/// before the read, and the content hash of the bytes read.
+#[derive(Debug, Clone, Copy)]
+struct Source {
+    stamp: Stamp,
+    hash: u64,
+}
+
+#[cfg(unix)]
+fn file_stamp(md: &fs::Metadata) -> Option<Stamp> {
+    use std::os::unix::fs::MetadataExt;
+    let ns = |secs: i64, nanos: i64| i128::from(secs) * 1_000_000_000 + i128::from(nanos);
+    Some(Stamp {
+        dev: md.dev(),
+        ino: md.ino(),
+        len: md.size(),
+        mtime: ns(md.mtime(), md.mtime_nsec()),
+        ctime: ns(md.ctime(), md.ctime_nsec()),
+    })
+}
+
+#[cfg(not(unix))]
+fn file_stamp(_: &fs::Metadata) -> Option<Stamp> {
+    None
+}
+
+/// `t` in nanoseconds since the Unix epoch (negative before it).
+fn unix_ns(t: std::time::SystemTime) -> i128 {
+    match t.duration_since(std::time::UNIX_EPOCH) {
+        Ok(d) => d.as_nanos() as i128,
+        Err(e) => -(e.duration().as_nanos() as i128),
+    }
+}
+
+/// A source's bytes as text, and the stamp of the handle they were read
+/// through, taken before the read. The buffer is sized from that one
+/// `fstat`, as `fs::read_to_string` sizes it from its own:
+/// `File::read_to_string` would `fstat` and `lseek` again for the hint.
+fn read_source(path: &Path) -> std::io::Result<(Option<Stamp>, String)> {
+    use std::io::{ErrorKind, Read};
+    let mut file = fs::File::open(path)?;
+    let md = file.metadata()?;
+    // One byte past the length, so the read that finds EOF needs no growth.
+    let mut bytes = vec![0; usize::try_from(md.len()).unwrap_or(0) + 1];
+    let mut len = 0;
+    loop {
+        if len == bytes.len() {
+            bytes.resize(2 * len, 0);
+        }
+        match file.read(&mut bytes[len..]) {
+            Ok(0) => break,
+            Ok(n) => len += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    bytes.truncate(len);
+    let text = String::from_utf8(bytes).map_err(|_| {
+        std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+    })?;
+    Ok((file_stamp(&md), text))
+}
+
 /// Aggregate catalog statistics (the `tsfm stats` output).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CatalogStats {
@@ -318,7 +426,14 @@ struct IndexBase {
     fingerprint: u64,
     /// Content hash per table, parallel to `engine.table_ids()`.
     hashes: Vec<u64>,
+    /// The sketches of the newest snapshot when it is eager — the same
+    /// `Arc` it holds, parallel to `engine.table_ids()` — carried into
+    /// the next eager one; `None` after a lazy snapshot.
+    corpus: Option<Corpus>,
 }
+
+/// An eager snapshot's sketches, in ascending table-id order.
+type Corpus = Arc<Vec<Arc<TableSketch>>>;
 
 /// A persistent, incrementally-updatable table catalog.
 pub struct Catalog {
@@ -353,6 +468,9 @@ pub struct Catalog {
     /// whose commit failed. A commit unlinks the ones its manifest stops
     /// naming, after the flip; a new run never takes one of their names.
     committed: BTreeSet<String>,
+    /// Per directory [`Catalog::ingest_dir`] scanned, the settled sources
+    /// of its last scan by table id: in memory only.
+    sources: BTreeMap<PathBuf, BTreeMap<String, Source>>,
 }
 
 impl Catalog {
@@ -418,6 +536,7 @@ impl Catalog {
             pending: BTreeMap::new(),
             committed: entries.values().map(|e| e.segment.clone()).collect(),
             entries,
+            sources: BTreeMap::new(),
         };
         cat.prune_tombstones();
         cat
@@ -632,6 +751,21 @@ impl Catalog {
         self.get(id)?.ok_or_else(|| StoreError::UnknownTable(id.to_string()))
     }
 
+    /// The records of active tables `ids`, in order, as [`Catalog::record`]
+    /// reads them, each loose run opened once.
+    fn records_of<'a>(
+        &self,
+        ids: impl IntoIterator<Item = &'a String>,
+    ) -> StoreResult<Vec<TableRecord>> {
+        let mut runs = OpenRuns::new();
+        ids.into_iter()
+            .map(|id| match self.entries.get(id) {
+                Some(entry) => self.loose_record(id, entry, &mut runs),
+                None => self.record(id),
+            })
+            .collect()
+    }
+
     /// Sketch `table` and store it under `table.id`. `content_hash` is the
     /// stable hash of the source bytes; if the stored record already has
     /// this hash nothing is re-sketched.
@@ -700,7 +834,9 @@ impl Catalog {
     /// Ingest every `*.csv` file of a directory (sorted by name; the file
     /// stem becomes the table id), parsing and sketching across the
     /// host's available parallelism. Unchanged files are skipped before
-    /// parsing. Commits the manifest at the end.
+    /// parsing, and settled files this catalog already read, before
+    /// reading (see [`Catalog::ingest_dir_with_threads`]). Commits the
+    /// manifest at the end.
     pub fn ingest_dir(&mut self, dir: impl AsRef<Path>) -> StoreResult<IngestReport> {
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         self.ingest_dir_with_threads(dir, threads)
@@ -714,12 +850,24 @@ impl Catalog {
     /// encode its record. The results are applied in sorted file order,
     /// so the report, the committed files and every future query answer
     /// are identical at any thread count.
+    ///
+    /// A source this catalog read in its last scan of `dir` is not opened
+    /// again when its file stamp — device, inode, length, mtime and ctime
+    /// to the nanosecond — is the one that read recorded *and* its table's
+    /// active copy still has the hash of the bytes read then: it is
+    /// [`IngestOutcome::Unchanged`] on one `stat`. Only settled stamps are
+    /// recorded ([`SETTLE_NS`]), the stamp is taken from the open handle
+    /// before its bytes are read, and nothing of it is persisted: a fresh
+    /// catalog reads and hashes every file. Elsewhere than on Unix every
+    /// file is read.
     pub fn ingest_dir_with_threads(
         &mut self,
         dir: impl AsRef<Path>,
         threads: usize,
     ) -> StoreResult<IngestReport> {
-        let mut files: Vec<PathBuf> = fs::read_dir(dir.as_ref())?
+        let dir = dir.as_ref();
+        let scan_start = unix_ns(std::time::SystemTime::now());
+        let mut files: Vec<PathBuf> = fs::read_dir(dir)?
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| p.extension().is_some_and(|x| x == "csv"))
             .collect();
@@ -732,22 +880,40 @@ impl Catalog {
         // of a changed source, which the catalog holds until the commit
         // anyway.
         let this = &*self;
-        let prepared = crate::parallel_map(files.len(), threads, |j| {
+        let known = self.sources.get(dir);
+        let scanned = crate::parallel_map(files.len(), threads, |j| {
             let path = &files[j];
-            let text = match fs::read_to_string(path) {
-                Ok(text) => text,
+            let id = path.file_stem().unwrap_or_default().to_string_lossy().into_owned();
+            if let Some(&last) = known.and_then(|k| k.get(&id)) {
+                let now = fs::metadata(path).ok().and_then(|md| file_stamp(&md));
+                let same = now == Some(last.stamp);
+                match this.active_content_hash(&id) {
+                    Ok(active) if same && active == Some(last.hash) => {
+                        return (Some((id, last)), Ok(Prepared::Unchanged));
+                    }
+                    Ok(_) => {}
+                    Err(e) => return (None, Err(e)),
+                }
+            }
+            let (stamp, text) = match read_source(path) {
+                Ok(read) => read,
                 Err(e) => {
                     let name = path.file_name().unwrap_or_default().to_string_lossy();
-                    return Ok(Prepared::Failed(name.into_owned(), e.to_string()));
+                    return (None, Ok(Prepared::Failed(name.into_owned(), e.to_string())));
                 }
             };
-            let id = path.file_stem().unwrap_or_default().to_string_lossy().into_owned();
-            this.prepare(&id, hash_str(&text), || {
+            let hash = hash_str(&text);
+            let prepared = this.prepare(&id, hash, || {
                 let table = csv::table_from_csv(&id, &id, &text);
                 TableSketch::build_with_hasher(&table, &hasher, max_rows)
-            })
+            });
+            let seen = stamp.filter(|s| s.settled(scan_start)).map(|stamp| Source { stamp, hash });
+            (seen.map(|seen| (id, seen)), prepared)
         })?;
+        let (seen, prepared): (Vec<_>, Vec<_>) = scanned.into_iter().unzip();
         self.apply_prepared(prepared, &mut report)?;
+        // Files this scan did not list, or did not see settled, drop out.
+        self.sources.insert(dir.to_path_buf(), seen.into_iter().flatten().collect());
         self.commit()?;
         Ok(report)
     }
@@ -1236,11 +1402,10 @@ impl Catalog {
             SnapshotMode::Lazy => true,
             SnapshotMode::Auto => !self.shards.is_empty() && self.len() >= AUTO_LAZY_MIN_TABLES,
         };
-        let (engine, records) = {
+        let (engine, sketches) = {
             let _t = snapshot_build_histogram().time("catalog.snapshot");
             self.index_engine(lazy)?
         };
-        let sketches = records.into_iter().map(|r| Arc::new(r.sketch));
         let snapshot = if lazy {
             let mut lazy_shards = Vec::with_capacity(self.shards.len());
             for slot in &self.shards {
@@ -1253,15 +1418,16 @@ impl Catalog {
                     None => None,
                 });
             }
+            // Collected for this snapshot alone: the one reference.
+            let loose = Arc::try_unwrap(sketches).unwrap_or_else(|shared| shared.to_vec());
             let corpus = shard::LazyCorpus::new(
                 self.shards.len() as u32,
                 lazy_shards,
-                sketches.collect(),
+                loose,
                 shard::SKETCH_CACHE_CAP,
             );
             Searcher::lazy(engine, Arc::new(corpus), self.sketch_cfg.clone(), self.epoch)
         } else {
-            let sketches = Arc::new(sketches.collect());
             Searcher::eager(engine, sketches, self.sketch_cfg.clone(), self.epoch)
         };
         self.snapshot = Some(snapshot.clone());
@@ -1269,18 +1435,16 @@ impl Catalog {
     }
 
     /// The engine for the current contents (module docs, paths 1–4),
-    /// recorded as the new base, and the snapshot's in-memory records:
-    /// all of them, or for a `lazy` snapshot the loose tier only (its
-    /// shard-resident sketches are re-loaded on demand by positioned arena
-    /// read). Both loads walk manifest BTreeMaps (and sort), so records
-    /// arrive in ascending-id order — exactly the engine's canonical
-    /// order — letting the sketches double as the searcher's
-    /// id-addressable corpus. They are read after a cache load has
+    /// recorded as the new base, and the snapshot's in-memory sketches, in
+    /// ascending-id order — exactly the engine's canonical order, so they
+    /// double as the searcher's id-addressable corpus. A `lazy` snapshot
+    /// holds the loose tier's only (its shard-resident sketches are
+    /// re-loaded on demand by positioned arena read). An eager one holds
+    /// all of them: those of the base's eager corpus carried forward, with
+    /// only the changed and added records read, or, without such a base,
+    /// every record loaded. Records are read after a cache load has
     /// released the file's bytes, so the two never peak together.
-    fn index_engine(
-        &mut self,
-        lazy: bool,
-    ) -> StoreResult<(Arc<QueryEngine>, Vec<TableRecord>)> {
+    fn index_engine(&mut self, lazy: bool) -> StoreResult<(Arc<QueryEngine>, Corpus)> {
         let (fp, hashes, churn) = self.with_active_pairs(|pairs| {
             let fp = fingerprint_pairs(&self.sketch_cfg, pairs.iter().copied());
             let churn = self
@@ -1293,29 +1457,61 @@ impl Catalog {
         let reused =
             self.base.as_ref().filter(|b| b.fingerprint == fp).map(|b| Arc::clone(&b.engine));
         let cached = if reused.is_none() { self.load_index_cache(fp) } else { None };
-        let records = if lazy { self.load_loose_records()? } else { self.load_all_records()? };
-        if let Some(engine) = reused {
-            return Ok((engine, records));
-        }
-        let engine = if let Some(e) = cached {
-            index_cache_hits_counter().inc();
-            e
+        let carried = self.base.as_ref().and_then(|b| b.corpus.clone()).filter(|_| !lazy);
+        // `all`: `records` is every active record, not a part of them.
+        let (mut records, mut all) = if lazy {
+            (self.load_loose_records()?, false)
+        } else if carried.is_some() {
+            (self.records_of(churn.iter().flat_map(|(_, upserts)| upserts))?, false)
         } else {
-            let e = match self.update_base(churn, &records)? {
-                Some(e) => e,
-                None if lazy => self.rebuild_engine(&self.load_all_records()?),
-                None => self.rebuild_engine(&records),
-            };
-            // The cache is an optimization: a read-only filesystem must
-            // not make an in-memory engine unqueryable.
-            let _ = self.write_index_cache(&e, fp);
-            e
+            (self.load_all_records()?, true)
         };
-        dead_columns_gauge().set(engine.dead_columns() as i64);
-        index_bytes_gauge().set(engine.index_bytes() as i64);
-        let engine = Arc::new(engine);
-        self.base = Some(IndexBase { engine: Arc::clone(&engine), fingerprint: fp, hashes });
-        Ok((engine, records))
+        let engine = if let Some(engine) = reused {
+            engine
+        } else {
+            let engine = if let Some(e) = cached {
+                index_cache_hits_counter().inc();
+                e
+            } else {
+                let e = match self.update_base(churn.as_ref(), &records)? {
+                    Some(e) => e,
+                    None if all => self.rebuild_engine(&records),
+                    None => {
+                        let every = self.load_all_records()?;
+                        let e = self.rebuild_engine(&every);
+                        if !lazy {
+                            (records, all) = (every, true);
+                        }
+                        e
+                    }
+                };
+                // The cache is an optimization: a read-only or full
+                // filesystem must not make an in-memory engine unqueryable.
+                // But every cold open rebuilds until a write succeeds, so a
+                // failure is counted.
+                if self.write_index_cache(&e, fp).is_err() {
+                    index_cache_write_failures_counter().inc();
+                }
+                e
+            };
+            dead_columns_gauge().set(engine.dead_columns() as i64);
+            index_bytes_gauge().set(engine.index_bytes() as i64);
+            Arc::new(engine)
+        };
+        let sketches = match (carried.filter(|_| !all), &churn, &self.base) {
+            (Some(prev), None, _) => prev,
+            (Some(prev), Some((removed, _)), Some(base)) => {
+                Arc::new(carry_forward(base.engine.table_ids(), &prev, removed, records))
+            }
+            _ => Arc::new(records.into_iter().map(|r| Arc::new(r.sketch)).collect()),
+        };
+        self.base = Some(IndexBase {
+            engine: Arc::clone(&engine),
+            fingerprint: fp,
+            hashes,
+            corpus: (!lazy).then(|| Arc::clone(&sketches)),
+        });
+        Ok((engine, sketches))
     }
 
     /// The base engine updated by `churn` (removed ids, changed-or-added
@@ -1324,24 +1520,32 @@ impl Catalog {
     /// when [`QueryEngine::update`] declines.
     fn update_base(
         &self,
-        churn: Option<(Vec<String>, Vec<String>)>,
+        churn: Option<&(Vec<String>, Vec<String>)>,
         loaded: &[TableRecord],
     ) -> StoreResult<Option<QueryEngine>> {
         let (Some(base), Some((removed, upserts))) = (&self.base, churn) else {
             return Ok(None);
         };
-        let upserts = upserts
-            .iter()
-            .map(|id| match loaded.binary_search_by(|r| r.table_id().cmp(id)) {
-                Ok(i) => Ok(loaded[i].clone()),
-                Err(_) => self.record(id),
-            })
-            .collect::<StoreResult<Vec<_>>>()?;
-        let t0 = std::time::Instant::now();
-        let updated = base.engine.update(&removed, &upserts);
+        let fetched: Vec<TableRecord>;
+        let exact = loaded.iter().map(TableRecord::table_id).eq(upserts.iter().map(String::as_str));
+        let upserts = if exact {
+            loaded
+        } else {
+            fetched = upserts
+                .iter()
+                .map(|id| match loaded.binary_search_by(|r| r.table_id().cmp(id)) {
+                    Ok(i) => Ok(loaded[i].clone()),
+                    Err(_) => self.record(id),
+                })
+                .collect::<StoreResult<Vec<_>>>()?;
+            &fetched
+        };
+        let timer = index_update_histogram().time("engine.update");
+        let updated = base.engine.update(removed, upserts);
         if updated.is_some() {
             index_updates_counter().inc();
-            index_update_histogram().record(t0.elapsed().as_micros() as u64);
+        } else {
+            timer.discard();
         }
         Ok(updated)
     }
@@ -1465,21 +1669,26 @@ impl Catalog {
     /// the graph dead.
     fn rebuild_engine(&self, records: &[TableRecord]) -> QueryEngine {
         index_rebuilds_counter().inc();
-        let t0 = std::time::Instant::now();
-        let e = QueryEngine::build(records, self.sketch_cfg.minhash_k, self.hnsw_cfg.clone());
-        index_build_histogram().record(t0.elapsed().as_micros() as u64);
-        e
+        let _t = index_build_histogram().time("engine.build");
+        QueryEngine::build(records, self.sketch_cfg.minhash_k, self.hnsw_cfg.clone())
     }
 
     fn write_index_cache(&self, engine: &QueryEngine, fp: u64) -> StoreResult<()> {
         let _t = index_cache_write_histogram().time("catalog.index_cache.write");
-        let mut file = Vec::new();
-        ser::write_framed(&mut file, INDEX_MAGIC, |w| {
-            ser::write_u64(w, fp)?;
-            ser::write_hnsw(w, engine.join_index())?;
-            ser::write_hnsw(w, engine.union_index())?;
-            write_engine_meta(w, engine)
+        let (join, union) = (engine.join_index(), engine.union_index());
+        let len = ser::FRAME_HEADER_LEN
+            + 8
+            + ser::hnsw_frame_len(join)
+            + ser::hnsw_frame_len(union)
+            + engine_meta_len(engine);
+        let mut file = Vec::with_capacity(len);
+        ser::write_framed_nesting(&mut file, INDEX_MAGIC, |p| {
+            ser::write_u64(p.buf(), fp)?;
+            p.nested(|w| ser::write_hnsw(w, join))?;
+            p.nested(|w| ser::write_hnsw(w, union))?;
+            write_engine_meta(p.buf(), engine)
         })?;
+        debug_assert_eq!(file.len(), len, "index.cache sized exactly");
         durable::commit_file(&self.dir.join(INDEX_FILE), &file)
     }
 
@@ -1531,6 +1740,32 @@ fn churn_since(
     }
     removed.extend(old.map(|(gone, _)| gone.clone()));
     (removed, upserts)
+}
+
+/// An eager corpus carried across churn: `prev` — the sketches of `ids`,
+/// both ascending — without the `removed` tables, with the sketches of
+/// `upserts` (ascending by id) replacing or joining theirs. Every other
+/// table keeps its `Arc`.
+fn carry_forward(
+    ids: &[String],
+    prev: &[Arc<TableSketch>],
+    removed: &[String],
+    upserts: Vec<TableRecord>,
+) -> Vec<Arc<TableSketch>> {
+    let mut fresh = upserts.into_iter().map(|r| Arc::new(r.sketch)).peekable();
+    let mut out = Vec::with_capacity(prev.len() + fresh.len());
+    for (id, sketch) in ids.iter().zip(prev) {
+        while let Some(s) = fresh.next_if(|s| s.table_id < *id) {
+            out.push(s);
+        }
+        match fresh.next_if(|s| s.table_id == *id) {
+            Some(replaced) => out.push(replaced),
+            None if removed.binary_search(id).is_err() => out.push(Arc::clone(sketch)),
+            None => {}
+        }
+    }
+    out.extend(fresh);
+    out
 }
 
 /// The fingerprint chain over ascending-id `(id, content_hash)` pairs of
@@ -1644,6 +1879,19 @@ fn write_engine_meta(w: &mut Vec<u8>, engine: &QueryEngine) -> StoreResult<()> {
         }
     }
     Ok(())
+}
+
+/// The bytes [`write_engine_meta`] appends for `engine`.
+fn engine_meta_len(engine: &QueryEngine) -> usize {
+    let live_byte = usize::from(!engine.is_canonical());
+    let spans: usize = engine
+        .spans()
+        .map(|(id, snapshot, names)| {
+            let names: usize = names.iter().map(|n| 4 + n.len()).sum();
+            live_byte + 4 + id.unwrap_or_default().len() + 4 + 8 * snapshot.sig.len() + 4 + names
+        })
+        .sum();
+    1 + 8 + spans
 }
 
 fn read_engine_meta(s: &mut &[u8]) -> StoreResult<Vec<SpanMeta>> {
@@ -2231,6 +2479,91 @@ mod tests {
             ids.into_iter().map(|id| (id.clone(), c.record(&id).unwrap().content_hash)).collect()
         };
         assert_eq!(contents(&cat), contents(&cat2));
+    }
+
+    /// A stamp is remembered only once both its times lie a full
+    /// [`SETTLE_NS`] before the scan: one nanosecond later on either is
+    /// too late.
+    #[test]
+    fn a_stamp_settles_at_exactly_the_settle_window() {
+        let start = 1_700_000_000_000_000_000i128;
+        let at = |mtime, ctime| Stamp { dev: 1, ino: 2, len: 3, mtime, ctime };
+        let edge = start - SETTLE_NS;
+        assert!(at(edge, edge).settled(start));
+        assert!(at(edge - 5, edge - 9).settled(start));
+        assert!(!at(edge + 1, edge).settled(start), "mtime inside the window");
+        assert!(!at(edge, edge + 1).settled(start), "ctime inside the window");
+        assert!(!at(start, start).settled(start));
+    }
+
+    /// On one long-lived catalog, a settled source is skipped by its stamp
+    /// alone, and no change to a source slips past that skip: a
+    /// same-length rewrite with its mtime restored, a rewrite inside the
+    /// settle window, a rename over the file, a change to the table made
+    /// through the API, and a deletion.
+    #[test]
+    fn the_stamp_fast_path_never_misses_a_change() {
+        let dir = tmp_dir("stamps");
+        let lake = tmp_dir("stamps_lake");
+        fs::create_dir_all(&lake).unwrap();
+        let csv = |tag: char| format!("k,v\n{tag}1,1\n{tag}2,2\n");
+        let file = |id: &str| lake.join(format!("{id}.csv"));
+        for id in ["a", "b", "c", "d", "e", "f"] {
+            fs::write(file(id), csv('x')).unwrap();
+        }
+        // ctime cannot be set back: let every source settle.
+        std::thread::sleep(std::time::Duration::from_nanos(SETTLE_NS as u64 + 100_000_000));
+        let mut cat = Catalog::open(&dir).unwrap();
+        let counts = |r: IngestReport| (r.added, r.updated, r.unchanged, r.failed.len());
+        assert_eq!(counts(cat.ingest_dir(&lake).unwrap()), (6, 0, 0, 0));
+        let remembered = |cat: &Catalog, id: &str| cat.sources[&lake].contains_key(id);
+        assert_eq!(cat.sources[&lake].len(), 6, "every settled source is remembered");
+        assert_eq!(counts(cat.ingest_dir(&lake).unwrap()), (0, 0, 6, 0));
+
+        // (i) Same length, different bytes, mtime restored: ctime moved.
+        let mtime = fs::metadata(file("a")).unwrap().modified().unwrap();
+        fs::write(file("a"), csv('y')).unwrap();
+        fs::File::options().write(true).open(file("a")).unwrap().set_modified(mtime).unwrap();
+        assert_eq!(fs::metadata(file("a")).unwrap().modified().unwrap(), mtime);
+        assert_eq!(counts(cat.ingest_dir(&lake).unwrap()), (0, 1, 5, 0), "(i)");
+        assert!(!remembered(&cat, "a"), "a source read inside the window is not remembered");
+
+        // (ii) Rewritten right after the scan that read it, inside the
+        // window, and again after the next one.
+        for tag in ['z', 'x'] {
+            fs::write(file("a"), csv(tag)).unwrap();
+            assert_eq!(counts(cat.ingest_dir(&lake).unwrap()), (0, 1, 5, 0), "(ii) {tag}");
+        }
+
+        // (iii) Replaced by a rename over it, same length and mtime.
+        let mtime = fs::metadata(file("b")).unwrap().modified().unwrap();
+        let staged = lake.join("b.next");
+        fs::write(&staged, csv('y')).unwrap();
+        fs::File::options().write(true).open(&staged).unwrap().set_modified(mtime).unwrap();
+        fs::rename(&staged, file("b")).unwrap();
+        assert_eq!(counts(cat.ingest_dir(&lake).unwrap()), (0, 1, 5, 0), "(iii)");
+        assert_eq!(cat.record("b").unwrap().content_hash, hash_str(&csv('y')));
+
+        // (iv) The table changed through the API: the untouched file is
+        // read again and its version restored.
+        assert!(remembered(&cat, "c"));
+        cat.add_table(&table("c", &[7, 8, 9]), 42).unwrap();
+        assert_eq!(counts(cat.ingest_dir(&lake).unwrap()), (0, 1, 5, 0), "(iv)");
+        assert_eq!(cat.record("c").unwrap().content_hash, hash_str(&csv('x')));
+
+        // (v) A deleted source drops out of the scan and its stamp with it.
+        fs::remove_file(file("d")).unwrap();
+        assert_eq!(counts(cat.ingest_dir(&lake).unwrap()), (0, 0, 5, 0), "(v)");
+        assert!(!remembered(&cat, "d"));
+        assert!(cat.get("d").unwrap().is_some(), "ingest never removes a table");
+
+        // The skip is taken on the stamp and the active hash alone: with
+        // the stamp of changed bytes forged in, the file is not opened.
+        fs::write(file("e"), csv('y')).unwrap();
+        let forged = file_stamp(&fs::metadata(file("e")).unwrap()).unwrap();
+        cat.sources.get_mut(&lake).unwrap().get_mut("e").unwrap().stamp = forged;
+        assert_eq!(counts(cat.ingest_dir(&lake).unwrap()), (0, 0, 5, 0), "forged stamp");
+        assert_eq!(cat.record("e").unwrap().content_hash, hash_str(&csv('x')));
     }
 
     /// The committed bytes an ingest must reproduce at any thread count:

@@ -295,7 +295,6 @@ impl QueryEngine {
     /// keep the *last* occurrence. The join and union graphs fill side by
     /// side ([`fill_lanes`]).
     pub fn build(records: &[TableRecord], minhash_k: usize, hnsw_cfg: HnswConfig) -> Self {
-        let _g = tsfm_obs::span!("engine.build");
         let recs = canonical(records);
         let union_dim = 2 * minhash_k + tsfm_sketch::numeric::NUMERIC_SKETCH_DIM;
         let union_cfg = hnsw_cfg.clone();
@@ -338,7 +337,6 @@ impl QueryEngine {
         if dead * DEAD_REBUILD_DIVISOR >= nodes.max(1) {
             return None;
         }
-        let _g = tsfm_obs::span!("engine.update");
         let (join_index, union_index) = fill_lanes(
             || self.join_index.clone(),
             || self.union_index.clone(),

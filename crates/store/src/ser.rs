@@ -49,9 +49,12 @@
 //! Writers work the same way round: a frame is written in place — the
 //! 24-byte header with its length and CRC zeroed, the payload encoded
 //! behind it, then both patched in — so a nested frame never passes
-//! through a buffer of its own either.
+//! through a buffer of its own either. Nor is it checksummed twice: an
+//! outer frame written through [`Payload::nested`] joins each nested
+//! frame's payload CRC onto its own with
+//! [`crate::durable::crc32c_combine`], reading only the nested header.
 
-use crate::durable::crc32c;
+use crate::durable::{crc32c, crc32c_combine};
 use crate::error::{StoreError, StoreResult, FRAME};
 use crate::record::TableRecord;
 use tsfm_search::{Hnsw, HnswConfig, HnswLoader, Metric};
@@ -139,20 +142,81 @@ pub(crate) fn write_framed(
     magic: &[u8; 8],
     body: impl FnOnce(&mut Vec<u8>) -> StoreResult<()>,
 ) -> StoreResult<()> {
+    write_framed_nesting(w, magic, |p| body(p.buf))
+}
+
+/// [`write_framed`] for a payload that nests whole frames: `body` writes
+/// plain bytes through [`Payload::buf`] and each nested frame through
+/// [`Payload::nested`], whose CRC is folded in from its header instead of
+/// being read a second time. The bytes are the same either way.
+pub(crate) fn write_framed_nesting(
+    w: &mut Vec<u8>,
+    magic: &[u8; 8],
+    body: impl FnOnce(&mut Payload<'_>) -> StoreResult<()>,
+) -> StoreResult<()> {
     let start = w.len();
     w.extend_from_slice(magic);
     w.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     w.extend_from_slice(&[0; 12]);
-    if let Err(e) = body(w) {
+    let payload = start + FRAME_HEADER_LEN;
+    let mut p = Payload { buf: w, crc: 0, done: payload };
+    if let Err(e) = body(&mut p) {
         w.truncate(start);
         return Err(e);
     }
-    let payload = start + FRAME_HEADER_LEN;
+    p.fold(p.buf.len());
+    let crc = p.crc;
     let len = (w.len() - payload) as u64;
-    let crc = crc32c(&w[payload..]);
     w[start + 12..start + 20].copy_from_slice(&len.to_le_bytes());
     w[start + 20..payload].copy_from_slice(&crc.to_le_bytes());
     Ok(())
+}
+
+/// A frame's payload while [`write_framed_nesting`] writes it: the buffer
+/// and the CRC32C of the payload bytes before `done`.
+pub(crate) struct Payload<'a> {
+    buf: &'a mut Vec<u8>,
+    crc: u32,
+    done: usize,
+}
+
+impl Payload<'_> {
+    /// The buffer, for plain payload bytes; they are checksummed when the
+    /// next nested frame starts or the frame closes.
+    pub(crate) fn buf(&mut self) -> &mut Vec<u8> {
+        self.buf
+    }
+
+    /// Append the one whole v2 frame `frame` writes. Only its 24-byte
+    /// header is read again: the CRC of its payload is the one in that
+    /// header, joined on with [`crc32c_combine`].
+    pub(crate) fn nested(
+        &mut self,
+        frame: impl FnOnce(&mut Vec<u8>) -> StoreResult<()>,
+    ) -> StoreResult<()> {
+        let at = self.buf.len();
+        frame(self.buf)?;
+        let body = at + FRAME_HEADER_LEN;
+        self.fold(body);
+        let len = u64_at(&self.buf[at + 12..at + 20]);
+        let crc = u32::from_le_bytes([
+            self.buf[at + 20],
+            self.buf[at + 21],
+            self.buf[at + 22],
+            self.buf[at + 23],
+        ]);
+        debug_assert_eq!(body as u64 + len, self.buf.len() as u64, "one whole frame");
+        self.crc = crc32c_combine(self.crc, crc, len);
+        self.done = self.buf.len();
+        Ok(())
+    }
+
+    /// Checksum the plain bytes from `done` to `end`.
+    fn fold(&mut self, end: usize) {
+        let bytes = &self.buf[self.done..end];
+        self.crc = crc32c_combine(self.crc, crc32c(bytes), bytes.len() as u64);
+        self.done = end;
+    }
 }
 
 /// Write a v2 frame around an already-encoded payload.
@@ -577,6 +641,17 @@ pub fn write_hnsw(w: &mut Vec<u8>, index: &Hnsw) -> StoreResult<()> {
         }
         Ok(())
     })
+}
+
+/// The bytes [`write_hnsw`] appends for `index`, its frame header
+/// included, so a writer can size its buffer once.
+pub(crate) fn hnsw_frame_len(index: &Hnsw) -> usize {
+    let head = 4 + 1 + 4 + 4 + 4 + 8 + 8 + 8 + if index.entry().is_some() { 9 } else { 1 };
+    let links: usize = index
+        .layers()
+        .map(|layers| 4 + layers.map(|layer| 4 + 8 * layer.len()).sum::<usize>())
+        .sum();
+    FRAME_HEADER_LEN + head + 8 + 4 * index.vectors().len() + 4 + links
 }
 
 pub fn read_hnsw(s: &mut &[u8]) -> StoreResult<Hnsw> {

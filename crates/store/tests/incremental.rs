@@ -236,3 +236,117 @@ fn stale_cache_is_skipped_without_a_verified_read() {
     assert_eq!(counter("tsfm_store_corruptions_detected_total"), corruptions);
     assert!(cat.stats().index_cached, "the rebuild rewrote the cache");
 }
+
+/// The sketch bytes of `id` as `s` serves them and as the catalog stores
+/// them: equal when the snapshot's corpus holds the table's current
+/// version.
+fn sketch_bytes(s: &Searcher, cat: &Catalog, id: &str) -> (Vec<u8>, Vec<u8>) {
+    let (mut served, mut stored) = (Vec::new(), Vec::new());
+    let sketch = s.sketch_of(id).expect("served");
+    tsfm_store::ser::write_table_sketch(&mut served, &sketch).expect("encode");
+    let rec = cat.get(id).expect("get").expect("stored");
+    tsfm_store::ser::write_table_sketch(&mut stored, &rec.sketch).expect("encode");
+    (served, stored)
+}
+
+/// The random churn sequence above, served by an *eager* in-process
+/// snapshot, whose corpus each cycle carries forward from the previous
+/// one: every live id's served sketch is bit-identical to the stored one,
+/// removed ids are unknown, and a cold reopen, eager or lazy, answers as
+/// the in-process engine does.
+#[test]
+fn eager_churn_carries_exactly_the_current_sketches() {
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let dir = tmp_dir("eager_churn");
+    let mut cat = Catalog::open(&dir).expect("open");
+    let mut version: BTreeMap<String, u64> = BTreeMap::new();
+    for i in 0..60 {
+        let id = format!("t{i:03}");
+        add(&mut cat, &id, 1);
+        version.insert(id, 1);
+    }
+    cat.compact().expect("compact");
+    cat.set_snapshot_mode(SnapshotMode::Eager);
+    cat.searcher().expect("first snapshot");
+
+    let mut removed: BTreeSet<String> = BTreeSet::new();
+    let mut rng = 0x1ce_u64;
+    let mut draw = |n: usize| {
+        rng = splitmix64(rng);
+        (rng % n as u64) as usize
+    };
+    let (mut incremental, mut rebuilt) = (0, 0);
+    for cycle in 0..10u64 {
+        let live: Vec<String> = version.keys().cloned().collect();
+        for _ in 0..2 {
+            let id = &live[draw(live.len())];
+            if version.remove(id).is_some() {
+                assert!(cat.remove(id).expect("remove"));
+                removed.insert(id.clone());
+            }
+        }
+        for _ in 0..3 {
+            let id = live[draw(live.len())].clone();
+            if let Some(v) = version.get_mut(&id) {
+                *v += 1;
+                add(&mut cat, &id, *v);
+            }
+        }
+        for j in 0..2 {
+            let id = format!("n{cycle:02}_{j}");
+            add(&mut cat, &id, 1);
+            version.insert(id, 1);
+        }
+        cat.commit().expect("commit");
+
+        let s = cat.searcher().expect("searcher");
+        assert!(!s.is_lazy());
+        let ids: Vec<String> = version.keys().cloned().collect();
+        assert_eq!(s.engine().table_ids(), ids.as_slice(), "cycle {cycle}: live set");
+        if s.engine().dead_columns() > 0 {
+            incremental += 1;
+        } else {
+            rebuilt += 1;
+        }
+        for id in &ids {
+            let (served, stored) = sketch_bytes(&s, &cat, id);
+            assert!(served == stored, "cycle {cycle}: {id} serves a sketch it does not store");
+        }
+        for id in &removed {
+            assert!(s.sketch_of(id).is_err(), "cycle {cycle}: removed {id} still has a sketch");
+        }
+
+        let queries: Vec<String> = ids.iter().step_by(7).cloned().collect();
+        let want = answers(&s, &queries);
+        for mode in [SnapshotMode::Eager, SnapshotMode::Lazy] {
+            let cold = reopened(&dir, mode, s.engine());
+            assert_eq!(answers(&cold, &queries), want, "cycle {cycle}: {mode:?} reopen");
+        }
+    }
+    assert!(incremental >= 3 && rebuilt >= 1, "{incremental} incremental, {rebuilt} rebuilt cycles");
+}
+
+/// An index cache that cannot be written costs the snapshot nothing but
+/// is counted, so a store that will rebuild at every restart says so.
+#[test]
+fn a_failed_index_cache_write_is_counted_and_the_snapshot_still_answers() {
+    use tsfm_store::durable::fault::{self, FaultMode};
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let dir = tmp_dir("cache_write_fault");
+    let mut cat = Catalog::open(&dir).expect("open");
+    for i in 0..8 {
+        add(&mut cat, &format!("t{i}"), 1);
+    }
+    cat.commit().expect("commit");
+    let failures = counter("tsfm_catalog_index_cache_write_failures_total");
+    // `index.cache` is staged through `index.tmp`; its `create` is the
+    // first faultable site under that path.
+    fault::arm(&dir.join("index.tmp"), 0, FaultMode::Fail);
+    let s = cat.searcher();
+    fault::disarm();
+    let s = s.expect("the snapshot does not depend on the cache");
+    let hits = s.search_id("t0", &requests()[0]).expect("search").hits;
+    assert!(!hits.is_empty());
+    assert_eq!(counter("tsfm_catalog_index_cache_write_failures_total"), failures + 1);
+    assert!(!dir.join("index.cache").exists(), "nothing was written");
+}
